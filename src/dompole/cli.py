@@ -10,9 +10,6 @@ Subcommands:
 
 Exit codes: 0 on success (all requested poles converged), 2 when a solver
 run ends with unconverged columns, 1 on input errors.
-
-The environment variable DOMPOLE_THREADS sets the thread count for the
-per-shift solves inside one iteration (default 1).
 """
 
 from __future__ import annotations

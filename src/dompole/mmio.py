@@ -2,11 +2,13 @@
 
 Supports the subset used by descriptor-system data sets: ``matrix`` objects
 in ``coordinate`` or ``array`` format, ``real``/``integer``/``complex``
-fields, and ``general``/``symmetric`` symmetry. Parse failures report the
-offending line number.
+fields, and ``general``/``symmetric`` symmetry. Parse failures and
+non-finite values (``nan``, ``inf``) report the offending line number.
 """
 
 from __future__ import annotations
+
+import cmath
 
 import numpy as np
 
@@ -68,14 +70,18 @@ def _parse_value(tokens, field, path, lineno):
         if field == "complex":
             if len(tokens) != 2:
                 raise ValueError
-            return complex(float(tokens[0]), float(tokens[1]))
-        if len(tokens) != 1:
-            raise ValueError
-        return complex(float(tokens[0]))
+            value = complex(float(tokens[0]), float(tokens[1]))
+        else:
+            if len(tokens) != 1:
+                raise ValueError
+            value = complex(float(tokens[0]))
     except ValueError:
         raise MatrixMarketError(
             f"cannot parse {field} value from '{' '.join(tokens)}'", path, lineno
         ) from None
+    if not cmath.isfinite(value):
+        raise MatrixMarketError(f"non-finite value '{' '.join(tokens)}'", path, lineno)
+    return value
 
 
 def read_matrix_market(path):

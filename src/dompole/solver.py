@@ -25,10 +25,8 @@ value stays an eigenvalue of every later F.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.optimize
@@ -68,7 +66,6 @@ _MATCHINGS = ("greedy-nearest", "optimal-assignment")
 # separation of roughly sqrt(1/cond_limit), far above one base perturbation.
 _MAX_NORMALIZER_KICKS = 5
 _MAX_STEP_RETRIES = 12
-_THREADS_ENV = "DOMPOLE_THREADS"
 # First retry after a singular factorization moves just far enough off the
 # eigenvalue to clear the pivot threshold; one fixed-point sweep from there
 # moves the shift by O(nudge^2), and the residual floor it induces is about
@@ -112,17 +109,6 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if not self.collision_eps > 0:
             raise ValueError("collision_eps must be positive")
-
-    def as_dict(self):
-        return {
-            "method": self.method,
-            "p": self.p,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "matching": self.matching,
-            "collision_eps": self.collision_eps,
-            "perturbation": self.perturbation,
-        }
 
 
 @dataclass
@@ -207,6 +193,29 @@ def _kick(shift, perturbation, k=1):
     return shift + perturbation * (1.0 + 1.0j) * k
 
 
+def _event(iteration, column, kind, shift):
+    """One report event; sweep-wide events (column -1) have no shift."""
+    return {
+        "iteration": int(iteration),
+        "column": int(column),
+        "kind": kind,
+        "shift_re": None if shift is None else float(shift.real),
+        "shift_im": None if shift is None else float(shift.imag),
+    }
+
+
+def _kick_column(state, j, config, k, events, iteration):
+    state.shifts[j] = _kick(state.shifts[j], config.perturbation, k)
+    events.append(_event(iteration, j, "collision", state.shifts[j]))
+
+
+def _nearest_taken(state, z, earlier=()):
+    """Distance from z to the nearest locked eigenvalue or shift of a column
+    in ``earlier``; infinite when there is neither."""
+    taken = np.concatenate([state.locked[state.converged], state.shifts[list(earlier)]])
+    return np.abs(taken - z).min() if taken.size else math.inf
+
+
 def _compute_column(sys, shift, config):
     """Solve one column with the singular-shift and transmission-zero retries.
 
@@ -244,50 +253,19 @@ def _compute_column(sys, shift, config):
             s = _kick(s, config.perturbation, kicks)
 
 
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get(_THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def refresh_columns(sys, state, config, events=None, iteration=0, columns=None):
-    """Recompute X/Y columns for the given (default: all active) columns.
-
-    Column solves are independent; with ``DOMPOLE_THREADS > 1`` they run on a
-    thread pool. Results and event ordering are identical either way.
-    """
-    cols = list(state.active_indices() if columns is None else columns)
-    cols = [j for j in cols if not state.converged[j]]
-    if not cols:
-        return
-
-    def work(j):
-        return _compute_column(sys, state.shifts[j], config)
-
-    threads = _thread_count()
-    if threads > 1 and len(cols) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(cols))) as pool:
-            results = list(pool.map(work, cols))
-    else:
-        results = [work(j) for j in cols]
-
-    for j, (s, x, y, nu, col_events) in zip(cols, results):
+    """Recompute X/Y columns for the given (default: all active) columns."""
+    cols = state.active_indices() if columns is None else columns
+    for j in cols:
+        if state.converged[j]:
+            continue
+        s, x, y, nu, col_events = _compute_column(sys, state.shifts[j], config)
         state.shifts[j] = s
         state.X[:, j] = x
         state.Y[:, j] = y
         state.normalizers[j] = nu
         if events is not None:
-            for kind, at in col_events:
-                events.append(
-                    {
-                        "iteration": int(iteration),
-                        "column": int(j),
-                        "kind": kind,
-                        "shift_re": float(at.real),
-                        "shift_im": float(at.imag),
-                    }
-                )
+            events.extend(_event(iteration, j, kind, at) for kind, at in col_events)
 
 
 def _projection_parts(sys, state, cond_limit=None):
@@ -364,13 +342,19 @@ def match_shifts(old, candidates, strategy="greedy-nearest"):
     return out
 
 
-def dpse_step(sys, state, config):
+def _cond_limit(config, guarded):
+    return 1.0 / config.collision_eps if guarded else None
+
+
+def dpse_step(sys, state, config, guarded=True):
     """One full sweep: eigenvalues of F matched to the previous shifts.
 
     Locked positions come back exactly; the matching strategy only permutes
-    the remaining candidates across active columns.
+    the remaining candidates across active columns. A guarded sweep raises
+    ShiftCollisionError on an ill-conditioned W^T V; an unguarded one solves
+    it in the least-squares sense.
     """
-    F = assemble_projection(sys, state, cond_limit=1.0 / config.collision_eps)
+    F = assemble_projection(sys, state, _cond_limit(config, guarded))
     w, _ = dense_eig(F)
     new = np.empty(state.p, dtype=np.complex128)
     available = np.ones(state.p, dtype=bool)
@@ -384,13 +368,13 @@ def dpse_step(sys, state, config):
     return new
 
 
-def ddpse_step(sys, state, config):
+def ddpse_step(sys, state, config, guarded=True):
     """One diagonal sweep: ``s_j + vhat_j [ (W^T V)^-1 e ]_j`` per column.
 
     This is diag(F) without the p-by-p eigensolve; converged columns return
-    their locked eigenvalue unchanged.
+    their locked eigenvalue unchanged. ``guarded`` is as for dpse_step.
     """
-    u, vhat, shat = _projection_parts(sys, state, cond_limit=1.0 / config.collision_eps)
+    u, vhat, shat = _projection_parts(sys, state, _cond_limit(config, guarded))
     return shat + vhat * u
 
 
@@ -569,27 +553,14 @@ class RunReport:
 def _perturb_collisions(state, config, events, iteration):
     """Push apart active shifts that sit within collision_eps of any earlier
     active shift or any locked eigenvalue (the later column moves)."""
-    locked_vals = state.locked[state.converged]
     act = state.active_indices()
     for idx, j in enumerate(act):
-        targets = np.concatenate([locked_vals, state.shifts[act[:idx]]])
-        if targets.size == 0:
-            continue
         k = 0
-        while np.abs(state.shifts[j] - targets).min() <= config.collision_eps:
+        while _nearest_taken(state, state.shifts[j], act[:idx]) <= config.collision_eps:
             k += 1
             if k > state.p + 4:
                 raise SolverError(f"cannot separate shift for column {j}")
-            state.shifts[j] = _kick(state.shifts[j], config.perturbation, k)
-            events.append(
-                {
-                    "iteration": int(iteration),
-                    "column": int(j),
-                    "kind": "collision",
-                    "shift_re": float(state.shifts[j].real),
-                    "shift_im": float(state.shifts[j].imag),
-                }
-            )
+            _kick_column(state, j, config, k, events, iteration)
 
 
 def _collision_suspects(state, config):
@@ -599,34 +570,19 @@ def _collision_suspects(state, config):
     conditioning blows up once their distance falls under roughly
     sqrt(collision_eps) times the local scale, so every active column that
     close to an earlier active shift or a locked eigenvalue is suspect (the
-    later column moves). Returns (suspects, genuine): when no column is
-    within that radius of anything the ill-conditioning is not a collision,
-    ``genuine`` is False, and the fallback suspect is the closest pair's
-    later member.
+    later column moves). An empty list means the ill-conditioning is not a
+    collision.
     """
     act = state.active_indices()
-    suspects = set()
-    locked_vals = state.locked[state.converged]
+    suspects = []
     for idx, j in enumerate(act):
         radius = max(
             config.collision_eps,
             np.sqrt(config.collision_eps) * (1.0 + abs(state.shifts[j])),
         )
-        targets = np.concatenate([locked_vals, state.shifts[act[:idx]]])
-        if targets.size and np.abs(targets - state.shifts[j]).min() <= radius:
-            suspects.add(int(j))
-    genuine = bool(suspects)
-    if not suspects and act.size >= 2:
-        best = None
-        for a in range(act.size):
-            for b in range(a + 1, act.size):
-                d = abs(state.shifts[act[a]] - state.shifts[act[b]])
-                if best is None or d < best[0]:
-                    best = (d, int(act[b]))
-        suspects.add(best[1])
-    if not suspects and act.size:
-        suspects.add(int(act[-1]))
-    return sorted(suspects), genuine
+        if _nearest_taken(state, state.shifts[j], act[:idx]) <= radius:
+            suspects.append(int(j))
+    return suspects
 
 
 def _fallback_step(sys, state, config, events, iteration):
@@ -637,31 +593,20 @@ def _fallback_step(sys, state, config, events, iteration):
     least-squares solve and each active update is damped to a trust radius,
     so wayward columns stay in a sane region instead of aborting the run.
     """
-    if config.method == "dpse":
-        F = assemble_projection(sys, state)
-        w, _ = dense_eig(F)
-        new = np.empty(state.p, dtype=np.complex128)
-        available = np.ones(state.p, dtype=bool)
-        for j in np.flatnonzero(state.converged):
-            k = int(np.argmin(np.where(available, np.abs(w - state.locked[j]), np.inf)))
-            available[k] = False
-            new[j] = state.locked[j]
-        act = state.active_indices()
-        if act.size:
-            new[act] = match_shifts(state.shifts[act], w[available], config.matching)
-    else:
-        u, vhat, shat = _projection_parts(sys, state)
-        new = shat + vhat * u
+    new = _method_step(config)(sys, state, config, guarded=False)
     for j in state.active_indices():
         delta = new[j] - state.shifts[j]
         radius = 10.0 * (1.0 + abs(state.shifts[j]))
         if not np.isfinite(delta) or abs(delta) > radius:
             step = radius if not np.isfinite(delta) else delta / abs(delta) * radius
             new[j] = state.shifts[j] + step
-    events.append({"iteration": int(iteration), "column": -1,
-                   "kind": "ill-conditioned-projection",
-                   "shift_re": float("nan"), "shift_im": float("nan")})
+    events.append(_event(iteration, -1, "ill-conditioned-projection", None))
     return new
+
+
+def _method_step(config):
+    # looked up at call time, so a rebound module attribute takes effect
+    return dpse_step if config.method == "dpse" else ddpse_step
 
 
 def run(sys, config, initial_shifts=None):
@@ -683,7 +628,7 @@ def run(sys, config, initial_shifts=None):
         raise ValueError(
             f"p = {config.p} exceeds the {sys.ndyn} dynamic states of the system"
         )
-    step = dpse_step if config.method == "dpse" else ddpse_step
+    step = _method_step(config)
 
     events = []
     state = ShiftState.start(sys, shifts)
@@ -703,22 +648,11 @@ def run(sys, config, initial_shifts=None):
                 new_shifts = step(sys, state, config)
                 break
             except ShiftCollisionError:
-                suspects, genuine = _collision_suspects(state, config)
-                if not genuine:
+                suspects = _collision_suspects(state, config)
+                if not suspects:
                     break
                 for j in suspects:
-                    state.shifts[j] = _kick(
-                        state.shifts[j], config.perturbation, 2 ** (attempt - 1)
-                    )
-                    events.append(
-                        {
-                            "iteration": int(it),
-                            "column": int(j),
-                            "kind": "collision",
-                            "shift_re": float(state.shifts[j].real),
-                            "shift_im": float(state.shifts[j].imag),
-                        }
-                    )
+                    _kick_column(state, j, config, 2 ** (attempt - 1), events, it)
                 refresh_columns(sys, state, config, events, it, columns=suspects)
         if new_shifts is None:
             new_shifts = _fallback_step(sys, state, config, events, it)
@@ -732,20 +666,8 @@ def run(sys, config, initial_shifts=None):
             # parallel columns into W^T V forever; keep the column active and
             # let the collision machinery separate it (conjugate duplicates
             # are not affected and converge normally)
-            locked_vals = state.locked[state.converged]
-            if (
-                locked_vals.size
-                and np.abs(locked_vals - new_shifts[j]).min() <= config.collision_eps
-            ):
-                events.append(
-                    {
-                        "iteration": int(it),
-                        "column": int(j),
-                        "kind": "duplicate-deferred",
-                        "shift_re": float(new_shifts[j].real),
-                        "shift_im": float(new_shifts[j].imag),
-                    }
-                )
+            if _nearest_taken(state, new_shifts[j]) <= config.collision_eps:
+                events.append(_event(it, j, "duplicate-deferred", new_shifts[j]))
                 continue
             deflate(state, j, new_shifts[j])
             state.final_residuals[j] = residuals[j]
@@ -797,7 +719,7 @@ def run(sys, config, initial_shifts=None):
 
     return RunReport(
         method=config.method,
-        config=config.as_dict(),
+        config=asdict(config),
         poles=poles,
         unconverged=unconverged,
         trajectories=trajectories,

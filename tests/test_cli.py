@@ -166,6 +166,14 @@ class TestGenSpyBench:
         assert header == ["row", "col"]
         assert len(rows) > 0
 
+    def test_spy_rejects_nan_jacobian(self, toy_manifest, capsys):
+        jac = toy_manifest.parent / "J.mtx"
+        jac.write_text(jac.read_text().replace("-3.0", "nan"))
+        assert main(["spy", str(toy_manifest)]) == 1
+        captured = capsys.readouterr()
+        assert "j4_nonsingular" not in captured.out
+        assert f"{jac}:4: non-finite value 'nan'" in captured.err
+
     def test_gen_deterministic(self, tmp_path):
         for sub in ("a", "b"):
             main(["gen", "--n-states", "10", "--n-algebraic", "5", "--pairs", "2",

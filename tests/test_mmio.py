@@ -65,6 +65,23 @@ def test_parse_error_carries_line_number(tmp_path):
         read_matrix_market(write(tmp_path, "bad.mtx", text))
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 nan\n", 4),
+        ("%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 2 1.0 -inf\n", 3),
+        ("%%MatrixMarket matrix array real general\n2 1\n% note\ninf\n1.0\n", 4),
+        ("%%MatrixMarket matrix array real general\n2 1\n1.0\n1e999\n", 4),
+    ],
+)
+def test_non_finite_value_rejected(tmp_path, text, line):
+    path = write(tmp_path, "bad.mtx", text)
+    with pytest.raises(MatrixMarketError, match="non-finite") as info:
+        read_matrix_market(path)
+    assert info.value.line == line
+    assert str(info.value).startswith(f"{path}:{line}:")
+
+
 def test_index_out_of_range(tmp_path):
     text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n"
     with pytest.raises(MatrixMarketError, match="outside"):
