@@ -74,6 +74,9 @@ class DescriptorSystem:
         object.__setattr__(self, "D", complex(self.D))
         if self.B.shape != (N,) or self.C.shape != (N,):
             raise ValueError("B and C must be vectors of length N")
+        for name in ("B", "C"):
+            if not getattr(self, name).any():
+                raise ValueError(f"{name} is all zero, so h(s) = D has no poles to find")
 
     @property
     def order(self):
@@ -223,7 +226,7 @@ def reduce_to_state_space(sys, max_order=4000):
 def eval_transfer(sys, s):
     """Sample ``h(s) = C^T (sE - J)^-1 B + D`` through one sparse solve."""
     s = complex(s)
-    fac = factorize(shifted(sys.J, sys.ndyn, s), shift=s)
+    fac = factorize(shifted(sys.J, sys.ndyn, s))
     x = fac.solve(sys.B)
     # (sE - J) = -(J - sE)
     return TransferSample(s, complex(-(sys.C @ x) + sys.D))
@@ -241,7 +244,7 @@ def apply_resolvent(sys, s, x):
         raise ValueError(f"x must have length ndyn = {n}")
     rhs = np.zeros(sys.order, dtype=np.complex128)
     rhs[:n] = x
-    fac = factorize(shifted(sys.J, n, s), shift=s)
+    fac = factorize(shifted(sys.J, n, s))
     return fac.solve(rhs)[:n]
 
 
@@ -256,7 +259,7 @@ def normalized_vectors(sys, s, min_normalizer=0.0):
     zero), which signals a transmission zero near s.
     """
     s = complex(s)
-    fac = factorize(shifted(sys.J, sys.ndyn, s), shift=s)
+    fac = factorize(shifted(sys.J, sys.ndyn, s))
     xraw = fac.solve(sys.B)
     nu = complex(sys.C @ xraw)
     if nu == 0 or abs(nu) <= min_normalizer:

@@ -1,5 +1,7 @@
 """Sparse CSC storage, shifted LU factorization, and small dense eigensolves.
 
+A thin layer over scipy: it keeps only the checks scipy does not make
+(canonical complex CSC on the way in, a relative pivot threshold after LU).
 All numeric work runs in complex double precision even for real inputs:
 the solver shifts are complex, and a single complex path avoids duplicated
 real/complex kernels.
@@ -36,96 +38,65 @@ class EigenSolverError(RuntimeError):
 
 
 class SparseMatrix:
-    """Complex sparse matrix in compressed sparse column form.
+    """Complex sparse matrix held as one canonical ``scipy.sparse.csc_matrix``.
 
-    Invariants enforced at construction: column pointers are nondecreasing
-    with ``indptr[0] == 0`` and ``indptr[-1] == nnz``, and row indices are
-    strictly increasing within each column (sorted, no duplicates).
+    The held matrix is complex128, with sorted row indices and no duplicate
+    entries. Build instances with ``from_scipy`` (or ``from_triplets``/
+    ``from_dense``), which makes that form and checks it.
     """
 
-    __slots__ = ("nrows", "ncols", "indptr", "indices", "data", "_csc")
+    __slots__ = ("_csc",)
 
-    def __init__(self, nrows, ncols, indptr, indices, data):
-        nrows = int(nrows)
-        ncols = int(ncols)
-        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
-        data = np.ascontiguousarray(data, dtype=np.complex128)
-        if nrows < 0 or ncols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if indptr.ndim != 1 or indptr.shape[0] != ncols + 1:
-            raise ValueError("indptr must have length ncols + 1")
-        if indptr[0] != 0:
-            raise ValueError("indptr[0] must be 0")
-        if np.any(np.diff(indptr) < 0):
-            raise ValueError("column pointers must be nondecreasing")
-        nnz = int(indptr[-1])
-        if indices.shape[0] != nnz or data.shape[0] != nnz:
-            raise ValueError("indices/data length must equal indptr[-1]")
-        if nnz:
-            if indices.min() < 0 or indices.max() >= nrows:
-                raise ValueError("row index out of range")
-            col_of = np.repeat(np.arange(ncols), np.diff(indptr))
-            same_col = col_of[1:] == col_of[:-1]
-            if np.any(same_col & (np.diff(indices) <= 0)):
-                raise ValueError(
-                    "row indices must be strictly increasing within each column"
-                )
-        self.nrows = nrows
-        self.ncols = ncols
-        self.indptr = indptr
-        self.indices = indices
-        self.data = data
-        self._csc = None
+    def __init__(self, csc):
+        """Wrap ``csc`` as is; it must already be canonical (see ``from_scipy``)."""
+        self._csc = csc
 
-    @property
-    def nnz(self):
-        return int(self.indptr[-1])
+    @classmethod
+    def from_scipy(cls, m):
+        """Copy any scipy sparse matrix or 2-D array into canonical form.
 
-    @property
-    def shape(self):
-        return (self.nrows, self.ncols)
+        Raises ValueError for a malformed matrix, such as a decreasing
+        ``indptr`` or a row index out of range; unsorted rows are sorted and
+        duplicate entries summed.
+        """
+        csc = sp.csc_matrix(m, dtype=np.complex128, copy=True)
+        csc.check_format(full_check=True)
+        csc.sum_duplicates()
+        return cls(csc)
 
     @classmethod
     def from_triplets(cls, nrows, ncols, rows, cols, values):
         """Build from coordinate triplets; duplicate positions are summed."""
-        coo = sp.coo_matrix(
-            (np.asarray(values, dtype=np.complex128), (rows, cols)),
-            shape=(nrows, ncols),
-        )
-        return cls.from_scipy(coo.tocsc())
+        return cls.from_scipy(sp.coo_matrix((values, (rows, cols)), shape=(nrows, ncols)))
 
     @classmethod
     def from_dense(cls, a):
         a = np.asarray(a, dtype=np.complex128)
         if a.ndim != 2:
             raise ValueError("expected a 2-D array")
-        return cls.from_scipy(sp.csc_matrix(a))
+        return cls.from_scipy(a)
 
-    @classmethod
-    def from_scipy(cls, m):
-        csc = sp.csc_matrix(m).astype(np.complex128)
-        csc.sum_duplicates()
-        csc.sort_indices()
-        return cls(csc.shape[0], csc.shape[1], csc.indptr, csc.indices, csc.data)
+    nrows = property(lambda self: self._csc.shape[0])
+    ncols = property(lambda self: self._csc.shape[1])
+    shape = property(lambda self: self._csc.shape)
+    nnz = property(lambda self: self._csc.nnz)
+    indptr = property(lambda self: self._csc.indptr)
+    indices = property(lambda self: self._csc.indices)
+    data = property(lambda self: self._csc.data)
 
     def to_scipy(self):
-        if self._csc is None:
-            self._csc = sp.csc_matrix(
-                (self.data, self.indices, self.indptr), shape=self.shape
-            )
         return self._csc
 
     def to_dense(self):
-        return np.asarray(self.to_scipy().todense())
+        return self._csc.toarray()
 
     def matvec(self, x):
         """Return ``M @ x``."""
-        return self.to_scipy() @ np.asarray(x, dtype=np.complex128)
+        return self._csc @ np.asarray(x, dtype=np.complex128)
 
     def matvec_t(self, x):
         """Return ``M.T @ x`` (plain transpose, no conjugation)."""
-        return self.to_scipy().T @ np.asarray(x, dtype=np.complex128)
+        return self._csc.T @ np.asarray(x, dtype=np.complex128)
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
@@ -134,73 +105,32 @@ class SparseMatrix:
 def shifted(J, ndyn, s):
     """Return ``J - s*E`` where ``E = diag(1,...,1,0,...,0)`` with ``ndyn`` ones.
 
-    Only the first ``ndyn`` diagonal entries change; for nonzero ``s`` the
-    result's pattern is J's pattern united with those diagonal positions.
+    The result's pattern is J's pattern united with the first ``ndyn``
+    diagonal positions; entries that cancel to exactly zero are dropped.
     """
-    if J.nrows != J.ncols:
-        raise ValueError("shifted() requires a square matrix")
-    if not 0 <= ndyn <= J.nrows:
-        raise ValueError(f"ndyn {ndyn} out of range for order {J.nrows}")
-    s = complex(s)
-    indptr = J.indptr.copy()
-    indices = J.indices.copy()
-    data = J.data.copy()
-    if s == 0 or ndyn == 0:
-        return SparseMatrix(J.nrows, J.ncols, indptr, indices, data)
-
-    present = []
-    missing = []  # (column, flat insertion position)
-    for j in range(ndyn):
-        lo, hi = indptr[j], indptr[j + 1]
-        pos = lo + int(np.searchsorted(indices[lo:hi], j))
-        if pos < hi and indices[pos] == j:
-            present.append(pos)
-        else:
-            missing.append((j, pos))
-    if present:
-        data[np.asarray(present)] -= s
-    if missing:
-        cols = np.asarray([j for j, _ in missing])
-        at = np.asarray([pos for _, pos in missing])
-        indices = np.insert(indices, at, cols)
-        data = np.insert(data, at, np.full(len(at), -s, dtype=np.complex128))
-        bump = np.zeros(len(indptr), dtype=np.int64)
-        np.add.at(bump, cols + 1, 1)
-        indptr = indptr + np.cumsum(bump)
-    return SparseMatrix(J.nrows, J.ncols, indptr, indices, data)
+    N = J.nrows
+    if not 0 <= ndyn <= N:
+        raise ValueError(f"ndyn {ndyn} out of range for order {N}")
+    dyn = np.arange(ndyn)
+    E = sp.csc_matrix((np.ones(ndyn), (dyn, dyn)), shape=(N, N))
+    # the difference of two canonical CSC matrices is canonical
+    return SparseMatrix(J.to_scipy() - complex(s) * E)
 
 
 class Factorization:
     """LU factors of a (shifted) sparse matrix with fill-reducing ordering.
 
-    Immutable after construction; safe to share between threads for solves.
-    The permutations satisfy ``Pr @ M @ Pc = L @ U`` with
-    ``Pr[perm_r[i], i] = 1`` and ``Pc[i, perm_c[i]] = 1``.
+    ``lu`` is scipy's SuperLU object: ``lu.perm_r``, ``lu.perm_c``, ``lu.L``
+    and ``lu.U`` satisfy ``Pr @ M @ Pc = L @ U`` with ``Pr[perm_r[i], i] = 1``
+    and ``Pc[i, perm_c[i]] = 1``. ``pivot_growth`` is ``max|U| / max|M|``.
     """
 
-    __slots__ = ("_splu", "order", "shift", "pivot_growth")
+    __slots__ = ("lu", "order", "pivot_growth")
 
-    def __init__(self, splu_obj, order, shift, pivot_growth):
-        self._splu = splu_obj
+    def __init__(self, lu, order, pivot_growth):
+        self.lu = lu
         self.order = order
-        self.shift = shift
         self.pivot_growth = pivot_growth
-
-    @property
-    def perm_r(self):
-        return self._splu.perm_r
-
-    @property
-    def perm_c(self):
-        return self._splu.perm_c
-
-    @property
-    def L(self):
-        return SparseMatrix.from_scipy(self._splu.L)
-
-    @property
-    def U(self):
-        return SparseMatrix.from_scipy(self._splu.U)
 
     def solve(self, rhs, transposed=False):
         """Solve ``M x = rhs`` or ``M.T x = rhs`` using the stored factors."""
@@ -209,18 +139,16 @@ class Factorization:
             raise ValueError(
                 f"right-hand side has length {rhs.shape}, expected ({self.order},)"
             )
-        return self._splu.solve(rhs, trans="T" if transposed else "N")
+        return self.lu.solve(rhs, trans="T" if transposed else "N")
 
 
-def factorize(M, shift=0j):
+def factorize(M):
     """Sparse LU of M with COLAMD column ordering and partial pivoting.
 
     Raises SingularMatrixError for structural singularity or for any pivot at
     or below ``PIVOT_RTOL * max|entry|``; the caller is expected to perturb
     the shift and retry.
     """
-    if M.nrows != M.ncols:
-        raise ValueError("factorize() requires a square matrix")
     if M.nrows == 0:
         raise ValueError("cannot factorize an empty matrix")
     max_abs = float(np.abs(M.data).max()) if M.nnz else 0.0
@@ -230,15 +158,16 @@ def factorize(M, shift=0j):
         lu = spla.splu(M.to_scipy(), permc_spec="COLAMD")
     except RuntimeError as exc:
         raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
-    udiag = lu.U.diagonal()
+    U = lu.U
+    udiag = U.diagonal()
     min_pivot = float(np.abs(udiag).min()) if udiag.size else 0.0
     if udiag.size != M.nrows or min_pivot <= PIVOT_RTOL * max_abs:
         raise SingularMatrixError(
             f"pivot {min_pivot:.3e} below threshold {PIVOT_RTOL * max_abs:.3e}; "
             "the shift likely coincides with an eigenvalue"
         )
-    growth = float(np.abs(lu.U.data).max() / max_abs) if lu.U.nnz else 0.0
-    return Factorization(lu, M.nrows, complex(shift), growth)
+    growth = float(np.abs(U.data).max() / max_abs) if U.nnz else 0.0
+    return Factorization(lu, M.nrows, growth)
 
 
 def dense_eig(M):

@@ -78,6 +78,11 @@ class TestPoles:
         assert main(["poles", str(missing)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_all_zero_b_exit_code(self, toy_manifest, capsys):
+        write_array(toy_manifest.parent / "B.mtx", np.array([0.0, 0.0]))
+        assert main(["poles", str(toy_manifest), "--shifts", " -0.5,-2.5"]) == 1
+        assert "error: B is all zero" in capsys.readouterr().err
+
     def test_csv_output(self, toy_manifest, tmp_path):
         csv = tmp_path / "poles.csv"
         main(["poles", str(toy_manifest), "--shifts", " -0.5,-2.5", "--csv", str(csv),

@@ -45,6 +45,14 @@ def random_descriptor(rng, n, m, kappa_free=False):
     return DescriptorSystem(J=SparseMatrix.from_dense(Jd), ndyn=n, B=B, C=C, D=0.25)
 
 
+@pytest.mark.parametrize("name", ["B", "C"])
+def test_all_zero_b_or_c_rejected(name):
+    vectors = {"B": [1.0, 1.0], "C": [1.0, 1.0], name: [0.0, 0.0]}
+    J = SparseMatrix.from_dense(np.diag([-1.0, -3.0]))
+    with pytest.raises(ValueError, match=f"^{name} is all zero"):
+        DescriptorSystem(J=J, ndyn=2, **vectors)
+
+
 class TestValidate:
     def test_toy_report(self):
         rep = validate(toy_system())

@@ -439,6 +439,28 @@ class TestFallback:
                 assert np.abs(spec - pole.eigenvalue).min() <= 1e-10 * abs(pole.eigenvalue)
 
 
+class TestColumnRecovery:
+    """Force each column-recovery path of ``_compute_column`` on diag(-1, -3)
+    with B = C = (1, 1), whose transfer function has a zero at -2."""
+
+    def test_shift_on_an_eigenvalue(self):
+        # J - (-1)E loses its (0, 0) entry entirely: the LU is singular
+        report = run(two_state(), SolverConfig(method="dpse", p=2), [-1.0, -2.0])
+        first = report.events[0]
+        assert (first["kind"], first["column"], first["iteration"]) == ("singular-shift", 0, 0)
+        assert (first["shift_re"], first["shift_im"]) == (-1.0, 0.0)
+        assert report.all_converged
+        vals = sorted(p.eigenvalue.real for p in report.poles)
+        assert_allclose(vals, [-3.0, -1.0], atol=1e-9)
+
+    def test_shift_on_a_transmission_zero(self):
+        report = run(two_state(), SolverConfig(method="dpse", p=1), [-2.0])
+        kinds = [(e["kind"], e["column"], e["iteration"]) for e in report.events]
+        assert kinds == [("small-normalizer", 0, 0)]
+        assert report.all_converged
+        assert abs(report.poles[0].eigenvalue - (-1.0)) <= 1e-9
+
+
 class TestSequencesAgainstOracle:
     @pytest.mark.parametrize("method", ["dpse", "ddpse"])
     def test_descriptor_matches_dense_oracle(self, method):

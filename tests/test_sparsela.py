@@ -27,21 +27,34 @@ def random_sparse(rng, n, density=0.3, complex_vals=False, diag_boost=0.0):
 
 def reconstruction_error(M, fac):
     n = M.nrows
-    Pr = sp.csc_matrix((np.ones(n), (fac.perm_r, np.arange(n))), shape=(n, n))
-    Pc = sp.csc_matrix((np.ones(n), (np.arange(n), fac.perm_c)), shape=(n, n))
+    lu = fac.lu
+    Pr = sp.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))), shape=(n, n))
+    Pc = sp.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)), shape=(n, n))
     lhs = (Pr @ M.to_scipy() @ Pc).todense()
-    rhs = (fac.L.to_scipy() @ fac.U.to_scipy()).todense()
+    rhs = (lu.L @ lu.U).todense()
     return np.linalg.norm(lhs - rhs) / np.linalg.norm(M.to_dense())
 
 
 class TestSparseMatrix:
     def test_invariant_validation(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            SparseMatrix(2, 2, [0, 2, 2], [1, 0], [1.0, 2.0])
-        with pytest.raises(ValueError, match="nondecreasing"):
-            SparseMatrix(2, 2, [0, 2, 1], [0, 1], [1.0, 2.0])
-        with pytest.raises(ValueError, match="out of range"):
-            SparseMatrix(2, 2, [0, 1, 1], [5], [1.0])
+        def raw(indptr, indices, data):
+            return sp.csc_matrix(
+                (np.array(data), np.array(indices), np.array(indptr)), shape=(2, 2)
+            )
+
+        with pytest.raises(ValueError, match="non-decreasing"):
+            SparseMatrix.from_scipy(raw([0, 2, 1], [0, 1], [1.0, 2.0]))
+        with pytest.raises(ValueError, match="indices must be < 2"):
+            SparseMatrix.from_scipy(raw([0, 1, 1], [5], [1.0]))
+        unsorted = raw([0, 2, 2], [1, 0], [1.0, 2.0])
+        m = SparseMatrix.from_scipy(unsorted)
+        assert m.indptr.tolist() == [0, 2, 2]
+        assert m.indices.tolist() == [0, 1]
+        assert m.data.tolist() == [2.0, 1.0]
+        assert m.data.dtype == np.complex128
+        assert unsorted.indices.tolist() == [1, 0]  # the input is copied, not sorted in place
+        m = SparseMatrix.from_scipy(raw([0, 2, 2], [0, 0], [1.0, 2.0]))
+        assert m.indices.tolist() == [0] and m.data.tolist() == [3.0]
 
     def test_from_triplets_sums_duplicates(self):
         m = SparseMatrix.from_triplets(2, 2, [0, 0], [0, 0], [1.0, 2.0])
@@ -75,6 +88,24 @@ class TestShifted:
         assert out.nnz == 4
         assert_allclose(out.to_dense(), [[-1.0, 1.0], [1.0, -1.0]])
 
+    def test_cancelled_diagonal_is_dropped(self):
+        J = SparseMatrix.from_dense(np.diag([-1.0, -3.0]))
+        out = shifted(J, 2, -1.0)
+        assert out.nnz == 1
+        assert_allclose(out.to_dense(), np.diag([0.0, -2.0]))
+
+    @pytest.mark.parametrize("ndyn", [0, 7, 30])
+    def test_matches_dense_reference(self, ndyn):
+        rng = np.random.default_rng(ndyn)
+        # no diagonal boost: many diagonal positions are absent from J
+        dense = np.where(rng.random((30, 30)) < 0.1, rng.standard_normal((30, 30)), 0.0)
+        J = SparseMatrix.from_dense(dense)
+        s = 0.3 - 1.7j
+        E = np.diag((np.arange(30) < ndyn).astype(float))
+        out = shifted(J, ndyn, s)
+        np.testing.assert_array_equal(out.to_dense(), dense - s * E)
+        assert out.to_scipy().has_canonical_format
+
     def test_ndyn_out_of_range(self):
         J = SparseMatrix.from_dense(np.eye(2))
         with pytest.raises(ValueError, match="out of range"):
@@ -85,8 +116,8 @@ class TestFactorize:
     def test_diagonal_factors(self):
         M = SparseMatrix.from_dense(np.diag([-0.5, -2.5]))
         fac = factorize(M)
-        assert_allclose(fac.L.to_dense(), np.eye(2))
-        assert_allclose(np.sort(np.abs(np.diag(fac.U.to_dense()))), [0.5, 2.5])
+        assert_allclose(fac.lu.L.toarray(), np.eye(2))
+        assert_allclose(np.sort(np.abs(fac.lu.U.diagonal())), [0.5, 2.5])
         assert fac.pivot_growth == pytest.approx(1.0)
 
     def test_zero_row_is_singular(self):
