@@ -222,23 +222,13 @@ def cmd_bench(args):
     return 0
 
 
-def spy_summary(order, nnz):
-    """Plain-arithmetic sparsity numbers used by the spy command."""
-    return {
-        "order": int(order),
-        "nnz": int(nnz),
-        "density_pct": 100.0 * nnz / (order * order),
-    }
-
-
 def cmd_spy(args):
     system = load_system(args.manifest)
     report = validate(system)
-    info = spy_summary(report.order, report.nnz)
-    print(f"order = {info['order']}")
+    print(f"order = {report.order}")
     print(f"ndyn = {report.ndyn}")
-    print(f"nnz = {info['nnz']}")
-    print(f"density_pct = {info['density_pct']:.6g}")
+    print(f"nnz = {report.nnz}")
+    print(f"density_pct = {report.density_pct:.6g}")
     for name, count in report.block_nnz.items():
         print(f"nnz_{name} = {count}")
     print(f"j4_nonsingular = {str(report.j4_nonsingular).lower()}")
@@ -246,10 +236,8 @@ def cmd_spy(args):
         print(f"note = {note}")
     if args.coords:
         J = system.J
-        lines = ["row,col"]
-        for j in range(J.ncols):
-            for k in range(J.indptr[j], J.indptr[j + 1]):
-                lines.append(f"{int(J.indices[k])},{j}")
+        cols = np.repeat(np.arange(J.ncols), np.diff(J.indptr))
+        lines = ["row,col"] + [f"{i},{j}" for i, j in zip(J.indices.tolist(), cols.tolist())]
         _write_text(args.coords, "\n".join(lines))
     return 0
 

@@ -158,13 +158,22 @@ def block_nnz(J, ndyn):
 
 
 def validate(sys):
-    """Dimension, density, and algebraic-block checks; failures go in notes."""
+    """Density, empty rows and columns, and algebraic-block checks; failures go in notes."""
     N = sys.order
     n = sys.ndyn
     m = N - n
     blocks = block_nnz(sys.J, n)
     j4_ok = True
     notes = []
+    pattern = sys.J.to_scipy().copy()
+    pattern.eliminate_zeros()
+    for kind, counts in (
+        ("rows", np.bincount(pattern.indices, minlength=N)),
+        ("columns", np.diff(pattern.indptr)),
+    ):
+        if not counts.all():
+            empty = ", ".join(str(k) for k in np.flatnonzero(counts == 0))
+            notes.append(f"empty {kind} of J (0-based): {empty}")
     if m > 0:
         j4 = SparseMatrix.from_scipy(sys.J.to_scipy()[n:, n:])
         try:

@@ -2,13 +2,16 @@
 
 Supports the subset used by descriptor-system data sets: ``matrix`` objects
 in ``coordinate`` or ``array`` format, ``real``/``integer``/``complex``
-fields, and ``general``/``symmetric`` symmetry. Parse failures and
-non-finite values (``nan``, ``inf``) report the offending line number.
+fields, and ``general``/``symmetric`` symmetry. The data lines are parsed by
+one ``np.loadtxt`` call, with ``%`` starting a comment anywhere on a data line.
+Parse failures, indices out of range, non-finite values (``nan``, ``inf``)
+and a wrong entry count report the offending line number.
 """
 
 from __future__ import annotations
 
-import cmath
+import io
+import warnings
 
 import numpy as np
 
@@ -56,32 +59,30 @@ def _parse_header(line, path):
     return fmt, field, symmetry
 
 
-def _data_lines(lines, path):
-    """Yield (line_number, stripped_text) skipping comments and blanks."""
-    for lineno, raw in enumerate(lines[1:], start=2):
-        text = raw.strip()
-        if not text or text.startswith("%"):
-            continue
-        yield lineno, text
+def _parse(texts, dtype):
+    """Parse each of ``texts`` by ``np.loadtxt``, up to the first that fails.
+
+    Returns the parsed arrays, fewer than ``texts`` when one does not fit
+    ``dtype``. numpy releases that read ``1.0`` into an integer column with
+    only a DeprecationWarning count that as a failure too.
+    """
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        for text in texts:
+            try:
+                out.append(np.loadtxt(io.StringIO(text), dtype=dtype, comments="%", ndmin=1))
+            except (ValueError, DeprecationWarning):
+                break
+    return out
 
 
-def _parse_value(tokens, field, path, lineno):
-    try:
-        if field == "complex":
-            if len(tokens) != 2:
-                raise ValueError
-            value = complex(float(tokens[0]), float(tokens[1]))
-        else:
-            if len(tokens) != 1:
-                raise ValueError
-            value = complex(float(tokens[0]))
-    except ValueError:
-        raise MatrixMarketError(
-            f"cannot parse {field} value from '{' '.join(tokens)}'", path, lineno
-        ) from None
-    if not cmath.isfinite(value):
-        raise MatrixMarketError(f"non-finite value '{' '.join(tokens)}'", path, lineno)
-    return value
+def _data_lines(body, lineno):
+    """(line number, text) of each line of ``body``, which follows line ``lineno``,
+    that holds data, as ``np.loadtxt`` sees it."""
+    numbered = enumerate(body.split("\n"), start=lineno + 1)
+    return [(k, text) for k, text in numbered if text.split("%", 1)[0].strip()]
 
 
 def read_matrix_market(path):
@@ -89,109 +90,111 @@ def read_matrix_market(path):
 
     Symmetric storage is expanded to both triangles. Coordinate indices are
     validated against the declared dimensions, and the declared entry count
-    must match the number of data lines exactly.
+    must match the number of data lines exactly. Array files store no zeros.
     """
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise MatrixMarketError("empty file", path, 1)
-    fmt, field, symmetry = _parse_header(lines[0], path)
+        header = fh.readline()
+        if not header:
+            raise MatrixMarketError("empty file", path, 1)
+        fmt, field, symmetry = _parse_header(header, path)
+        size_lineno, size = 1, []
+        while not size:
+            text = fh.readline()
+            if not text:
+                raise MatrixMarketError("missing size line", path, size_lineno)
+            size_lineno += 1
+            if not text.lstrip().startswith("%"):
+                size = text.split()
+        body = fh.read()
 
-    body = _data_lines(lines, path)
+    coordinate = fmt == "coordinate"
+    if len(size) != (3 if coordinate else 2):
+        form = "'nrows ncols nnz'" if coordinate else "'nrows ncols'"
+        raise MatrixMarketError(f"{fmt} size line must be {form}", path, size_lineno)
     try:
-        size_lineno, size_text = next(body)
-    except StopIteration:
-        raise MatrixMarketError("missing size line", path, len(lines)) from None
-    size_tokens = size_text.split()
-
-    if fmt == "coordinate":
-        if len(size_tokens) != 3:
-            raise MatrixMarketError(
-                "coordinate size line must be 'nrows ncols nnz'", path, size_lineno
-            )
-        try:
-            nrows, ncols, declared = (int(t) for t in size_tokens)
-        except ValueError:
-            raise MatrixMarketError("non-integer size entry", path, size_lineno) from None
-        if symmetry == "symmetric" and nrows != ncols:
-            raise MatrixMarketError("symmetric matrix must be square", path, size_lineno)
-        rows, cols, vals = [], [], []
-        count = 0
-        for lineno, text in body:
-            tokens = text.split()
-            if len(tokens) < 3:
-                raise MatrixMarketError("coordinate entry needs 'i j value'", path, lineno)
-            try:
-                i = int(tokens[0]) - 1
-                j = int(tokens[1]) - 1
-            except ValueError:
-                raise MatrixMarketError("non-integer coordinate index", path, lineno) from None
-            if not (0 <= i < nrows and 0 <= j < ncols):
-                raise MatrixMarketError(
-                    f"index ({i + 1}, {j + 1}) outside {nrows}x{ncols}", path, lineno
-                )
-            v = _parse_value(tokens[2:], field, path, lineno)
-            count += 1
-            if count > declared:
-                raise MatrixMarketError(
-                    f"entry count mismatch: header declares {declared} entries", path, lineno
-                )
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-            if symmetry == "symmetric" and i != j:
-                rows.append(j)
-                cols.append(i)
-                vals.append(v)
-        if count != declared:
-            raise MatrixMarketError(
-                f"entry count mismatch: header declares {declared} entries, "
-                f"file has {count}",
-                path,
-                len(lines),
-            )
-        return SparseMatrix.from_triplets(nrows, ncols, rows, cols, vals)
-
-    # array format: dense values in column-major order
-    if len(size_tokens) != 2:
-        raise MatrixMarketError("array size line must be 'nrows ncols'", path, size_lineno)
-    try:
-        nrows, ncols = (int(t) for t in size_tokens)
+        nrows, ncols, *declared = (int(t) for t in size)
     except ValueError:
         raise MatrixMarketError("non-integer size entry", path, size_lineno) from None
-    if symmetry == "symmetric":
-        if nrows != ncols:
-            raise MatrixMarketError("symmetric matrix must be square", path, size_lineno)
-        expected = nrows * (nrows + 1) // 2
+    if symmetry == "symmetric" and nrows != ncols:
+        raise MatrixMarketError("symmetric matrix must be square", path, size_lineno)
+    if coordinate:
+        (declared,) = declared
+    elif symmetry == "symmetric":
+        declared = nrows * (nrows + 1) // 2
     else:
-        expected = nrows * ncols
-    values = []
-    for lineno, text in body:
-        if len(values) >= expected:
-            raise MatrixMarketError(
-                f"entry count mismatch: expected {expected} values", path, lineno
-            )
-        values.append(_parse_value(text.split(), field, path, lineno))
-    if len(values) != expected:
+        declared = nrows * ncols
+
+    names = ["i", "j"] if coordinate else []
+    names += ["re", "im"] if field == "complex" else ["re"]
+    dtype = np.dtype([(n, np.int64 if n in ("i", "j") else np.float64) for n in names])
+    lines = []  # (line number, text) of each data line, split only on a fault
+    parsed = _parse([body], dtype)
+    if not parsed:
+        # the rows before the first line that does not parse on its own,
+        # found block by block, then line by line in the failing block
+        lines = _data_lines(body, size_lineno)
+        texts, step = [text for _, text in lines], 512
+        blocks = ("\n".join(texts[b : b + step]) for b in range(0, len(texts), step))
+        parsed = _parse(blocks, dtype)
+        start = step * len(parsed)
+        parsed += _parse(texts[start : start + step], dtype)
+    rec = np.concatenate([np.empty(0, dtype)] + parsed)
+
+    n = len(rec)
+    finite = np.isfinite(rec["re"])
+    if field == "complex":
+        finite &= np.isfinite(rec["im"])
+    ok = finite & (np.arange(n) < declared)
+    if coordinate:
+        i, j = rec["i"] - 1, rec["j"] - 1
+        inside = (0 <= i) & (i < nrows) & (0 <= j) & (j < ncols)
+        ok &= inside
+    bad = np.flatnonzero(~ok)
+    if bad.size or n < len(lines):
+        # the earliest fault in file order: a failed check, else the unparsed line
+        k = bad[0] if bad.size else n
+        lineno, text = (lines or _data_lines(body, size_lineno))[k]
+        fields = text.split("%", 1)[0].split()
+        value = " ".join(fields[2:] if coordinate else fields)
+        if k == n and len(fields) != len(names):
+            message = f"expected fields '{' '.join(names)}', found '{' '.join(fields)}'"
+        elif k == n and coordinate and not _parse([" ".join(fields[:2])], np.int64):
+            message = "non-integer coordinate index"
+        elif k == n:
+            message = f"cannot parse {field} value from '{value}'"
+        elif coordinate and not inside[k]:
+            message = f"index ({i[k] + 1}, {j[k] + 1}) outside {nrows}x{ncols}"
+        elif not finite[k]:
+            message = f"non-finite value '{value}'"
+        else:
+            message = f"entry count mismatch: expected {declared} entries"
+        raise MatrixMarketError(message, path, lineno)
+    if n != declared:
         raise MatrixMarketError(
-            f"entry count mismatch: expected {expected} values, file has {len(values)}",
+            f"entry count mismatch: expected {declared} entries, file has {n}",
             path,
-            len(lines),
+            size_lineno + len(body.splitlines()),
         )
-    dense = np.zeros((nrows, ncols), dtype=np.complex128)
-    if symmetry == "symmetric":
-        k = 0
-        for j in range(ncols):
-            for i in range(j, nrows):
-                dense[i, j] = values[k]
-                if i != j:
-                    dense[j, i] = values[k]
-                k += 1
+
+    values = rec["re"].astype(np.complex128)
+    if field == "complex":
+        values.imag = rec["im"]
+    if coordinate:
+        rows, cols = i, j
     else:
-        dense[:] = np.asarray(values, dtype=np.complex128).reshape(
-            (ncols, nrows)
-        ).T
-    return SparseMatrix.from_dense(dense)
+        # column-major, the lower triangle only when symmetric
+        if symmetry == "symmetric":
+            cols, rows = np.triu_indices(nrows)
+        else:
+            cols, rows = np.divmod(np.arange(declared), nrows)
+        stored = values != 0
+        rows, cols, values = rows[stored], cols[stored], values[stored]
+    if symmetry == "symmetric":
+        # each off-diagonal entry is followed by its mirror image
+        pair = np.column_stack([np.ones(len(values), bool), rows != cols])
+        rows, cols = np.column_stack([rows, cols])[pair], np.column_stack([cols, rows])[pair]
+        values = np.column_stack([values, values])[pair]
+    return SparseMatrix.from_triplets(nrows, ncols, rows, cols, values)
 
 
 def read_vector(path):
@@ -206,36 +209,36 @@ def read_vector(path):
     )
 
 
-def _fmt(x):
-    return repr(float(x))
+def _write(path, fmt, size, values, comment, index=None):
+    """Write one ``general`` file; ``index`` holds each coordinate entry's 'i j'.
 
-
-def _is_real(data):
-    return bool(np.all(np.asarray(data).imag == 0.0))
+    The field is ``real`` when every value has zero imaginary part and
+    ``complex`` otherwise. Values are written with full round-trip precision.
+    """
+    field = "complex" if np.any(values.imag != 0.0) else "real"
+    out = [f"%%MatrixMarket matrix {fmt} {field} general"]
+    if comment:
+        out.extend(f"% {line}" for line in str(comment).splitlines())
+    out.append(" ".join(str(d) for d in size))
+    re = values.real.tolist()
+    if field == "real":
+        entries = [repr(x) for x in re]
+    else:
+        entries = [f"{x!r} {y!r}" for x, y in zip(re, values.imag.tolist())]
+    if index is not None:
+        entries = [f"{ij} {e}" for ij, e in zip(index, entries)]
+    out.extend(entries)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(out) + "\n")
 
 
 def write_coordinate(path, m, comment=None):
-    """Write a SparseMatrix (or 2-D array) in coordinate general format.
-
-    The field is ``real`` when every entry has zero imaginary part and
-    ``complex`` otherwise. Values are written with full round-trip precision.
-    """
+    """Write a SparseMatrix (or 2-D array) in coordinate general format."""
     if not isinstance(m, SparseMatrix):
         m = SparseMatrix.from_dense(np.atleast_2d(m))
-    field = "real" if _is_real(m.data) else "complex"
-    out = [f"%%MatrixMarket matrix coordinate {field} general"]
-    if comment:
-        out.extend(f"% {line}" for line in str(comment).splitlines())
-    out.append(f"{m.nrows} {m.ncols} {m.nnz}")
-    for j in range(m.ncols):
-        for k in range(m.indptr[j], m.indptr[j + 1]):
-            v = m.data[k]
-            if field == "real":
-                out.append(f"{m.indices[k] + 1} {j + 1} {_fmt(v.real)}")
-            else:
-                out.append(f"{m.indices[k] + 1} {j + 1} {_fmt(v.real)} {_fmt(v.imag)}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+    cols = np.repeat(np.arange(1, m.ncols + 1), np.diff(m.indptr))
+    index = [f"{i} {j}" for i, j in zip((m.indices + 1).tolist(), cols.tolist())]
+    _write(path, "coordinate", (m.nrows, m.ncols, m.nnz), m.data, comment, index)
 
 
 def write_array(path, values, comment=None):
@@ -245,17 +248,4 @@ def write_array(path, values, comment=None):
         a = a[:, None]
     if a.ndim != 2:
         raise ValueError("expected a vector or a 2-D array")
-    field = "real" if _is_real(a) else "complex"
-    out = [f"%%MatrixMarket matrix array {field} general"]
-    if comment:
-        out.extend(f"% {line}" for line in str(comment).splitlines())
-    out.append(f"{a.shape[0]} {a.shape[1]}")
-    for j in range(a.shape[1]):
-        for i in range(a.shape[0]):
-            v = a[i, j]
-            if field == "real":
-                out.append(_fmt(v.real))
-            else:
-                out.append(f"{_fmt(v.real)} {_fmt(v.imag)}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+    _write(path, "array", a.shape, a.ravel(order="F"), comment)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dompole.cli import main, spy_summary
+from dompole.cli import main
 from dompole.mmio import write_array, write_coordinate
 from dompole.sparsela import SparseMatrix
 
@@ -212,19 +212,6 @@ class TestGenSpyBench:
         lines = out.read_text().splitlines()
         rows = [l for l in lines if l.startswith("dpse,")]
         assert len(rows) == 2
-
-
-class TestSpySummary:
-    def test_density_arithmetic_at_scale(self):
-        # order 13251 with ~49150 stored entries is 0.028% dense
-        info = spy_summary(13251, 49150)
-        assert round(info["density_pct"], 3) == 0.028
-        # and that density implies the same entry count back
-        assert info["density_pct"] / 100 * 13251**2 == pytest.approx(49150)
-
-    def test_toy_density(self):
-        info = spy_summary(2, 2)
-        assert info["density_pct"] == pytest.approx(50.0)
 
 
 class TestPolemap:

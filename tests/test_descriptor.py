@@ -65,6 +65,30 @@ class TestValidate:
         assert rep.n_algebraic == 0
         assert rep.j4_nonsingular
 
+    def test_toy_density(self):
+        assert validate(toy_system()).density_pct == pytest.approx(50.0)
+
+    def test_density_arithmetic_at_scale(self):
+        # order 13251 with 49150 stored entries is 0.028% dense
+        N, k = 13251, np.arange(49150)
+        J = SparseMatrix.from_triplets(N, N, k % N, (k % N + k // N) % N, -np.ones(k.size))
+        rep = validate(DescriptorSystem(J=J, ndyn=N, B=np.ones(N), C=np.ones(N)))
+        assert rep.nnz == 49150
+        assert round(rep.density_pct, 3) == 0.028
+        # and that density implies the same entry count back
+        assert rep.density_pct / 100 * N**2 == pytest.approx(49150)
+
+    def test_empty_rows_and_columns_named(self):
+        # row 2 (algebraic) and column 1 hold no nonzero; J[1, 1] is a stored zero
+        J = SparseMatrix.from_triplets(
+            3, 3, [0, 1, 0, 1, 1], [0, 0, 2, 2, 1], [-1.0, 1.0, 1.0, 1.0, 0.0]
+        )
+        assert J.nnz == 5
+        rep = validate(DescriptorSystem(J=J, ndyn=1, B=[1, 0, 0], C=[1, 0, 0]))
+        assert "empty rows of J (0-based): 2" in rep.notes
+        assert "empty columns of J (0-based): 1" in rep.notes
+        assert not rep.ok
+
     def test_singular_algebraic_block_flagged(self):
         J = SparseMatrix.from_dense([[-1.0, 1.0], [1.0, 0.0]])
         rep = validate(DescriptorSystem(J=J, ndyn=1, B=[1, 0], C=[1, 0]))

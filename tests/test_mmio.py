@@ -1,6 +1,11 @@
+import io
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse
 from numpy.testing import assert_allclose
 
 from dompole.mmio import (
@@ -82,6 +87,120 @@ def test_non_finite_value_rejected(tmp_path, text, line):
     assert str(info.value).startswith(f"{path}:{line}:")
 
 
+CR = "%%MatrixMarket matrix coordinate real general\n"
+LONG = CR + "1000 1 1000\n" + "".join(f"{k} 1 1.0\n" for k in range(1, 1001))
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        # a non-integer index
+        (CR + "2 2 1\n1.0 1 1.0\n", 3, "non-integer coordinate index"),
+        (CR + "2 2 2\n1 1 1.0\n% note\n1 1e0 1.0\n", 5, "non-integer coordinate index"),
+        # an extra or a missing field
+        (CR + "2 2 1\n1 1 1.0 2.0\n", 3, "expected fields 'i j re', found '1 1 1.0 2.0'"),
+        (CR + "2 2 2\n1 1 1.0\n2 2\n", 4, "expected fields 'i j re', found '2 2'"),
+        ("%%MatrixMarket matrix array real general\n2 1\n1.0 2.0\n1.0\n", 3,
+         "expected fields 're', found '1.0 2.0'"),
+        # a complex entry with one value
+        ("%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 1 1.0\n", 3,
+         "expected fields 'i j re im', found '1 1 1.0'"),
+        ("%%MatrixMarket matrix array complex general\n1 1\n\n1.0\n", 4,
+         "expected fields 're im', found '1.0'"),
+        # a value that is not a number
+        (CR + "2 2 1\n1 1 1_0\n", 3, "cannot parse real value from '1_0'"),
+        # a size line of the wrong width
+        (CR + "% note\n2 2\n1 1 1.0\n", 3, "size line must be 'nrows ncols nnz'"),
+        ("%%MatrixMarket matrix array real general\n2 1 2\n1.0\n1.0\n", 2,
+         "size line must be 'nrows ncols'"),
+        # a symmetric matrix that is not square
+        ("%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 1 1.0\n", 2,
+         "symmetric matrix must be square"),
+        ("%%MatrixMarket matrix array real symmetric\n3 2\n1.0\n", 2,
+         "symmetric matrix must be square"),
+        # two faults in one file: the earlier line is reported
+        (CR + "2 2 2\n3 1 1.0\n1 1 nan\n", 3, "outside 2x2"),
+        (CR + "2 2 2\n1 1 nan\n3 1 1.0\n", 3, "non-finite value 'nan'"),
+        (CR + "2 2 2\n3 1 1.0\n1 1 oops\n", 3, "outside 2x2"),
+        (CR + "2 2 2\n1 1 inf\n1.0 1 1.0\n", 3, "non-finite value 'inf'"),
+        (CR + "2 2 1\n1 1 1.0\n2 2 2.0\n1 x 1.0\n", 4, "entry count mismatch"),
+        # faults past the first few hundred lines
+        pytest.param(LONG.replace("\n700 1 1.0\n", "\n700 1 x\n"), 702,
+                     "cannot parse real value from 'x'", id="long-parse-fault"),
+        pytest.param(LONG.replace("\n700 1 1.0\n", "\n700 1 x\n").replace("\n300 1 ", "\n300 2 "),
+                     302, "index (300, 2) outside 1000x1", id="long-range-then-parse-fault"),
+    ],
+)
+def test_malformed_entry_rejected(tmp_path, text, line, message):
+    path = write(tmp_path, "bad.mtx", text)
+    with pytest.raises(MatrixMarketError, match=re.escape(message)) as info:
+        read_matrix_market(path)
+    assert info.value.line == line
+    assert str(info.value).startswith(f"{path}:{line}:")
+
+
+def test_integer_read_through_a_float_is_rejected(tmp_path, monkeypatch):
+    real_loadtxt = np.loadtxt
+
+    def old_loadtxt(fh, **kwargs):
+        # an older numpy reads "1.0" into an integer column and only warns
+        text = fh.getvalue()
+        if "1.0 1 " in text:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            fh = io.StringIO(text.replace("1.0 1 ", "1 1 "))
+        return real_loadtxt(fh, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", old_loadtxt)
+    path = write(tmp_path, "bad.mtx", CR + "2 2 2\n2 2 2.0\n1.0 1 1.0\n")
+    with pytest.raises(MatrixMarketError, match=":4: non-integer coordinate index"):
+        read_matrix_market(path)
+
+
+def test_symmetric_complex_array(tmp_path):
+    text = (
+        "%%MatrixMarket matrix array complex symmetric\n2 2\n"
+        "1.0 0.5\n2.0 -1.0\n3.0 0.0\n"
+    )
+    m = read_matrix_market(write(tmp_path, "s.mtx", text))
+    assert_allclose(m.to_dense(), [[1 + 0.5j, 2 - 1j], [2 - 1j, 3]], atol=0)
+
+
+def test_tabs_and_crlf(tmp_path):
+    path = tmp_path / "crlf.mtx"
+    path.write_bytes(
+        b"%%MatrixMarket matrix coordinate real general\r\n2 2 2\r\n"
+        b"1\t1\t1.5\r\n% note\r\n2 \t2  -2.0\r\n"
+    )
+    assert_allclose(read_matrix_market(path).to_dense(), np.diag([1.5, -2.0]), atol=0)
+
+
+def test_trailing_comment_after_entry(tmp_path):
+    m = read_matrix_market(write(tmp_path, "c.mtx", CR + "2 2 1\n1 2 7.0 % note\n"))
+    assert m.to_dense()[0, 1] == 7.0
+
+
+def test_array_zeros_not_stored(tmp_path):
+    text = "%%MatrixMarket matrix array real general\n3 2\n0.0\n2.0\n0.0\n-0.0\n0\n4.0\n"
+    m = read_matrix_market(write(tmp_path, "z.mtx", text))
+    assert m.nnz == 2
+    assert_allclose(m.to_dense(), [[0.0, 0.0], [2.0, 0.0], [0.0, 4.0]], atol=0)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        CR + "2 2 0\n% no entries\n",
+        "%%MatrixMarket matrix array real general\n0 3\n",
+        "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 1 1.0 -2.0\n",
+    ],
+)
+def test_read_emits_no_warnings(tmp_path, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        read_matrix_market(write(tmp_path, "w.mtx", text))
+
+
 def test_index_out_of_range(tmp_path):
     text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n"
     with pytest.raises(MatrixMarketError, match="outside"):
@@ -147,6 +266,32 @@ def test_coordinate_roundtrip_matches_scipy(tmp_path, seed):
     back = read_matrix_market(path)
     assert_allclose(back.to_dense(), dense, atol=0)
     assert_allclose(np.asarray(scipy.io.mmread(path).todense()), dense, atol=0)
+
+
+@pytest.mark.parametrize("fmt", ["coordinate", "array"])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+def test_scipy_written_file_matches_scipy_read(tmp_path, fmt, dtype, symmetry):
+    # scipy's writer and reader are the reference for entry placement
+    rng = np.random.default_rng(5)
+    dense = rng.standard_normal((6, 6)).astype(dtype)
+    if dtype is complex:
+        dense += 1j * rng.standard_normal((6, 6))
+    dense[rng.random((6, 6)) < 0.5] = 0.0
+    if symmetry == "symmetric":
+        dense = np.tril(dense) + np.tril(dense, -1).T
+    else:
+        dense = dense[:, :4]
+    path = tmp_path / "ref.mtx"
+    scipy.io.mmwrite(path, scipy.sparse.coo_matrix(dense) if fmt == "coordinate" else dense,
+                     symmetry=symmetry)
+    assert path.read_text().split()[2:5] == [fmt, dtype.__name__.replace("float", "real"),
+                                             symmetry]
+    ref = scipy.io.mmread(path)
+    ref = ref.toarray() if scipy.sparse.issparse(ref) else ref
+    m = read_matrix_market(path)
+    assert_allclose(m.to_dense(), ref, atol=0)
+    assert m.nnz == np.count_nonzero(dense)
 
 
 def test_complex_roundtrip(tmp_path):
