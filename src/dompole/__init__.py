@@ -35,7 +35,6 @@ from .oracle import (
 from .solver import (
     PoleResult,
     RunReport,
-    ShiftCollisionError,
     ShiftState,
     SolverConfig,
     SolverError,
@@ -71,7 +70,6 @@ __all__ = [
     "GroundTruth",
     "MatrixMarketError",
     "SingularMatrixError",
-    "ShiftCollisionError",
     "SolverError",
     "SparseMatrix",
     "Factorization",

@@ -114,13 +114,7 @@ def _pole_csv(report):
 def cmd_poles(args):
     system = load_system(args.manifest)
     shifts, p = _resolve_shifts(args.shifts, args.p, complex(args.scale))
-    config = SolverConfig(
-        method=args.method,
-        p=p,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        matching=args.matching,
-    )
+    config = SolverConfig(method=args.method, p=p, tol=args.tol, max_iter=args.max_iter)
     report = run(system, config, initial_shifts=shifts)
     _write_text(args.out, _report_json(report, seed=args.seed))
     if args.csv:
@@ -302,11 +296,6 @@ def build_parser():
     p_poles.add_argument("manifest")
     p_poles.add_argument("--method", choices=("dpse", "ddpse"), default="dpse")
     _add_shift_flags(p_poles)
-    p_poles.add_argument(
-        "--matching",
-        choices=("greedy-nearest", "optimal-assignment"),
-        default="greedy-nearest",
-    )
     p_poles.add_argument("--seed", type=int, default=None, help="echoed into the report")
     p_poles.add_argument("--out", default=None, help="report JSON path (default stdout)")
     p_poles.add_argument("--csv", default=None, help="also write a pole-table CSV")

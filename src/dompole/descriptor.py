@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.csgraph import structural_rank
 
 from . import mmio
 from .sparsela import PIVOT_RTOL, SingularMatrixError, SparseMatrix, factorize, shifted
@@ -158,7 +159,8 @@ def block_nnz(J, ndyn):
 
 
 def validate(sys):
-    """Density, empty rows and columns, and algebraic-block checks; failures go in notes."""
+    """Density, empty rows and columns, structural rank and algebraic-block
+    checks; failures go in notes."""
     N = sys.order
     n = sys.ndyn
     m = N - n
@@ -174,6 +176,9 @@ def validate(sys):
         if not counts.all():
             empty = ", ".join(str(k) for k in np.flatnonzero(counts == 0))
             notes.append(f"empty {kind} of J (0-based): {empty}")
+    rank = structural_rank(pattern)
+    if rank < N:
+        notes.append(f"structural rank of J is {rank} < {N}")
     if m > 0:
         j4 = SparseMatrix.from_scipy(sys.J.to_scipy()[n:, n:])
         try:
@@ -370,12 +375,7 @@ def load_system(manifest):
         C = mmio.read_vector(manifest.c_path)
     except (OSError, mmio.MatrixMarketError) as exc:
         raise ManifestError(f"cannot load system data: {exc}") from exc
-    if J.nrows != J.ncols:
-        raise ManifestError(f"Jacobian is {J.nrows}x{J.ncols}, expected square")
-    if not 1 <= manifest.ndyn <= J.nrows:
-        raise ManifestError(
-            f"ndyn = {manifest.ndyn} inconsistent with matrix order {J.nrows}"
-        )
-    if len(B) != J.nrows or len(C) != J.nrows:
-        raise ManifestError("B/C length does not match the Jacobian order")
-    return DescriptorSystem(J=J, ndyn=manifest.ndyn, B=B, C=C, D=manifest.d)
+    try:
+        return DescriptorSystem(J=J, ndyn=manifest.ndyn, B=B, C=C, D=manifest.d)
+    except ValueError as exc:
+        raise ManifestError(str(exc)) from exc

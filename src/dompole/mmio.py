@@ -3,9 +3,9 @@
 Supports the subset used by descriptor-system data sets: ``matrix`` objects
 in ``coordinate`` or ``array`` format, ``real``/``integer``/``complex``
 fields, and ``general``/``symmetric`` symmetry. The data lines are parsed by
-one ``np.loadtxt`` call, with ``%`` starting a comment anywhere on a data line.
-Parse failures, indices out of range, non-finite values (``nan``, ``inf``)
-and a wrong entry count report the offending line number.
+one ``np.loadtxt`` call, and ``%`` starts a comment anywhere on the size line
+or a data line. Parse failures, indices out of range, non-finite values
+(``nan``, ``inf``) and a wrong entry count report the offending line number.
 """
 
 from __future__ import annotations
@@ -103,8 +103,7 @@ def read_matrix_market(path):
             if not text:
                 raise MatrixMarketError("missing size line", path, size_lineno)
             size_lineno += 1
-            if not text.lstrip().startswith("%"):
-                size = text.split()
+            size = text.split("%", 1)[0].split()
         body = fh.read()
 
     coordinate = fmt == "coordinate"
@@ -159,7 +158,10 @@ def read_matrix_market(path):
         if k == n and len(fields) != len(names):
             message = f"expected fields '{' '.join(names)}', found '{' '.join(fields)}'"
         elif k == n and coordinate and not _parse([" ".join(fields[:2])], np.int64):
-            message = "non-integer coordinate index"
+            if all(f.isdigit() for f in fields[:2]):  # an integer past int64
+                message = f"index ({fields[0]}, {fields[1]}) outside {nrows}x{ncols}"
+            else:
+                message = "non-integer coordinate index"
         elif k == n:
             message = f"cannot parse {field} value from '{value}'"
         elif coordinate and not inside[k]:

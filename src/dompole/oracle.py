@@ -171,11 +171,11 @@ def reference_F(ss, shifts):
     return np.linalg.solve(wtv, W.T @ (ss.A @ V))
 
 
-def reference_sequence(ss, shifts0, method="dpse", steps=5, matching="greedy-nearest"):
+def reference_sequence(ss, shifts0, method="dpse", steps=5):
     """Shift trajectory of the dense literal iteration, initial tuple included.
 
-    Uses the same matching policy as the sparse solver so trajectories are
-    comparable column by column.
+    Matches eigenvalues to shifts as the sparse solver does, so trajectories
+    are comparable column by column.
     """
     s = np.asarray(shifts0, dtype=np.complex128).copy()
     out = [s.copy()]
@@ -183,7 +183,7 @@ def reference_sequence(ss, shifts0, method="dpse", steps=5, matching="greedy-nea
         F = reference_F(ss, s)
         if method == "dpse":
             w, _ = dense_eig(F)
-            s = match_shifts(s, w, matching)
+            s = match_shifts(s, w)
         elif method == "ddpse":
             s = F.diagonal().copy()
         else:

@@ -29,14 +29,12 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .descriptor import VanishingNormalizerError, normalized_vectors
 from .sparsela import SingularMatrixError, dense_eig
 
 __all__ = [
     "SolverError",
-    "ShiftCollisionError",
     "SolverConfig",
     "ShiftState",
     "PoleResult",
@@ -60,27 +58,29 @@ __all__ = [
 DEFAULT_FAN_SCALE = -0.05 + 0.5j
 
 _METHODS = ("dpse", "ddpse")
-_MATCHINGS = ("greedy-nearest", "optimal-assignment")
+# Two shifts (or a shift and a locked eigenvalue) no farther apart than
+# _COLLISION_EPS collide, a normalizer no larger vanishes, and W^T V is
+# ill-conditioned when its condition number exceeds _COND_LIMIT.
+_COLLISION_EPS = 1e-8
+_COND_LIMIT = 1.0 / _COLLISION_EPS
+# Base size of the kick that moves a shift off a collision.
+_PERTURBATION = 1e-6
 # Bounded retry budgets for the perturbation heuristics. Step retries use
 # geometrically growing kicks: escaping an ill-conditioned W^T V needs a
-# separation of roughly sqrt(1/cond_limit), far above one base perturbation.
+# separation of roughly sqrt(1/_COND_LIMIT), far above one base perturbation.
 _MAX_NORMALIZER_KICKS = 5
 _MAX_STEP_RETRIES = 12
 # First retry after a singular factorization moves just far enough off the
 # eigenvalue to clear the pivot threshold; one fixed-point sweep from there
 # moves the shift by O(nudge^2), and the residual floor it induces is about
 # nudge * |s| / |residue|, which must stay below usable tolerances even for
-# weakly observable poles. The coarse config.perturbation * |s| kick stays
+# weakly observable poles. The coarse _PERTURBATION * |s| kick stays
 # as the second retry.
 _SINGULAR_NUDGE = 1e-11
 
 
 class SolverError(RuntimeError):
     """Unrecoverable solver failure."""
-
-
-class ShiftCollisionError(SolverError):
-    """Y^T E X is too ill-conditioned; two shifts target the same eigenvalue."""
 
 
 @dataclass
@@ -91,24 +91,17 @@ class SolverConfig:
     p: int = 1
     tol: float = 1e-5
     max_iter: int = 50
-    matching: str = "greedy-nearest"
-    collision_eps: float = 1e-8
-    perturbation: float = 1e-6
 
     def __post_init__(self):
         self.method = str(self.method).lower()
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}")
-        if self.matching not in _MATCHINGS:
-            raise ValueError(f"matching must be one of {_MATCHINGS}")
         if self.p < 1:
             raise ValueError("p must be at least 1")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.collision_eps > 0:
-            raise ValueError("collision_eps must be positive")
 
 
 @dataclass
@@ -116,7 +109,9 @@ class ShiftState:
     """Mutable per-run state: the shift tuple, vector blocks, and bookkeeping.
 
     X and Y hold the normalized right/left columns for the shifts they were
-    last computed at; converged columns are frozen and never recomputed.
+    last computed at; converged columns are frozen and never recomputed, and
+    their shift is the locked eigenvalue. ``cond`` is cond(W^T V) of the last
+    sweep.
     """
 
     shifts: np.ndarray
@@ -124,11 +119,11 @@ class ShiftState:
     Y: np.ndarray
     normalizers: np.ndarray
     converged: np.ndarray
-    locked: np.ndarray
     iterations: np.ndarray
     final_residuals: np.ndarray
     ndyn: int
     iter: int = 0
+    cond: float = math.nan
 
     @classmethod
     def start(cls, sys, shifts):
@@ -141,7 +136,6 @@ class ShiftState:
             Y=np.zeros((N, p), dtype=np.complex128),
             normalizers=np.ones(p, dtype=np.complex128),
             converged=np.zeros(p, dtype=bool),
-            locked=np.full(p, np.nan, dtype=np.complex128),
             iterations=np.zeros(p, dtype=np.int64),
             final_residuals=np.full((p, 2), np.nan),
             ndyn=sys.ndyn,
@@ -189,8 +183,8 @@ def init_shifts(pattern, p=None, scale=DEFAULT_FAN_SCALE, center=-1.0 + 0.0j, ra
     return arr
 
 
-def _kick(shift, perturbation, k=1):
-    return shift + perturbation * (1.0 + 1.0j) * k
+def _kick(shift, k):
+    return shift + _PERTURBATION * (1.0 + 1.0j) * k
 
 
 def _event(iteration, column, kind, shift):
@@ -204,19 +198,19 @@ def _event(iteration, column, kind, shift):
     }
 
 
-def _kick_column(state, j, config, k, events, iteration):
-    state.shifts[j] = _kick(state.shifts[j], config.perturbation, k)
+def _kick_column(state, j, k, events, iteration):
+    state.shifts[j] = _kick(state.shifts[j], k)
     events.append(_event(iteration, j, "collision", state.shifts[j]))
 
 
 def _nearest_taken(state, z, earlier=()):
     """Distance from z to the nearest locked eigenvalue or shift of a column
     in ``earlier``; infinite when there is neither."""
-    taken = np.concatenate([state.locked[state.converged], state.shifts[list(earlier)]])
+    taken = np.concatenate([state.shifts[state.converged], state.shifts[list(earlier)]])
     return np.abs(taken - z).min() if taken.size else math.inf
 
 
-def _compute_column(sys, shift, config):
+def _compute_column(sys, shift):
     """Solve one column with the singular-shift and transmission-zero retries.
 
     Returns (shift_used, xcol, ycol, normalizer, events). A singular
@@ -231,14 +225,14 @@ def _compute_column(sys, shift, config):
     kicks = 0
     while True:
         try:
-            x, y, nu = normalized_vectors(sys, s, min_normalizer=config.collision_eps)
+            x, y, nu = normalized_vectors(sys, s, min_normalizer=_COLLISION_EPS)
             return s, x, y, nu, events
         except SingularMatrixError as exc:
             if singular_retries >= 2:
                 raise SolverError(
                     f"factorization stayed singular near shift {s!r}: {exc}"
                 ) from exc
-            scale = _SINGULAR_NUDGE if singular_retries == 0 else config.perturbation
+            scale = _SINGULAR_NUDGE if singular_retries == 0 else _PERTURBATION
             singular_retries += 1
             events.append(("singular-shift", s))
             s = s + scale * (abs(s) or 1.0) * (1.0 + 1.0j)
@@ -246,20 +240,20 @@ def _compute_column(sys, shift, config):
             kicks += 1
             if kicks > _MAX_NORMALIZER_KICKS:
                 raise SolverError(
-                    f"normalizer stayed below {config.collision_eps:g} near "
+                    f"normalizer stayed below {_COLLISION_EPS:g} near "
                     f"shift {s!r}; transfer function has a zero there"
                 )
             events.append(("small-normalizer", s))
-            s = _kick(s, config.perturbation, kicks)
+            s = _kick(s, kicks)
 
 
-def refresh_columns(sys, state, config, events=None, iteration=0, columns=None):
+def refresh_columns(sys, state, events=None, iteration=0, columns=None):
     """Recompute X/Y columns for the given (default: all active) columns."""
     cols = state.active_indices() if columns is None else columns
     for j in cols:
         if state.converged[j]:
             continue
-        s, x, y, nu, col_events = _compute_column(sys, state.shifts[j], config)
+        s, x, y, nu, col_events = _compute_column(sys, state.shifts[j])
         state.shifts[j] = s
         state.X[:, j] = x
         state.Y[:, j] = y
@@ -268,33 +262,29 @@ def refresh_columns(sys, state, config, events=None, iteration=0, columns=None):
             events.extend(_event(iteration, j, kind, at) for kind, at in col_events)
 
 
-def _projection_parts(sys, state, cond_limit=None):
-    """Shared pieces of F: u = (W^T V)^-1 e, vhat, and the diagonal.
+def _projection_parts(sys, state):
+    """Shared pieces of F: u = (W^T V)^-1 e and vhat; the diagonal is the
+    shift tuple.
 
-    With a cond_limit, an ill-conditioned W^T V raises ShiftCollisionError
-    for the caller's perturbation machinery. Without one, a numerically
-    rank-deficient block (redundant columns, e.g. several shifts far outside
-    the spectrum) is solved in the least-squares sense so the sweep stays
-    finite.
+    Builds W^T V once per sweep and records its condition number in
+    ``state.cond``, from which ``run`` decides whether to use the sweep. A
+    numerically rank-deficient block (a shift collision, or redundant
+    columns such as several shifts far outside the spectrum) is solved in
+    the least-squares sense so the sweep stays finite.
     """
     n = sys.ndyn
     wtv = state.Y[:n, :].T @ state.X[:n, :]
-    cond = np.linalg.cond(wtv)
-    if cond_limit is not None and (not np.isfinite(cond) or cond > cond_limit):
-        raise ShiftCollisionError(
-            f"cond(Y^T E X) = {cond:.3e} exceeds {cond_limit:.3e}"
-        )
+    state.cond = float(np.linalg.cond(wtv))
     e = np.ones(state.p, dtype=np.complex128)
-    if np.isfinite(cond) and cond <= 1e14:
+    if state.cond <= 1e14:
         u = np.linalg.solve(wtv, e)
     else:
         u = np.linalg.lstsq(wtv, e, rcond=1e-12)[0]
     vhat = np.where(state.converged, 0.0, 1.0 / state.normalizers)
-    shat = np.where(state.converged, state.locked, state.shifts)
-    return u, vhat, shat
+    return u, vhat
 
 
-def assemble_projection(sys, state, cond_limit=None):
+def assemble_projection(sys, state):
     """The p-by-p projected matrix F for the current state.
 
     Active columns contribute the rank-one resolvent update; converged
@@ -302,17 +292,14 @@ def assemble_projection(sys, state, cond_limit=None):
     locked eigenvalues in the spectrum of every later F (block-triangular
     deflation).
     """
-    u, vhat, shat = _projection_parts(sys, state, cond_limit)
-    return np.outer(u, vhat) + np.diag(shat)
+    u, vhat = _projection_parts(sys, state)
+    return np.outer(u, vhat) + np.diag(state.shifts)
 
 
-def match_shifts(old, candidates, strategy="greedy-nearest"):
-    """Permute candidates so each aligns with its previous shift.
-
-    ``greedy-nearest`` repeatedly pairs the globally closest unclaimed
-    (old, candidate) couple; ``optimal-assignment`` minimizes the total
-    pairing distance.
-    """
+def match_shifts(old, candidates):
+    """Permute candidates so each aligns with its previous shift, by
+    repeatedly pairing the globally closest unclaimed (old, candidate)
+    couple."""
     old = np.asarray(old, dtype=np.complex128)
     cand = np.asarray(candidates, dtype=np.complex128)
     if old.shape != cand.shape:
@@ -320,14 +307,8 @@ def match_shifts(old, candidates, strategy="greedy-nearest"):
     m = old.shape[0]
     if m == 0:
         return cand.copy()
-    if strategy not in _MATCHINGS:
-        raise ValueError(f"matching must be one of {_MATCHINGS}")
     dist = np.abs(old[:, None] - cand[None, :])
     out = np.empty(m, dtype=np.complex128)
-    if strategy == "optimal-assignment":
-        rows, cols = scipy.optimize.linear_sum_assignment(dist)
-        out[rows] = cand[cols]
-        return out
     taken_old = np.zeros(m, dtype=bool)
     taken_new = np.zeros(m, dtype=bool)
     for flat in np.argsort(dist, axis=None, kind="stable"):
@@ -342,40 +323,34 @@ def match_shifts(old, candidates, strategy="greedy-nearest"):
     return out
 
 
-def _cond_limit(config, guarded):
-    return 1.0 / config.collision_eps if guarded else None
-
-
-def dpse_step(sys, state, config, guarded=True):
+def dpse_step(sys, state):
     """One full sweep: eigenvalues of F matched to the previous shifts.
 
-    Locked positions come back exactly; the matching strategy only permutes
-    the remaining candidates across active columns. A guarded sweep raises
-    ShiftCollisionError on an ill-conditioned W^T V; an unguarded one solves
-    it in the least-squares sense.
+    Locked positions come back exactly; the matching only permutes the
+    remaining candidates across active columns.
     """
-    F = assemble_projection(sys, state, _cond_limit(config, guarded))
+    F = assemble_projection(sys, state)
     w, _ = dense_eig(F)
     new = np.empty(state.p, dtype=np.complex128)
     available = np.ones(state.p, dtype=bool)
     for j in np.flatnonzero(state.converged):
-        k = int(np.argmin(np.where(available, np.abs(w - state.locked[j]), np.inf)))
+        k = int(np.argmin(np.where(available, np.abs(w - state.shifts[j]), np.inf)))
         available[k] = False
-        new[j] = state.locked[j]
+        new[j] = state.shifts[j]
     act = state.active_indices()
     if act.size:
-        new[act] = match_shifts(state.shifts[act], w[available], config.matching)
+        new[act] = match_shifts(state.shifts[act], w[available])
     return new
 
 
-def ddpse_step(sys, state, config, guarded=True):
+def ddpse_step(sys, state):
     """One diagonal sweep: ``s_j + vhat_j [ (W^T V)^-1 e ]_j`` per column.
 
     This is diag(F) without the p-by-p eigensolve; converged columns return
-    their locked eigenvalue unchanged. ``guarded`` is as for dpse_step.
+    their locked eigenvalue unchanged.
     """
-    u, vhat, shat = _projection_parts(sys, state, _cond_limit(config, guarded))
-    return shat + vhat * u
+    u, vhat = _projection_parts(sys, state)
+    return state.shifts + vhat * u
 
 
 def _residual_pair(sys, shift, x, y):
@@ -415,7 +390,6 @@ def deflate(state, j, eigenvalue):
     if state.converged[j]:
         raise SolverError(f"column {j} is already deflated")
     state.converged[j] = True
-    state.locked[j] = complex(eigenvalue)
     state.shifts[j] = complex(eigenvalue)
 
 
@@ -550,25 +524,25 @@ class RunReport:
         }
 
 
-def _perturb_collisions(state, config, events, iteration):
-    """Push apart active shifts that sit within collision_eps of any earlier
+def _perturb_collisions(state, events, iteration):
+    """Push apart active shifts that sit within _COLLISION_EPS of any earlier
     active shift or any locked eigenvalue (the later column moves)."""
     act = state.active_indices()
     for idx, j in enumerate(act):
         k = 0
-        while _nearest_taken(state, state.shifts[j], act[:idx]) <= config.collision_eps:
+        while _nearest_taken(state, state.shifts[j], act[:idx]) <= _COLLISION_EPS:
             k += 1
             if k > state.p + 4:
                 raise SolverError(f"cannot separate shift for column {j}")
-            _kick_column(state, j, config, k, events, iteration)
+            _kick_column(state, j, k, events, iteration)
 
 
-def _collision_suspects(state, config):
+def _collision_suspects(state):
     """Active columns most likely responsible for an ill-conditioned W^T V.
 
     Two shifts chasing the same eigenvalue give near-parallel columns; the
     conditioning blows up once their distance falls under roughly
-    sqrt(collision_eps) times the local scale, so every active column that
+    sqrt(_COLLISION_EPS) times the local scale, so every active column that
     close to an earlier active shift or a locked eigenvalue is suspect (the
     later column moves). An empty list means the ill-conditioning is not a
     collision.
@@ -577,23 +551,22 @@ def _collision_suspects(state, config):
     suspects = []
     for idx, j in enumerate(act):
         radius = max(
-            config.collision_eps,
-            np.sqrt(config.collision_eps) * (1.0 + abs(state.shifts[j])),
+            _COLLISION_EPS,
+            np.sqrt(_COLLISION_EPS) * (1.0 + abs(state.shifts[j])),
         )
         if _nearest_taken(state, state.shifts[j], act[:idx]) <= radius:
             suspects.append(int(j))
     return suspects
 
 
-def _fallback_step(sys, state, config, events, iteration):
-    """Unguarded sweep for a rank-deficient projection block.
+def _fallback_step(new, state, events, iteration):
+    """Damp a sweep ``new`` whose W^T V stayed ill-conditioned.
 
     When perturbation cannot cure the ill-conditioning (redundant columns
-    rather than a shift collision), the sweep proceeds with the regularized
-    least-squares solve and each active update is damped to a trust radius,
-    so wayward columns stay in a sane region instead of aborting the run.
+    rather than a shift collision), the sweep is not built again: each of its
+    active updates is damped to a trust radius, so wayward columns stay in a
+    sane region instead of aborting the run.
     """
-    new = _method_step(config)(sys, state, config, guarded=False)
     for j in state.active_indices():
         delta = new[j] - state.shifts[j]
         radius = 10.0 * (1.0 + abs(state.shifts[j]))
@@ -602,11 +575,6 @@ def _fallback_step(sys, state, config, events, iteration):
             new[j] = state.shifts[j] + step
     events.append(_event(iteration, -1, "ill-conditioned-projection", None))
     return new
-
-
-def _method_step(config):
-    # looked up at call time, so a rebound module attribute takes effect
-    return dpse_step if config.method == "dpse" else ddpse_step
 
 
 def run(sys, config, initial_shifts=None):
@@ -628,34 +596,32 @@ def run(sys, config, initial_shifts=None):
         raise ValueError(
             f"p = {config.p} exceeds the {sys.ndyn} dynamic states of the system"
         )
-    step = _method_step(config)
+    step = dpse_step if config.method == "dpse" else ddpse_step
 
     events = []
     state = ShiftState.start(sys, shifts)
     t0 = time.perf_counter()
     conv_time = np.zeros(config.p)
 
-    _perturb_collisions(state, config, events, iteration=0)
-    refresh_columns(sys, state, config, events, iteration=0)
+    _perturb_collisions(state, events, iteration=0)
+    refresh_columns(sys, state, events, iteration=0)
     trajectories = [state.shifts.copy()]
     residual_history = []
 
     for it in range(1, config.max_iter + 1):
         state.iter = it
-        new_shifts = None
-        for attempt in range(1, _MAX_STEP_RETRIES + 1):
-            try:
-                new_shifts = step(sys, state, config)
+        new_shifts = step(sys, state)
+        attempt = 0
+        while not state.cond <= _COND_LIMIT:  # a NaN cond is ill-conditioned too
+            suspects = _collision_suspects(state)
+            attempt += 1
+            if not suspects or attempt > _MAX_STEP_RETRIES:
+                new_shifts = _fallback_step(new_shifts, state, events, it)
                 break
-            except ShiftCollisionError:
-                suspects = _collision_suspects(state, config)
-                if not suspects:
-                    break
-                for j in suspects:
-                    _kick_column(state, j, config, 2 ** (attempt - 1), events, it)
-                refresh_columns(sys, state, config, events, it, columns=suspects)
-        if new_shifts is None:
-            new_shifts = _fallback_step(sys, state, config, events, it)
+            for j in suspects:
+                _kick_column(state, j, 2 ** (attempt - 1), events, it)
+            refresh_columns(sys, state, events, it, columns=suspects)
+            new_shifts = step(sys, state)
 
         flags, residuals = check_convergence(sys, state, new_shifts, config.tol)
         residual_history.append(residuals)
@@ -666,7 +632,7 @@ def run(sys, config, initial_shifts=None):
             # parallel columns into W^T V forever; keep the column active and
             # let the collision machinery separate it (conjugate duplicates
             # are not affected and converge normally)
-            if _nearest_taken(state, new_shifts[j]) <= config.collision_eps:
+            if _nearest_taken(state, new_shifts[j]) <= _COLLISION_EPS:
                 events.append(_event(it, j, "duplicate-deferred", new_shifts[j]))
                 continue
             deflate(state, j, new_shifts[j])
@@ -678,12 +644,12 @@ def run(sys, config, initial_shifts=None):
         trajectories.append(state.shifts.copy())
         if state.all_converged:
             break
-        _perturb_collisions(state, config, events, iteration=it)
-        refresh_columns(sys, state, config, events, iteration=it)
+        _perturb_collisions(state, events, iteration=it)
+        refresh_columns(sys, state, events, iteration=it)
 
     poles = []
     for j in np.flatnonzero(state.converged):
-        lam = complex(state.locked[j])
+        lam = complex(state.shifts[j])
         residue = estimate_residue(state, j)
         poles.append(
             PoleResult(

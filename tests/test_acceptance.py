@@ -38,17 +38,16 @@ def separated_spectrum(rng, n, n_pairs, min_sep, **kw):
 
 def test_criterion_01_worked_example_exactness():
     sys = two_state()
-    config = dp.SolverConfig(p=2)
     state = dp.ShiftState.start(sys, np.array([-0.5, -2.5]))
-    dp.refresh_columns(sys, state, config)
+    dp.refresh_columns(sys, state)
 
     F = dp.assemble_projection(sys, state)
     assert np.abs(F - WORKED_F).max() <= 1e-9
 
-    new = dp.dpse_step(sys, state, config)
+    new = dp.dpse_step(sys, state)
     assert np.abs(dp.match_shifts(np.array([-1.0, -3.0]), new) - [-1.0, -3.0]).max() <= 1e-9
 
-    diag = dp.ddpse_step(sys, state, config)
+    diag = dp.ddpse_step(sys, state)
     assert np.abs(diag - np.array([-1.125, -2.875])).max() <= 1e-9
     _pass(1, "projection, full sweep, and diagonal sweep match hand values to 1e-9")
 
@@ -163,7 +162,7 @@ def test_criterion_05_descriptor_state_space_consistency():
             for got, want in zip(report.trajectories, ref):
                 worst_seq = max(worst_seq, float(np.abs(got - want).max()))
         state = dp.ShiftState.start(gen.system, s0)
-        dp.refresh_columns(gen.system, state, dp.SolverConfig(p=5))
+        dp.refresh_columns(gen.system, state)
         V, W, _ = normalized_blocks(gen.state_space, s0)
         nn = gen.system.ndyn
         wtv = W.T @ V
@@ -227,18 +226,17 @@ def test_criterion_08_deflation():
     sys = DescriptorSystem.from_dense_state(
         np.diag([-1.0, -3.0, -10.0]), np.ones(3), np.ones(3), 0
     )
-    config = dp.SolverConfig(p=2, tol=1e-10, max_iter=30)
     state = dp.ShiftState.start(sys, np.array([-0.9 + 0j, -6.0 + 1.0j]))
-    dp.refresh_columns(sys, state, config)
-    first = dp.dpse_step(sys, state, config)
+    dp.refresh_columns(sys, state)
+    first = dp.dpse_step(sys, state)
     dp.deflate(state, 0, -1.0)
     state.shifts[1] = first[1]
     worst = 0.0
     for _ in range(10):
-        dp.refresh_columns(sys, state, config)
+        dp.refresh_columns(sys, state)
         F = dp.assemble_projection(sys, state)
         worst = max(worst, float(np.abs(np.linalg.eigvals(F) + 1.0).min()))
-        state.shifts[1] = dp.dpse_step(sys, state, config)[1]
+        state.shifts[1] = dp.dpse_step(sys, state)[1]
     assert worst <= 1e-10
     assert min(abs(state.shifts[1] + 3.0), abs(state.shifts[1] + 10.0)) <= 1e-9
     _pass(8, f"locked eigenvalue persisted in F to {worst:.2e} over 10 sweeps "

@@ -57,6 +57,14 @@ class TestPoles:
         assert_allclose(vals, [-3.0, -1.0], atol=1e-9)
         assert data["all_converged"] is True
         assert data["config"]["tol"] == 1e-5
+        assert set(data["config"]) == {"method", "p", "tol", "max_iter", "seed"}
+
+    def test_matching_flag_rejected(self, toy_manifest, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["poles", str(toy_manifest), "--shifts", " -0.5,-2.5",
+                  "--matching", "greedy-nearest"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --matching" in capsys.readouterr().err
 
     def test_fan_pattern_requires_p(self, toy_manifest, capsys):
         assert main(["poles", str(toy_manifest), "--shifts", "fan"]) == 1

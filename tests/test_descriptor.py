@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -87,6 +89,13 @@ class TestValidate:
         rep = validate(DescriptorSystem(J=J, ndyn=1, B=[1, 0, 0], C=[1, 0, 0]))
         assert "empty rows of J (0-based): 2" in rep.notes
         assert "empty columns of J (0-based): 1" in rep.notes
+        assert not rep.ok
+
+    def test_structurally_singular_j_named(self):
+        # no empty row or column, but rows 0 and 1 both hold only column 0
+        J = SparseMatrix.from_dense([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        rep = validate(DescriptorSystem(J=J, ndyn=3, B=[1, 0, 0], C=[1, 0, 0]))
+        assert rep.notes == ["structural rank of J is 2 < 3"]
         assert not rep.ok
 
     def test_singular_algebraic_block_flagged(self):
@@ -253,11 +262,22 @@ class TestManifest:
         with pytest.raises(ManifestError, match="unknown key"):
             load_manifest(tmp_path / "bad.manifest")
 
-    def test_inconsistent_ndyn(self, tmp_path):
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("ndyn = 5", "ndyn must lie in [1, 2], got 5"),
+            ("jacobian = J23.mtx", "J must be square"),
+            ("b = B1.mtx", "B and C must be vectors of length N"),
+        ],
+        ids=["ndyn", "non-square-J", "short-B"],
+    )
+    def test_inconsistent_ndyn(self, tmp_path, edit, message):
         path = self.write_toy(tmp_path)
-        text = path.read_text().replace("ndyn = 2", "ndyn = 5")
-        path.write_text(text)
-        with pytest.raises(ManifestError, match="ndyn"):
+        write_coordinate(tmp_path / "J23.mtx", np.array([[-1.0, 0.0, 1.0], [0.0, -3.0, 0.0]]))
+        write_array(tmp_path / "B1.mtx", np.array([1.0]))
+        # a later line overrides an earlier one with the same key
+        path.write_text(path.read_text() + edit + "\n")
+        with pytest.raises(ManifestError, match=re.escape(message)):
             load_system(path)
 
     def test_missing_data_file(self, tmp_path):

@@ -97,6 +97,9 @@ LONG = CR + "1000 1 1000\n" + "".join(f"{k} 1 1.0\n" for k in range(1, 1001))
         # a non-integer index
         (CR + "2 2 1\n1.0 1 1.0\n", 3, "non-integer coordinate index"),
         (CR + "2 2 2\n1 1 1.0\n% note\n1 1e0 1.0\n", 5, "non-integer coordinate index"),
+        # an integer index past int64
+        (CR + "2 2 1\n% note\n99999999999999999999 1 1.0\n", 4,
+         "index (99999999999999999999, 1) outside 2x2"),
         # an extra or a missing field
         (CR + "2 2 1\n1 1 1.0 2.0\n", 3, "expected fields 'i j re', found '1 1 1.0 2.0'"),
         (CR + "2 2 2\n1 1 1.0\n2 2\n", 4, "expected fields 'i j re', found '2 2'"),
@@ -177,6 +180,12 @@ def test_tabs_and_crlf(tmp_path):
 
 def test_trailing_comment_after_entry(tmp_path):
     m = read_matrix_market(write(tmp_path, "c.mtx", CR + "2 2 1\n1 2 7.0 % note\n"))
+    assert m.to_dense()[0, 1] == 7.0
+
+
+def test_trailing_comment_after_size_line(tmp_path):
+    m = read_matrix_market(write(tmp_path, "c.mtx", CR + "2 2 1 % c\n1 2 7.0\n"))
+    assert m.shape == (2, 2)
     assert m.to_dense()[0, 1] == 7.0
 
 
