@@ -129,6 +129,8 @@ def cmd_tf(args):
     elif args.wmin is not None and args.wmax is not None:
         if args.wmin <= 0 or args.wmax <= args.wmin:
             raise ValueError("need 0 < wmin < wmax for a frequency sweep")
+        if args.points < 1:
+            raise ValueError(f"--points must be at least 1, got {args.points}")
         omegas = np.logspace(np.log10(args.wmin), np.log10(args.wmax), args.points)
         samples = [1j * w for w in omegas]
     else:
@@ -182,6 +184,8 @@ def cmd_gen(args):
 
 
 def cmd_bench(args):
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     system = load_system(args.manifest)
     shifts, p = _resolve_shifts(args.shifts, args.p, complex(args.scale))
     methods = [m.strip().lower() for m in args.methods.split(",") if m.strip()]

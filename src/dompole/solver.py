@@ -4,22 +4,29 @@ Both methods iterate a p-tuple of complex shifts. Each sweep solves, per
 active shift s_j, the two systems ``(J - s_j E) x = B`` and
 ``(J - s_j E)^T y = C`` (one factorization each), normalizes both solutions
 by ``nu_j = C^T (J - s_j E)^-1 B``, and collects the columns into blocks
-X and Y. Writing W, V for the dynamic-row blocks of Y, X, the projected
-matrix assembles from a rank-one update without ever touching the state
-matrix:
+X and Y. Writing W, V for the dynamic-row blocks of Y, X, the normalization
+gives ``W^T b = e``, so the projected pencil assembles without ever touching
+the state matrix:
 
-    F = (W^T V)^-1 e vhat^T + diag(S),   W^T V = Y^T E X,
-    vhat_j = 1 / nu_j,                   e = ones(p).
+    G = W^T A V = (W^T V) S + e vhat^T,   F = (W^T V)^-1 G,
+    S = diag(shifts),   vhat_j = 1 / nu_j,   e = ones(p).
 
-The full method ("dpse") takes the eigenvalues of F as the next shift
-tuple, matched back to the previous one; the diagonal variant ("ddpse")
-takes diag(F), which costs no eigensolve. Any tuple of distinct eigenvalues
-is a fixed point of either map, and both converge quadratically near one.
+The full method ("dpse") takes the eigenvalues of the pencil (G, W^T V) as
+the next shift tuple, matched back to the previous one; QZ computes them
+without inverting W^T V. A numerically rank-deficient W^T V (redundant
+columns: more shifts than the directions their vectors span) shows up as
+non-finite eigenvalues, and each such column is re-seeded at the mean
+active shift with a "redundant-column" event. The diagonal variant
+("ddpse") takes diag(F) = s + vhat * (W^T V)^-1 e, which costs no
+eigensolve, while cond(W^T V) <= 1e8; beyond that it takes dpse's pencil
+sweep and emits an "ill-conditioned-projection" event. Any tuple of
+distinct eigenvalues is a fixed point of either map, and both converge
+quadratically near one.
 
 Converged columns are deflated: their vectors freeze, vhat_j is set to 0
-(its limit at an eigenvalue) and the diagonal entry is pinned at the locked
-eigenvalue, so column j of F equals ``lambda_j e_j`` exactly and the locked
-value stays an eigenvalue of every later F.
+(its limit at an eigenvalue) and the shift is pinned at the locked
+eigenvalue, so column j of G equals ``lambda_j W^T V e_j`` and the locked
+value stays an eigenvalue of every later pencil.
 """
 
 from __future__ import annotations
@@ -60,16 +67,14 @@ DEFAULT_FAN_SCALE = -0.05 + 0.5j
 _METHODS = ("dpse", "ddpse")
 # Two shifts (or a shift and a locked eigenvalue) no farther apart than
 # _COLLISION_EPS collide, a normalizer no larger vanishes, and W^T V is
-# ill-conditioned when its condition number exceeds _COND_LIMIT.
+# ill-conditioned when its condition number exceeds _COND_LIMIT (ddpse then
+# takes the pencil sweep instead of inverting it).
 _COLLISION_EPS = 1e-8
 _COND_LIMIT = 1.0 / _COLLISION_EPS
-# Base size of the kick that moves a shift off a collision.
+# Base size of the kick that moves a shift off a collision, and the bounded
+# number of growing kicks a vanishing normalizer gets.
 _PERTURBATION = 1e-6
-# Bounded retry budgets for the perturbation heuristics. Step retries use
-# geometrically growing kicks: escaping an ill-conditioned W^T V needs a
-# separation of roughly sqrt(1/_COND_LIMIT), far above one base perturbation.
 _MAX_NORMALIZER_KICKS = 5
-_MAX_STEP_RETRIES = 12
 # First retry after a singular factorization moves just far enough off the
 # eigenvalue to clear the pivot threshold; one fixed-point sweep from there
 # moves the shift by O(nudge^2), and the residual floor it induces is about
@@ -198,11 +203,6 @@ def _event(iteration, column, kind, shift):
     }
 
 
-def _kick_column(state, j, k, events, iteration):
-    state.shifts[j] = _kick(state.shifts[j], k)
-    events.append(_event(iteration, j, "collision", state.shifts[j]))
-
-
 def _nearest_taken(state, z, earlier=()):
     """Distance from z to the nearest locked eigenvalue or shift of a column
     in ``earlier``; infinite when there is neither."""
@@ -247,12 +247,9 @@ def _compute_column(sys, shift):
             s = _kick(s, kicks)
 
 
-def refresh_columns(sys, state, events=None, iteration=0, columns=None):
-    """Recompute X/Y columns for the given (default: all active) columns."""
-    cols = state.active_indices() if columns is None else columns
-    for j in cols:
-        if state.converged[j]:
-            continue
+def refresh_columns(sys, state, events=None, iteration=0):
+    """Recompute the X/Y columns of every active shift."""
+    for j in state.active_indices():
         s, x, y, nu, col_events = _compute_column(sys, state.shifts[j])
         state.shifts[j] = s
         state.X[:, j] = x
@@ -263,37 +260,33 @@ def refresh_columns(sys, state, events=None, iteration=0, columns=None):
 
 
 def _projection_parts(sys, state):
-    """Shared pieces of F: u = (W^T V)^-1 e and vhat; the diagonal is the
-    shift tuple.
+    """W^T V for the current state, built once per sweep.
 
-    Builds W^T V once per sweep and records its condition number in
-    ``state.cond``, from which ``run`` decides whether to use the sweep. A
-    numerically rank-deficient block (a shift collision, or redundant
-    columns such as several shifts far outside the spectrum) is solved in
-    the least-squares sense so the sweep stays finite.
+    Records its condition number in ``state.cond``, from which ``ddpse_step``
+    chooses its update.
     """
     n = sys.ndyn
     wtv = state.Y[:n, :].T @ state.X[:n, :]
     state.cond = float(np.linalg.cond(wtv))
-    e = np.ones(state.p, dtype=np.complex128)
-    if state.cond <= 1e14:
-        u = np.linalg.solve(wtv, e)
-    else:
-        u = np.linalg.lstsq(wtv, e, rcond=1e-12)[0]
-    vhat = np.where(state.converged, 0.0, 1.0 / state.normalizers)
-    return u, vhat
+    return wtv
+
+
+def _vhat(state):
+    return np.where(state.converged, 0.0, 1.0 / state.normalizers)
 
 
 def assemble_projection(sys, state):
-    """The p-by-p projected matrix F for the current state.
+    """The p-by-p projected matrix F = (W^T V)^-1 G for the current state.
 
-    Active columns contribute the rank-one resolvent update; converged
-    columns are pinned so that ``F e_j = lambda_j e_j`` exactly, which keeps
-    locked eigenvalues in the spectrum of every later F (block-triangular
-    deflation).
+    Formed as ``diag(S) + (W^T V)^-1 e vhat^T``: converged columns are pinned
+    so that ``F e_j = lambda_j e_j`` exactly, which keeps locked eigenvalues
+    in the spectrum of every later F (block-triangular deflation). The
+    solver itself never inverts W^T V except in ddpse's well-conditioned
+    update.
     """
-    u, vhat = _projection_parts(sys, state)
-    return np.outer(u, vhat) + np.diag(state.shifts)
+    wtv = _projection_parts(sys, state)
+    u = np.linalg.solve(wtv, np.ones(state.p, dtype=np.complex128))
+    return np.outer(u, _vhat(state)) + np.diag(state.shifts)
 
 
 def match_shifts(old, candidates):
@@ -323,14 +316,16 @@ def match_shifts(old, candidates):
     return out
 
 
-def dpse_step(sys, state):
-    """One full sweep: eigenvalues of F matched to the previous shifts.
+def _pencil_sweep(wtv, state, events, iteration):
+    """Eigenvalues of the pencil (G, W^T V), matched to the previous shifts.
 
     Locked positions come back exactly; the matching only permutes the
-    remaining candidates across active columns.
+    remaining candidates across active columns, finite ones first. An
+    active column left with a non-finite eigenvalue is redundant and is
+    re-seeded at the mean of the active shifts.
     """
-    F = assemble_projection(sys, state)
-    w, _ = dense_eig(F)
+    G = wtv * state.shifts + _vhat(state)  # (W^T V) S + e vhat^T
+    w, _ = dense_eig(G, wtv)
     new = np.empty(state.p, dtype=np.complex128)
     available = np.ones(state.p, dtype=bool)
     for j in np.flatnonzero(state.converged):
@@ -340,17 +335,42 @@ def dpse_step(sys, state):
     act = state.active_indices()
     if act.size:
         new[act] = match_shifts(state.shifts[act], w[available])
+        reseed = state.shifts[act].mean()
+        for j in act[~np.isfinite(new[act])]:
+            new[j] = reseed
+            if events is not None:
+                events.append(_event(iteration, j, "redundant-column", reseed))
     return new
 
 
-def ddpse_step(sys, state):
+def dpse_step(sys, state, events=None, iteration=0):
+    """One full sweep: the eigenvalues of (G, W^T V) as the next shifts.
+
+    Re-seeded redundant columns are recorded in ``events`` when given.
+    """
+    return _pencil_sweep(_projection_parts(sys, state), state, events, iteration)
+
+
+def ddpse_step(sys, state, events=None, iteration=0):
     """One diagonal sweep: ``s_j + vhat_j [ (W^T V)^-1 e ]_j`` per column.
 
     This is diag(F) without the p-by-p eigensolve; converged columns return
-    their locked eigenvalue unchanged.
+    their locked eigenvalue unchanged. An ill-conditioned W^T V takes
+    ``_fallback_step`` instead.
     """
-    u, vhat = _projection_parts(sys, state)
-    return state.shifts + vhat * u
+    wtv = _projection_parts(sys, state)
+    if not state.cond <= _COND_LIMIT:  # a NaN cond is ill-conditioned too
+        return _fallback_step(wtv, state, events, iteration)
+    u = np.linalg.solve(wtv, np.ones(state.p, dtype=np.complex128))
+    return state.shifts + _vhat(state) * u
+
+
+def _fallback_step(wtv, state, events, iteration):
+    """ddpse's sweep for a W^T V whose inverse cannot be trusted: dpse's
+    pencil sweep, which needs no inverse, plus one sweep-wide event."""
+    if events is not None:
+        events.append(_event(iteration, -1, "ill-conditioned-projection", None))
+    return _pencil_sweep(wtv, state, events, iteration)
 
 
 def _residual_pair(sys, shift, x, y):
@@ -534,47 +554,8 @@ def _perturb_collisions(state, events, iteration):
             k += 1
             if k > state.p + 4:
                 raise SolverError(f"cannot separate shift for column {j}")
-            _kick_column(state, j, k, events, iteration)
-
-
-def _collision_suspects(state):
-    """Active columns most likely responsible for an ill-conditioned W^T V.
-
-    Two shifts chasing the same eigenvalue give near-parallel columns; the
-    conditioning blows up once their distance falls under roughly
-    sqrt(_COLLISION_EPS) times the local scale, so every active column that
-    close to an earlier active shift or a locked eigenvalue is suspect (the
-    later column moves). An empty list means the ill-conditioning is not a
-    collision.
-    """
-    act = state.active_indices()
-    suspects = []
-    for idx, j in enumerate(act):
-        radius = max(
-            _COLLISION_EPS,
-            np.sqrt(_COLLISION_EPS) * (1.0 + abs(state.shifts[j])),
-        )
-        if _nearest_taken(state, state.shifts[j], act[:idx]) <= radius:
-            suspects.append(int(j))
-    return suspects
-
-
-def _fallback_step(new, state, events, iteration):
-    """Damp a sweep ``new`` whose W^T V stayed ill-conditioned.
-
-    When perturbation cannot cure the ill-conditioning (redundant columns
-    rather than a shift collision), the sweep is not built again: each of its
-    active updates is damped to a trust radius, so wayward columns stay in a
-    sane region instead of aborting the run.
-    """
-    for j in state.active_indices():
-        delta = new[j] - state.shifts[j]
-        radius = 10.0 * (1.0 + abs(state.shifts[j]))
-        if not np.isfinite(delta) or abs(delta) > radius:
-            step = radius if not np.isfinite(delta) else delta / abs(delta) * radius
-            new[j] = state.shifts[j] + step
-    events.append(_event(iteration, -1, "ill-conditioned-projection", None))
-    return new
+            state.shifts[j] = _kick(state.shifts[j], k)
+            events.append(_event(iteration, j, "collision", state.shifts[j]))
 
 
 def run(sys, config, initial_shifts=None):
@@ -610,19 +591,7 @@ def run(sys, config, initial_shifts=None):
 
     for it in range(1, config.max_iter + 1):
         state.iter = it
-        new_shifts = step(sys, state)
-        attempt = 0
-        while not state.cond <= _COND_LIMIT:  # a NaN cond is ill-conditioned too
-            suspects = _collision_suspects(state)
-            attempt += 1
-            if not suspects or attempt > _MAX_STEP_RETRIES:
-                new_shifts = _fallback_step(new_shifts, state, events, it)
-                break
-            for j in suspects:
-                _kick_column(state, j, 2 ** (attempt - 1), events, it)
-            refresh_columns(sys, state, events, it, columns=suspects)
-            new_shifts = step(sys, state)
-
+        new_shifts = step(sys, state, events, it)
         flags, residuals = check_convergence(sys, state, new_shifts, config.tol)
         residual_history.append(residuals)
         for j in state.active_indices():

@@ -10,6 +10,7 @@ real/complex kernels.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -170,19 +171,25 @@ def factorize(M):
     return Factorization(lu, M.nrows, growth)
 
 
-def dense_eig(M):
-    """All eigenvalues and unit-norm right eigenvectors of a dense matrix.
+def dense_eig(A, B=None):
+    """Eigenvalues of a dense matrix or of the pencil (A, B).
 
-    Intended for small matrices (the projected p-by-p systems and reference
-    work up to a few hundred rows).
+    Without B, returns all eigenvalues and unit-norm right eigenvectors of
+    A. With B, returns ``(w, None)``: the generalized eigenvalues of
+    ``A x = w B x`` from QZ, which does not invert B; a singular B gives
+    non-finite entries of w. Intended for small matrices (the projected
+    p-by-p systems and reference work up to a few hundred rows).
     """
-    a = np.ascontiguousarray(M, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("dense_eig() requires a square 2-D matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+    mats = [np.ascontiguousarray(m, dtype=np.complex128) for m in (A, B) if m is not None]
+    for m in mats:
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape != mats[0].shape:
+            raise ValueError("dense_eig() requires square 2-D matrices of one shape")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix entries must be finite")
     try:
-        w, v = np.linalg.eig(a)
+        if B is None:
+            w, v = np.linalg.eig(mats[0])
+            return w, v
+        return sla.eigvals(*mats, check_finite=False), None
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigenvalue iteration failed: {exc}") from exc
-    return w, v

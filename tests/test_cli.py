@@ -135,6 +135,15 @@ class TestTf:
     def test_requires_sampling_mode(self, toy_manifest, capsys):
         assert main(["tf", str(toy_manifest)]) == 1
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_sweep_without_points_rejected(self, toy_manifest, tmp_path, capsys, points):
+        out = tmp_path / "tf.csv"
+        code = main(["tf", str(toy_manifest), "--wmin", "0.1", "--wmax", "10",
+                     "--points", points, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --points must be at least 1")
+        assert not out.exists()
+
     def test_algebraic_toy_value(self, algebraic_toy_manifest, tmp_path):
         # (2E - J) = diag(3, -1), so h(2) = 1/3 + 1
         out = tmp_path / "tf.csv"
@@ -212,6 +221,13 @@ class TestGenSpyBench:
         assert methods == {"dpse", "ddpse"}
         assert sum(1 for l in lines if l.startswith("# dpse:")) == 1
         assert "upper half-plane" in text
+
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_bench_without_repeats_rejected(self, toy_manifest, capsys, repeats):
+        code = main(["bench", str(toy_manifest), "--shifts", " -0.5,-2.5",
+                     "--repeats", repeats])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --repeats must be at least 1")
 
     def test_bench_single_method(self, toy_manifest, tmp_path):
         out = tmp_path / "bench.csv"

@@ -98,13 +98,10 @@ class TestAssembleProjection:
         assert sv[1] <= 1e-10 * np.linalg.norm(F)
 
     def test_collision_detection(self):
-        from dompole.solver import _collision_suspects
-
         sys = two_state()
         state = prepared_state(sys, [-0.5, -0.5 + 1e-12])
         assemble_projection(sys, state)
         assert state.cond > 1e8
-        assert _collision_suspects(state) == [1]
 
 
 class TestDpseStep:
@@ -391,7 +388,7 @@ class TestRun:
         assert '"poles"' in text
         # sweep-wide events (column -1) carry no shift
         gen, s0 = far_shift_system()
-        report = run(gen.system, SolverConfig(method="dpse", p=4), initial_shifts=s0)
+        report = run(gen.system, SolverConfig(method="ddpse", p=4), initial_shifts=s0)
         fallback = [e for e in report.to_dict()["events"] if e["column"] == -1]
         assert fallback
         assert all(e["shift_re"] is None and e["shift_im"] is None for e in fallback)
@@ -399,40 +396,53 @@ class TestRun:
 
 
 def far_shift_system():
-    """Shifts far outside the spectrum: W^T V is rank-deficient, so the
-    sweeps go through the damped least-squares fallback."""
+    """Shifts far outside the spectrum: the first W^T V is numerically
+    rank-deficient (its columns span fewer directions than p)."""
     rng = np.random.default_rng(0)
     spec = sample_spectrum(20, 4, (0.05, 0.3), rng)
     gen = build_system(spec, n_algebraic=10, density=0.2, rng=rng)
     return gen, np.array([1e3, 1e3 + 1, 1e3 + 2j, 1e3 + 3])
 
 
+def assert_poles_in_spectrum(report, ss, rtol):
+    spec = full_spectrum(ss).eigenvalues
+    for pole in report.poles:
+        assert np.abs(spec - pole.eigenvalue).min() <= rtol * abs(pole.eigenvalue)
+
+
 class TestFallback:
-    @pytest.mark.parametrize("method", ["dpse", "ddpse"])
-    def test_damped_sweeps_on_rank_deficient_projection(self, method):
+    def test_dpse_takes_the_pencil_without_fallback(self):
         gen, s0 = far_shift_system()
-        report = run(gen.system, SolverConfig(method=method, p=4), initial_shifts=s0)
+        report = run(gen.system, SolverConfig(method="dpse", p=4), initial_shifts=s0)
+        assert not any(e["kind"] == "ill-conditioned-projection" for e in report.events)
+        assert report.converged_count == 4
+        assert_poles_in_spectrum(report, gen.state_space, 1e-10)
+
+    def test_ddpse_falls_back_on_every_ill_conditioned_sweep(self, monkeypatch):
+        import dompole.solver as solver
+
+        cond = {}
+        step = solver.ddpse_step
+
+        def recorded(sys, state, events=None, iteration=0):
+            out = step(sys, state, events, iteration)
+            cond[iteration] = state.cond
+            return out
+
+        monkeypatch.setattr(solver, "ddpse_step", recorded)
+        gen, s0 = far_shift_system()
+        report = run(gen.system, SolverConfig(method="ddpse", p=4), initial_shifts=s0)
         fallback = [e for e in report.events if e["kind"] == "ill-conditioned-projection"]
+        assert all(e["column"] == -1 for e in fallback)
+        assert {e["iteration"] for e in fallback} == {k for k, c in cond.items() if c > 1e8}
         assert fallback
-        moves = []
-        for e in fallback:
-            assert e["column"] == -1
-            old, new = report.trajectories[e["iteration"] - 1], report.trajectories[e["iteration"]]
-            moves.extend(np.abs(new - old) / (10.0 * (1.0 + np.abs(old))))
-        assert max(moves) <= 1.0 + 1e-12
-        if method == "ddpse":
-            # the first diagonal update overshoots and is cut to the radius
-            assert max(moves) >= 1.0 - 1e-12
-        else:
-            spec = full_spectrum(gen.state_space).eigenvalues
-            assert report.converged_count == 4
-            for pole in report.poles:
-                assert np.abs(spec - pole.eigenvalue).min() <= 1e-10 * abs(pole.eigenvalue)
+        assert report.converged_count == 4
+        assert_poles_in_spectrum(report, gen.state_space, 1e-10)
 
 
 @pytest.mark.parametrize("method", ["dpse", "ddpse"])
 def test_one_projection_per_sweep(method, monkeypatch):
-    # a damped sweep reuses the projection it was built from
+    # the fallback sweep reuses the W^T V its step built
     import dompole.solver as solver
 
     built = []
@@ -445,9 +455,23 @@ def test_one_projection_per_sweep(method, monkeypatch):
     monkeypatch.setattr(solver, "_projection_parts", counted)
     gen, s0 = far_shift_system()
     report = run(gen.system, SolverConfig(method=method, p=4), initial_shifts=s0)
-    assert any(e["kind"] == "ill-conditioned-projection" for e in report.events)
-    assert not any(e["kind"] == "collision" for e in report.events)
+    kind = "redundant-column" if method == "dpse" else "ill-conditioned-projection"
+    assert any(e["kind"] == kind for e in report.events)
     assert len(built) == len(report.trajectories) - 1
+
+
+@pytest.mark.parametrize("method", ["dpse", "ddpse"])
+def test_p_above_observable_modes(method):
+    # B and C reach only the modes -1 and -2: the four resolvent columns
+    # span two directions, so two of them stay redundant and are named so
+    b = [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    sys = DescriptorSystem.from_dense_state(np.diag([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0]), b, b, 0)
+    report = run(sys, SolverConfig(method=method, p=4), [-0.5, -1.5, -2.5, -3.5])
+    poles = np.sort_complex([p.eigenvalue for p in report.poles])
+    assert_allclose(poles, [-2.0, -1.0], rtol=0, atol=1e-9)
+    assert len(report.unconverged) == 2
+    redundant = {e["column"] for e in report.events if e["kind"] == "redundant-column"}
+    assert redundant == {u["column"] for u in report.unconverged}
 
 
 class TestColumnRecovery:

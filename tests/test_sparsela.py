@@ -224,3 +224,20 @@ class TestDenseEig:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             dense_eig([[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_pencil_eigenvalues_without_inverse(self):
+        rng = np.random.default_rng(7)
+        b = rng.standard_normal((6, 6))
+        a = b @ np.diag([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0])
+        w, v = dense_eig(a, b)
+        assert v is None
+        assert_allclose(np.sort_complex(w), [-6.0, -5.0, -4.0, -3.0, -2.0, -1.0], atol=1e-9)
+
+    def test_singular_pencil_part_is_not_finite(self):
+        w, _ = dense_eig(np.diag([2.0, 1.0]), np.diag([1.0, 0.0]))
+        assert w[np.isfinite(w)] == pytest.approx([2.0])
+        assert np.isfinite(w).sum() == 1
+
+    def test_pencil_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="one shape"):
+            dense_eig(np.eye(2), np.eye(3))
