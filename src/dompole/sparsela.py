@@ -5,6 +5,12 @@ A thin layer over scipy: it keeps only the checks scipy does not make
 All numeric work runs in complex double precision even for real inputs:
 the solver shifts are complex, and a single complex path avoids duplicated
 real/complex kernels.
+
+The pattern of ``J - sE`` does not depend on s. The first ``shifted(J,
+ndyn, s)`` call therefore builds that pattern and its COLAMD column order
+once for the pair ``(J, ndyn)`` and keeps them on J; later calls only refill
+the values, and ``factorize`` hands SuperLU the columns already in that
+order. J must not be changed in place once it has been shifted.
 """
 
 from __future__ import annotations
@@ -46,11 +52,17 @@ class SparseMatrix:
     ``from_dense``), which makes that form and checks it.
     """
 
-    __slots__ = ("_csc",)
+    # _transpose: CSR view of M.T over M's own arrays, built by the first
+    # matvec_t. _shifts: on J, the _ShiftPattern of the last ndyn passed to
+    # shifted. _source: on a result of shifted, the _ShiftPattern it came from.
+    __slots__ = ("_csc", "_transpose", "_shifts", "_source")
 
     def __init__(self, csc):
         """Wrap ``csc`` as is; it must already be canonical (see ``from_scipy``)."""
         self._csc = csc
+        self._transpose = None
+        self._shifts = None
+        self._source = None
 
     @classmethod
     def from_scipy(cls, m):
@@ -97,10 +109,70 @@ class SparseMatrix:
 
     def matvec_t(self, x):
         """Return ``M.T @ x`` (plain transpose, no conjugation)."""
-        return self._csc.T @ np.asarray(x, dtype=np.complex128)
+        if self._transpose is None:
+            self._transpose = self._csc.T
+        return self._transpose @ np.asarray(x, dtype=np.complex128)
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
+
+
+class _ShiftPattern:
+    """What ``J - sE`` keeps across shifts, for one ``(J, ndyn)``.
+
+    ``indptr``/``indices`` are J's pattern, stored zeros dropped, united with
+    the first ``ndyn`` diagonal positions; ``values`` holds J's entries on it
+    and ``diag`` the data positions of E's ones. ``cols`` is the COLAMD
+    column order of that pattern, taken from one factorization of generic
+    values whose factors are discarded, or None when the pattern is
+    structurally singular. ``cols_indptr``, ``cols_indices`` and ``take``
+    describe ``M[:, cols]``: its data is ``M.data[take]``.
+    """
+
+    __slots__ = ("ndyn", "indptr", "indices", "values", "diag",
+                 "cols", "cols_indptr", "cols_indices", "take")
+
+    def __init__(self, J, ndyn):
+        N = J.nrows
+        dyn = np.arange(ndyn)
+        E = sp.csc_matrix((np.ones(ndyn), (dyn, dyn)), shape=(N, N))
+        # |J| + E sums nonnegative values, so nothing but J's stored zeros drops
+        P = abs(J.to_scipy()) + E
+        self.ndyn = ndyn
+        self.indptr = P.indptr.astype(np.int32)
+        self.indices = P.indices.astype(np.int32)
+        # each entry's position in P, found by its column-major key
+        keys = np.repeat(np.arange(N, dtype=np.int64), np.diff(P.indptr)) * N + P.indices
+        Jnz = J.data != 0
+        jkeys = np.repeat(np.arange(N, dtype=np.int64), np.diff(J.indptr))[Jnz] * N
+        self.values = np.zeros(P.nnz, dtype=np.complex128)
+        self.values[np.searchsorted(keys, jkeys + J.indices[Jnz])] = J.data[Jnz]
+        self.diag = np.searchsorted(keys, dyn * (N + 1)).astype(np.int32)
+        # complex values, like the shifted matrices', so that the factorizations
+        # after this one reuse its memory instead of raising the peak
+        rng = np.random.default_rng(0)
+        noise = rng.uniform(1.0, 2.0, P.nnz) + 1j * rng.uniform(1.0, 2.0, P.nnz)
+        generic = sp.csc_matrix((noise, P.indices, P.indptr), shape=(N, N))
+        try:
+            perm_c = spla.splu(generic, permc_spec="COLAMD").perm_c
+        except RuntimeError:
+            self.cols = None
+            return
+        self.cols = np.argsort(perm_c).astype(np.int32)
+        starts = P.indptr[self.cols]
+        counts = np.diff(P.indptr)[self.cols]
+        self.cols_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+        offset = np.repeat(starts - self.cols_indptr[:-1], counts)
+        self.take = (np.arange(P.nnz) + offset).astype(np.int32)
+        self.cols_indices = self.indices[self.take]
+
+    def in_column_order(self, M):
+        """``M[:, cols]`` for a matrix ``shifted`` built on this pattern."""
+        if M.nnz != self.take.size:  # shifted dropped a cancelled entry
+            return M.to_scipy()[:, self.cols]
+        csc = sp.csc_matrix((M.data[self.take], self.cols_indices, self.cols_indptr), shape=M.shape)
+        csc.has_canonical_format = True
+        return csc
 
 
 def shifted(J, ndyn, s):
@@ -108,30 +180,56 @@ def shifted(J, ndyn, s):
 
     The result's pattern is J's pattern united with the first ``ndyn``
     diagonal positions; entries that cancel to exactly zero are dropped.
+    The first call for a pair ``(J, ndyn)`` caches that pattern and its
+    column order on J (see the module docstring); the result shares the
+    cached index arrays.
     """
     N = J.nrows
     if not 0 <= ndyn <= N:
         raise ValueError(f"ndyn {ndyn} out of range for order {N}")
-    dyn = np.arange(ndyn)
-    E = sp.csc_matrix((np.ones(ndyn), (dyn, dyn)), shape=(N, N))
-    # the difference of two canonical CSC matrices is canonical
-    return SparseMatrix(J.to_scipy() - complex(s) * E)
+    pattern = J._shifts
+    if pattern is None or pattern.ndyn != ndyn:
+        pattern = J._shifts = _ShiftPattern(J, ndyn)
+    data = pattern.values.copy()
+    data[pattern.diag] -= complex(s)
+    if data[pattern.diag].all():
+        csc = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(N, N))
+        csc.has_canonical_format = True
+    else:
+        csc = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(N, N), copy=True)
+        csc.eliminate_zeros()
+    M = SparseMatrix(csc)
+    M._source = pattern
+    return M
 
 
 class Factorization:
-    """LU factors of a (shifted) sparse matrix with fill-reducing ordering.
+    """LU factors of a sparse matrix M with a fill-reducing column order.
 
-    ``lu`` is scipy's SuperLU object: ``lu.perm_r``, ``lu.perm_c``, ``lu.L``
-    and ``lu.U`` satisfy ``Pr @ M @ Pc = L @ U`` with ``Pr[perm_r[i], i] = 1``
-    and ``Pc[i, perm_c[i]] = 1``. ``pivot_growth`` is ``max|U| / max|M|``.
+    ``lu`` is scipy's SuperLU object. For a result of ``shifted`` it factors
+    ``M[:, cols]``: M's columns in the COLAMD order cached for its
+    ``(J, ndyn)``, computed once and reused for every shift. For any other
+    matrix it factors M itself, in a COLAMD order of its own, and ``cols`` is
+    None. Either way ``lu.perm_r`` and ``perm_c`` satisfy
+    ``Pr @ M @ Pc = L @ U`` with ``L = lu.L``, ``U = lu.U``,
+    ``Pr[lu.perm_r[i], i] = 1`` and ``Pc[i, perm_c[i]] = 1``.
+    ``pivot_growth`` is ``max|U| / max|M|``.
     """
 
-    __slots__ = ("lu", "order", "pivot_growth")
+    __slots__ = ("lu", "order", "pivot_growth", "cols")
 
-    def __init__(self, lu, order, pivot_growth):
+    def __init__(self, lu, order, pivot_growth, cols=None):
         self.lu = lu
         self.order = order
         self.pivot_growth = pivot_growth
+        self.cols = cols
+
+    @property
+    def perm_c(self):
+        if self.cols is None:
+            return self.lu.perm_c
+        # column cols[j] of M is column j of the factored matrix
+        return self.lu.perm_c[np.argsort(self.cols)]
 
     def solve(self, rhs, transposed=False):
         """Solve ``M x = rhs`` or ``M.T x = rhs`` using the stored factors."""
@@ -140,12 +238,20 @@ class Factorization:
             raise ValueError(
                 f"right-hand side has length {rhs.shape}, expected ({self.order},)"
             )
-        return self.lu.solve(rhs, trans="T" if transposed else "N")
+        if self.cols is None:
+            return self.lu.solve(rhs, trans="T" if transposed else "N")
+        if transposed:
+            return self.lu.solve(rhs[self.cols], trans="T")
+        x = np.empty_like(rhs)
+        x[self.cols] = self.lu.solve(rhs)
+        return x
 
 
 def factorize(M):
-    """Sparse LU of M with COLAMD column ordering and partial pivoting.
+    """Sparse LU of M with a fill-reducing column order and partial pivoting.
 
+    A result of ``shifted`` is factored in the column order cached for its
+    ``(J, ndyn)``; any other matrix gets SuperLU's COLAMD order of its own.
     Raises SingularMatrixError for structural singularity or for any pivot at
     or below ``PIVOT_RTOL * max|entry|``; the caller is expected to perturb
     the shift and retry.
@@ -155,8 +261,13 @@ def factorize(M):
     max_abs = float(np.abs(M.data).max()) if M.nnz else 0.0
     if max_abs == 0.0:
         raise SingularMatrixError("matrix has no nonzero entries")
+    pattern = M._source
+    cols = None if pattern is None else pattern.cols
     try:
-        lu = spla.splu(M.to_scipy(), permc_spec="COLAMD")
+        if cols is None:
+            lu = spla.splu(M.to_scipy(), permc_spec="COLAMD")
+        else:
+            lu = spla.splu(pattern.in_column_order(M), permc_spec="NATURAL")
     except RuntimeError as exc:
         raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
     U = lu.U
@@ -168,7 +279,7 @@ def factorize(M):
             "the shift likely coincides with an eigenvalue"
         )
     growth = float(np.abs(U.data).max() / max_abs) if U.nnz else 0.0
-    return Factorization(lu, M.nrows, growth)
+    return Factorization(lu, M.nrows, growth, cols)
 
 
 def dense_eig(A, B=None):

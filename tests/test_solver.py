@@ -290,6 +290,36 @@ class TestRun:
         assert all(p.iterations <= 3 for p in report.poles)
         assert all(max(p.final_residuals) <= 1e-5 for p in report.poles)
 
+    @pytest.mark.parametrize(
+        "A",
+        [
+            np.diag([-1.0, -3.0]),
+            # integer entries: J - sE at the integer start shifts has exact
+            # pivot ties, where SuperLU's COLAMD and pre-ordered paths round
+            # differently
+            [[2, 0, 2, 1], [1, -1, 1, -2], [0, 0, 2, -2], [2, -2, 1, 0]],
+            [[2, 1, 0, 0], [0, 0, -1, 1], [-2, 0, -1, 1], [1, 1, 2, 2]],
+        ],
+    )
+    def test_report_does_not_depend_on_earlier_calls(self, A):
+        n = len(A)
+
+        def make():
+            return DescriptorSystem.from_dense_state(A, np.ones(n), np.ones(n), 0)
+
+        def untimed(report):
+            d = report.to_dict()
+            del d["total_time_s"]
+            for pole in d["poles"]:
+                del pole["time_s"]
+            return d
+
+        config = SolverConfig(method="dpse", p=2, max_iter=10)
+        sys = make()
+        first, again = (untimed(run(sys, config, [-1.0, -2.0])) for _ in range(2))
+        fresh = untimed(run(make(), config, [-1.0, -2.0]))
+        assert first == again == fresh
+
     def test_sixty_state_ddpse_fan(self):
         rng = np.random.default_rng(1)
         spec = sample_spectrum(60, 10, (0.01, 0.3), rng)

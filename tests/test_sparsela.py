@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from numpy.testing import assert_allclose
+import scipy.sparse.linalg as spla
+from numpy.testing import assert_allclose, assert_array_equal
 
+import dompole
+from dompole import descriptor, sparsela
+from dompole.descriptor import DescriptorSystem
 from dompole.sparsela import (
     SingularMatrixError,
     SparseMatrix,
@@ -10,7 +14,7 @@ from dompole.sparsela import (
     factorize,
     shifted,
 )
-from dompole.solver import match_shifts
+from dompole.solver import SolverConfig, match_shifts
 
 WORKED_F = np.array([[-1.125, -1.125], [-5.0 / 24.0, -2.875]])
 
@@ -27,11 +31,10 @@ def random_sparse(rng, n, density=0.3, complex_vals=False, diag_boost=0.0):
 
 def reconstruction_error(M, fac):
     n = M.nrows
-    lu = fac.lu
-    Pr = sp.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))), shape=(n, n))
-    Pc = sp.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)), shape=(n, n))
+    Pr = sp.csc_matrix((np.ones(n), (fac.lu.perm_r, np.arange(n))), shape=(n, n))
+    Pc = sp.csc_matrix((np.ones(n), (np.arange(n), fac.perm_c)), shape=(n, n))
     lhs = (Pr @ M.to_scipy() @ Pc).todense()
-    rhs = (lu.L @ lu.U).todense()
+    rhs = (fac.lu.L @ fac.lu.U).todense()
     return np.linalg.norm(lhs - rhs) / np.linalg.norm(M.to_dense())
 
 
@@ -67,6 +70,8 @@ class TestSparseMatrix:
         x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         assert_allclose(m.matvec(x), m.to_dense() @ x, rtol=1e-13)
         assert_allclose(m.matvec_t(x), m.to_dense().T @ x, rtol=1e-13)
+        # the cached transpose view gives scipy's own transposed product
+        assert_array_equal(m.matvec_t(x), m.to_scipy().T @ x)
 
 
 class TestShifted:
@@ -106,6 +111,17 @@ class TestShifted:
         np.testing.assert_array_equal(out.to_dense(), dense - s * E)
         assert out.to_scipy().has_canonical_format
 
+    def test_cache_follows_j_and_ndyn(self):
+        rng = np.random.default_rng(4)
+        dense = np.where(rng.random((8, 8)) < 0.3, rng.standard_normal((8, 8)), 0.0)
+        J = SparseMatrix.from_dense(dense)
+        s = 0.4 + 0.9j
+        for ndyn in (3, 2, 3):
+            E = np.diag((np.arange(8) < ndyn).astype(float))
+            assert_array_equal(shifted(J, ndyn, s).to_dense(), dense - s * E)
+        other = SparseMatrix.from_dense(2.0 * dense)
+        assert_array_equal(shifted(other, 3, s).to_dense(), 2.0 * dense - s * E)
+
     def test_ndyn_out_of_range(self):
         J = SparseMatrix.from_dense(np.eye(2))
         with pytest.raises(ValueError, match="out of range"):
@@ -140,6 +156,62 @@ class TestFactorize:
         rng = np.random.default_rng(n)
         M = random_sparse(rng, n, density=0.1, complex_vals=True)
         assert reconstruction_error(M, factorize(M)) <= 1e-10
+
+
+def random_shifted(seed, n=40, ndyn=25):
+    rng = np.random.default_rng(seed)
+    J = random_sparse(rng, n, density=0.15, complex_vals=True)
+    M = shifted(J, ndyn, 0.7 - 1.3j)
+    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return M, rhs
+
+
+class TestCachedOrder:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_solves_equal_a_fresh_colamd_lu(self, seed):
+        M, rhs = random_shifted(seed)
+        fac = factorize(M)
+        assert fac.cols is not None
+        fresh = spla.splu(M.to_scipy(), permc_spec="COLAMD")
+        assert_array_equal(fac.solve(rhs), fresh.solve(rhs))
+        assert_array_equal(fac.solve(rhs, transposed=True), fresh.solve(rhs, trans="T"))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reconstruction(self, seed):
+        M, _ = random_shifted(seed)
+        assert reconstruction_error(M, factorize(M)) <= 1e-12
+
+    def test_cancelled_entry_keeps_the_order(self):
+        J = SparseMatrix.from_dense([[-1.0, 2.0, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, 4.0]])
+        M = shifted(J, 2, -1.0)
+        assert M.nnz == 6
+        fac = factorize(M)
+        assert fac.cols is not None
+        assert reconstruction_error(M, fac) <= 1e-14
+        assert_allclose(M.matvec(fac.solve(np.ones(3))), np.ones(3), rtol=1e-14)
+
+    def test_one_splu_per_factorization_plus_one_ordering(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        n, m = 12, 6
+        Jd = rng.standard_normal((n + m, n + m)) * (rng.random((n + m, n + m)) < 0.3)
+        Jd[:n, :n] -= np.diag(rng.uniform(2.0, 4.0, n))
+        Jd[n:, n:] += np.diag(rng.uniform(1.5, 2.5, m))
+        sys = DescriptorSystem(SparseMatrix.from_dense(Jd), n, rng.standard_normal(n + m),
+                               rng.standard_normal(n + m))
+        counts = {"splu": 0, "factorize": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sparsela.spla, "splu", counted("splu", spla.splu))
+        monkeypatch.setattr(descriptor, "factorize", counted("factorize", factorize))
+        for _ in range(2):
+            dompole.run(sys, SolverConfig(method="dpse", p=3), [-1 + 1j, -2, -3 + 2j])
+        assert counts["factorize"] > 6
+        assert counts["splu"] == counts["factorize"] + 1
 
 
 class TestSolve:
