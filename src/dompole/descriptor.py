@@ -14,6 +14,7 @@ side never forms A; it works through solves with ``J - sE``.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -302,6 +303,13 @@ _REQUIRED_KEYS = ("jacobian", "b", "c", "ndyn")
 _KNOWN_KEYS = _REQUIRED_KEYS + ("d_re", "d_im", "ground_truth")
 
 
+def _finite_float(text):
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError("not finite")
+    return x
+
+
 def load_manifest(path):
     """Parse a ``key = value`` manifest; paths resolve relative to the file."""
     path = Path(path)
@@ -309,7 +317,8 @@ def load_manifest(path):
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    values = {}
+    values = {"d_re": "0", "d_im": "0"}  # the optional keys with defaults
+    linenos = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -321,22 +330,29 @@ def load_manifest(path):
         if key not in _KNOWN_KEYS:
             raise ManifestError(f"{path}:{lineno}: unknown key '{key}'")
         values[key] = val.strip()
+        linenos[key] = lineno
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
         raise ManifestError(f"{path}: missing keys: {', '.join(missing)}")
+
+    def parse(key, convert, what):
+        try:
+            return convert(values[key])
+        except ValueError:
+            raise ManifestError(
+                f"{path}:{linenos[key]}: {key} must be {what}, got '{values[key]}'"
+            ) from None
+
+    ndyn = parse("ndyn", int, "an integer")
+    d_re, d_im = (parse(key, _finite_float, "a finite number") for key in ("d_re", "d_im"))
     base = path.parent
-    try:
-        ndyn = int(values["ndyn"])
-        d = complex(float(values.get("d_re", "0")), float(values.get("d_im", "0")))
-    except ValueError as exc:
-        raise ManifestError(f"{path}: {exc}") from exc
     gt = values.get("ground_truth")
     return Manifest(
         jacobian_path=base / values["jacobian"],
         b_path=base / values["b"],
         c_path=base / values["c"],
         ndyn=ndyn,
-        d=d,
+        d=complex(d_re, d_im),
         ground_truth_path=(base / gt) if gt else None,
     )
 

@@ -9,11 +9,15 @@ real/complex kernels.
 The pattern of ``J - sE`` does not depend on s. The first ``shifted(J,
 ndyn, s)`` call therefore builds that pattern and its COLAMD column order
 once for the pair ``(J, ndyn)`` and keeps them on J; later calls only refill
-the values, and ``factorize`` hands SuperLU the columns already in that
-order. J must not be changed in place once it has been shifted.
+the values, keeping a cancelled entry as a stored zero. ``factorize`` hands
+SuperLU every matrix with its columns already in such an order, taking one
+through ``shifted(M, 0, 0)`` first if ``shifted`` did not make it. J must
+not be changed in place once it has been shifted or factored.
 """
 
 from __future__ import annotations
+
+import cmath
 
 import numpy as np
 import scipy.linalg as sla
@@ -168,8 +172,6 @@ class _ShiftPattern:
 
     def in_column_order(self, M):
         """``M[:, cols]`` for a matrix ``shifted`` built on this pattern."""
-        if M.nnz != self.take.size:  # shifted dropped a cancelled entry
-            return M.to_scipy()[:, self.cols]
         csc = sp.csc_matrix((M.data[self.take], self.cols_indices, self.cols_indptr), shape=M.shape)
         csc.has_canonical_format = True
         return csc
@@ -178,56 +180,52 @@ class _ShiftPattern:
 def shifted(J, ndyn, s):
     """Return ``J - s*E`` where ``E = diag(1,...,1,0,...,0)`` with ``ndyn`` ones.
 
-    The result's pattern is J's pattern united with the first ``ndyn``
-    diagonal positions; entries that cancel to exactly zero are dropped.
-    The first call for a pair ``(J, ndyn)`` caches that pattern and its
-    column order on J (see the module docstring); the result shares the
-    cached index arrays.
+    The result's pattern is J's pattern, stored zeros dropped, united with
+    the first ``ndyn`` diagonal positions, for every s: an entry that
+    cancels stays stored as a zero. The first call for a pair ``(J, ndyn)``
+    caches that pattern and its column order on J (see the module
+    docstring); the result shares the cached index arrays. A shift that is
+    not finite raises ValueError.
     """
     N = J.nrows
     if not 0 <= ndyn <= N:
         raise ValueError(f"ndyn {ndyn} out of range for order {N}")
+    s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"shift {s!r} is not finite")
     pattern = J._shifts
     if pattern is None or pattern.ndyn != ndyn:
         pattern = J._shifts = _ShiftPattern(J, ndyn)
     data = pattern.values.copy()
-    data[pattern.diag] -= complex(s)
-    if data[pattern.diag].all():
-        csc = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(N, N))
-        csc.has_canonical_format = True
-    else:
-        csc = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(N, N), copy=True)
-        csc.eliminate_zeros()
+    data[pattern.diag] -= s
+    csc = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(N, N))
+    csc.has_canonical_format = True
     M = SparseMatrix(csc)
     M._source = pattern
     return M
 
 
 class Factorization:
-    """LU factors of a sparse matrix M with a fill-reducing column order.
+    """LU factors of a sparse matrix M in its cached fill-reducing column order.
 
-    ``lu`` is scipy's SuperLU object. For a result of ``shifted`` it factors
-    ``M[:, cols]``: M's columns in the COLAMD order cached for its
-    ``(J, ndyn)``, computed once and reused for every shift. For any other
-    matrix it factors M itself, in a COLAMD order of its own, and ``cols`` is
-    None. Either way ``lu.perm_r`` and ``perm_c`` satisfy
-    ``Pr @ M @ Pc = L @ U`` with ``L = lu.L``, ``U = lu.U``,
-    ``Pr[lu.perm_r[i], i] = 1`` and ``Pc[i, perm_c[i]] = 1``.
-    ``pivot_growth`` is ``max|U| / max|M|``.
+    ``lu`` is scipy's SuperLU object for ``M[:, cols]``: M's columns in the
+    COLAMD order cached for its pattern, computed once and reused for every
+    shift. ``lu.perm_r`` and ``perm_c`` satisfy ``Pr @ M @ Pc = L @ U`` with
+    ``L = lu.L``, ``U = lu.U``, ``Pr[lu.perm_r[i], i] = 1`` and
+    ``Pc[i, perm_c[i]] = 1``. ``pivot_growth`` is ``max|U| / max|M|``.
     """
 
-    __slots__ = ("lu", "order", "pivot_growth", "cols")
+    __slots__ = ("lu", "pivot_growth", "cols")
 
-    def __init__(self, lu, order, pivot_growth, cols=None):
+    def __init__(self, lu, pivot_growth, cols):
         self.lu = lu
-        self.order = order
         self.pivot_growth = pivot_growth
         self.cols = cols
 
+    order = property(lambda self: self.cols.size)
+
     @property
     def perm_c(self):
-        if self.cols is None:
-            return self.lu.perm_c
         # column cols[j] of M is column j of the factored matrix
         return self.lu.perm_c[np.argsort(self.cols)]
 
@@ -238,8 +236,6 @@ class Factorization:
             raise ValueError(
                 f"right-hand side has length {rhs.shape}, expected ({self.order},)"
             )
-        if self.cols is None:
-            return self.lu.solve(rhs, trans="T" if transposed else "N")
         if transposed:
             return self.lu.solve(rhs[self.cols], trans="T")
         x = np.empty_like(rhs)
@@ -250,8 +246,9 @@ class Factorization:
 def factorize(M):
     """Sparse LU of M with a fill-reducing column order and partial pivoting.
 
-    A result of ``shifted`` is factored in the column order cached for its
-    ``(J, ndyn)``; any other matrix gets SuperLU's COLAMD order of its own.
+    M is factored in the column order cached for its pattern, the one of its
+    ``(J, ndyn)`` for a result of ``shifted``; any other matrix first goes
+    through ``shifted(M, 0, 0)``, which caches an order on M.
     Raises SingularMatrixError for structural singularity or for any pivot at
     or below ``PIVOT_RTOL * max|entry|``; the caller is expected to perturb
     the shift and retry.
@@ -261,13 +258,13 @@ def factorize(M):
     max_abs = float(np.abs(M.data).max()) if M.nnz else 0.0
     if max_abs == 0.0:
         raise SingularMatrixError("matrix has no nonzero entries")
+    if M._source is None:
+        M = shifted(M, 0, 0.0)
     pattern = M._source
-    cols = None if pattern is None else pattern.cols
+    if pattern.cols is None:
+        raise SingularMatrixError("sparse LU failed: the matrix is structurally singular")
     try:
-        if cols is None:
-            lu = spla.splu(M.to_scipy(), permc_spec="COLAMD")
-        else:
-            lu = spla.splu(pattern.in_column_order(M), permc_spec="NATURAL")
+        lu = spla.splu(pattern.in_column_order(M), permc_spec="NATURAL")
     except RuntimeError as exc:
         raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
     U = lu.U
@@ -279,7 +276,7 @@ def factorize(M):
             "the shift likely coincides with an eigenvalue"
         )
     growth = float(np.abs(U.data).max() / max_abs) if U.nnz else 0.0
-    return Factorization(lu, M.nrows, growth, cols)
+    return Factorization(lu, growth, pattern.cols)
 
 
 def dense_eig(A, B=None):

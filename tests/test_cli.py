@@ -91,6 +91,21 @@ class TestPoles:
         assert main(["poles", str(toy_manifest), "--shifts", " -0.5,-2.5"]) == 1
         assert "error: B is all zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, shift",
+        [
+            (["--shifts", "nan,-1"], "(nan+0j)"),
+            (["--shifts", "1e400,-1"], "(inf+0j)"),
+            (["--p", "2", "--scale", "nan"], "(nan+nanj)"),
+        ],
+        ids=["nan", "overflow", "scale"],
+    )
+    def test_nonfinite_shift_rejected(self, toy_manifest, tmp_path, capsys, flags, shift):
+        out = tmp_path / "report.json"
+        assert main(["poles", str(toy_manifest), *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: shift {shift} is not finite\n"
+        assert not out.exists()
+
     def test_csv_output(self, toy_manifest, tmp_path):
         csv = tmp_path / "poles.csv"
         main(["poles", str(toy_manifest), "--shifts", " -0.5,-2.5", "--csv", str(csv),
@@ -142,6 +157,12 @@ class TestTf:
                      "--points", points, "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: --points must be at least 1")
+        assert not out.exists()
+
+    def test_nonfinite_sample_rejected(self, toy_manifest, tmp_path, capsys):
+        out = tmp_path / "tf.csv"
+        assert main(["tf", str(toy_manifest), "--s", "nan,1j", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: shift (nan+0j) is not finite\n"
         assert not out.exists()
 
     def test_algebraic_toy_value(self, algebraic_toy_manifest, tmp_path):

@@ -280,6 +280,22 @@ class TestManifest:
         with pytest.raises(ManifestError, match=re.escape(message)):
             load_system(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("ndyn = 2.5", "ndyn must be an integer, got '2.5'"),
+            ("d_re = nan", "d_re must be a finite number, got 'nan'"),
+            ("d_im = inf", "d_im must be a finite number, got 'inf'"),
+            ("d_re = x", "d_re must be a finite number, got 'x'"),
+        ],
+        ids=["fractional-ndyn", "nan-d_re", "inf-d_im", "text-d_re"],
+    )
+    def test_bad_value_reported_with_its_line(self, tmp_path, edit, message):
+        path = self.write_toy(tmp_path)
+        path.write_text(path.read_text() + edit + "\n")
+        with pytest.raises(ManifestError, match=re.escape(f"{path}:7: {message}")):
+            load_manifest(path)
+
     def test_missing_data_file(self, tmp_path):
         path = self.write_toy(tmp_path)
         (tmp_path / "J.mtx").unlink()

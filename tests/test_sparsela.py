@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -93,11 +95,14 @@ class TestShifted:
         assert out.nnz == 4
         assert_allclose(out.to_dense(), [[-1.0, 1.0], [1.0, -1.0]])
 
-    def test_cancelled_diagonal_is_dropped(self):
+    def test_cancelled_diagonal_stays_stored(self):
         J = SparseMatrix.from_dense(np.diag([-1.0, -3.0]))
         out = shifted(J, 2, -1.0)
-        assert out.nnz == 1
-        assert_allclose(out.to_dense(), np.diag([0.0, -2.0]))
+        other = shifted(J, 2, 0.5)
+        assert out.nnz == 2
+        assert_array_equal(out.indptr, other.indptr)
+        assert_array_equal(out.indices, other.indices)
+        assert_array_equal(out.to_dense(), J.to_dense() + np.eye(2))
 
     @pytest.mark.parametrize("ndyn", [0, 7, 30])
     def test_matches_dense_reference(self, ndyn):
@@ -126,6 +131,16 @@ class TestShifted:
         J = SparseMatrix.from_dense(np.eye(2))
         with pytest.raises(ValueError, match="out of range"):
             shifted(J, 3, 1.0)
+
+    def test_nonfinite_shift_is_rejected(self):
+        J = SparseMatrix.from_dense(np.eye(2))
+        with pytest.raises(ValueError, match=re.escape("shift (nan+0j) is not finite")):
+            shifted(J, 1, np.nan)
+        with pytest.raises(ValueError, match=re.escape("shift (1-infj) is not finite")):
+            shifted(J, 1, complex(1.0, -np.inf))
+        sys = DescriptorSystem(J, 1, np.ones(2), np.ones(2))
+        with pytest.raises(ValueError, match="is not finite"):
+            descriptor.eval_transfer(sys, np.nan)
 
 
 class TestFactorize:
@@ -184,7 +199,7 @@ class TestCachedOrder:
     def test_cancelled_entry_keeps_the_order(self):
         J = SparseMatrix.from_dense([[-1.0, 2.0, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, 4.0]])
         M = shifted(J, 2, -1.0)
-        assert M.nnz == 6
+        assert M.nnz == 7
         fac = factorize(M)
         assert fac.cols is not None
         assert reconstruction_error(M, fac) <= 1e-14
@@ -212,6 +227,38 @@ class TestCachedOrder:
             dompole.run(sys, SolverConfig(method="dpse", p=3), [-1 + 1j, -2, -3 + 2j])
         assert counts["factorize"] > 6
         assert counts["splu"] == counts["factorize"] + 1
+
+    def test_one_colamd_ordering_per_matrix_and_ndyn(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n, m = 10, 5
+        Jd = rng.standard_normal((n + m, n + m)) * (rng.random((n + m, n + m)) < 0.3)
+        Jd[:n, :n] -= np.diag(rng.uniform(2.0, 4.0, n))
+        Jd[n:, n:] += np.diag(rng.uniform(1.5, 2.5, m))
+        sys = DescriptorSystem(SparseMatrix.from_dense(Jd), n, rng.standard_normal(n + m),
+                               rng.standard_normal(n + m))
+        specs, facs = [], []
+        splu = spla.splu
+
+        def recorded_splu(A, permc_spec=None, **kwargs):
+            specs.append((A.shape[0], permc_spec))
+            return splu(A, permc_spec=permc_spec, **kwargs)
+
+        def recorded_factorize(M):
+            facs.append(factorize(M))
+            return facs[-1]
+
+        monkeypatch.setattr(sparsela.spla, "splu", recorded_splu)
+        monkeypatch.setattr(descriptor, "factorize", recorded_factorize)
+        dompole.run(sys, SolverConfig(method="dpse", p=3), [-1 + 1j, -2, -3 + 2j])
+        descriptor.eval_transfer(sys, 0.5j)
+        assert descriptor.validate(sys).j4_nonsingular
+        plain = random_sparse(rng, 7)
+        facs += [factorize(plain), factorize(plain)]
+        # J with ndyn = n, its algebraic block J4, and the plain matrix
+        assert sorted(order for order, spec in specs if spec == "COLAMD") == [m, 7, n + m]
+        assert len(specs) == len(facs) + 3
+        assert all(spec in ("COLAMD", "NATURAL") for _, spec in specs)
+        assert all(fac.cols is not None for fac in facs)
 
 
 class TestSolve:
