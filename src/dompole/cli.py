@@ -59,7 +59,8 @@ def _parse_complex_list(text):
         if not tok:
             continue
         try:
-            out.append(complex(tok.replace("i", "j")))
+            # a trailing imaginary unit may be written i; "inf" stays intact
+            out.append(complex(tok[:-1] + "j" if tok.endswith("i") else tok))
         except ValueError as exc:
             raise ValueError(f"cannot parse complex number '{tok}'") from exc
     if not out:

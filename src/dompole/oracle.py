@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptor import VanishingNormalizerError
-from .sparsela import SingularMatrixError, dense_eig
+from .sparsela import SingularMatrixError
 from .solver import dominance, dominance_sort_key, match_shifts
 
 __all__ = [
@@ -46,7 +46,7 @@ class EigenDecomposition:
 
 def full_spectrum(ss):
     """Complete eigendecomposition of the state matrix."""
-    w, P = dense_eig(ss.A)
+    w, P = np.linalg.eig(ss.A)
     cond = float(np.linalg.cond(P))
     if cond > _DEFECTIVE_COND:
         warnings.warn(
@@ -182,7 +182,7 @@ def reference_sequence(ss, shifts0, method="dpse", steps=5):
     for _ in range(int(steps)):
         F = reference_F(ss, s)
         if method == "dpse":
-            w, _ = dense_eig(F)
+            w, _ = np.linalg.eig(F)
             s = match_shifts(s, w)
         elif method == "ddpse":
             s = F.diagonal().copy()

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -111,12 +111,14 @@ class SolverConfig:
 
 @dataclass
 class ShiftState:
-    """Mutable per-run state: the shift tuple, vector blocks, and bookkeeping.
+    """The one record of a run: the shift tuple, vector blocks, and bookkeeping.
 
     X and Y hold the normalized right/left columns for the shifts they were
     last computed at; converged columns are frozen and never recomputed, and
-    their shift is the locked eigenvalue. ``cond`` is cond(W^T V) of the last
-    sweep.
+    their shift is the locked eigenvalue. ``iter`` is the current sweep (0
+    before the first), ``cond`` is cond(W^T V) of the last sweep, and
+    ``events`` collects every intervention of the run, each stamped with the
+    sweep it happened in.
     """
 
     shifts: np.ndarray
@@ -129,6 +131,7 @@ class ShiftState:
     ndyn: int
     iter: int = 0
     cond: float = math.nan
+    events: list = field(default_factory=list)
 
     @classmethod
     def start(cls, sys, shifts):
@@ -192,15 +195,18 @@ def _kick(shift, k):
     return shift + _PERTURBATION * (1.0 + 1.0j) * k
 
 
-def _event(iteration, column, kind, shift):
-    """One report event; sweep-wide events (column -1) have no shift."""
-    return {
-        "iteration": int(iteration),
-        "column": int(column),
-        "kind": kind,
-        "shift_re": None if shift is None else float(shift.real),
-        "shift_im": None if shift is None else float(shift.imag),
-    }
+def _event(state, column, kind, shift):
+    """Record one report event at the current sweep; sweep-wide events
+    (column -1) have no shift."""
+    state.events.append(
+        {
+            "iteration": int(state.iter),
+            "column": int(column),
+            "kind": kind,
+            "shift_re": None if shift is None else float(shift.real),
+            "shift_im": None if shift is None else float(shift.imag),
+        }
+    )
 
 
 def _nearest_taken(state, z, earlier=()):
@@ -210,23 +216,23 @@ def _nearest_taken(state, z, earlier=()):
     return np.abs(taken - z).min() if taken.size else math.inf
 
 
-def _compute_column(sys, shift):
-    """Solve one column with the singular-shift and transmission-zero retries.
+def _compute_column(sys, state, j):
+    """Solve column j with the singular-shift and transmission-zero retries.
 
-    Returns (shift_used, xcol, ycol, normalizer, events). A singular
-    factorization (the shift sits on an eigenvalue) first gets a tiny
-    pivot-clearing nudge, then one coarse relative kick; a vanishing
-    normalizer is treated like a collision and kicked a bounded number of
-    times with growing steps.
+    Writes the vectors, the normalizer and the shift finally used into the
+    state, and records each retry as an event. A singular factorization
+    (the shift sits on an eigenvalue) first gets a tiny pivot-clearing
+    nudge, then one coarse relative kick; a vanishing normalizer is treated
+    like a collision and kicked a bounded number of times with growing
+    steps.
     """
-    s = complex(shift)
-    events = []
+    s = complex(state.shifts[j])
     singular_retries = 0
     kicks = 0
     while True:
         try:
             x, y, nu = normalized_vectors(sys, s, min_normalizer=_COLLISION_EPS)
-            return s, x, y, nu, events
+            break
         except SingularMatrixError as exc:
             if singular_retries >= 2:
                 raise SolverError(
@@ -234,7 +240,7 @@ def _compute_column(sys, shift):
                 ) from exc
             scale = _SINGULAR_NUDGE if singular_retries == 0 else _PERTURBATION
             singular_retries += 1
-            events.append(("singular-shift", s))
+            _event(state, j, "singular-shift", s)
             s = s + scale * (abs(s) or 1.0) * (1.0 + 1.0j)
         except VanishingNormalizerError:
             kicks += 1
@@ -243,20 +249,18 @@ def _compute_column(sys, shift):
                     f"normalizer stayed below {_COLLISION_EPS:g} near "
                     f"shift {s!r}; transfer function has a zero there"
                 )
-            events.append(("small-normalizer", s))
+            _event(state, j, "small-normalizer", s)
             s = _kick(s, kicks)
+    state.shifts[j] = s
+    state.X[:, j] = x
+    state.Y[:, j] = y
+    state.normalizers[j] = nu
 
 
-def refresh_columns(sys, state, events=None, iteration=0):
+def refresh_columns(sys, state):
     """Recompute the X/Y columns of every active shift."""
     for j in state.active_indices():
-        s, x, y, nu, col_events = _compute_column(sys, state.shifts[j])
-        state.shifts[j] = s
-        state.X[:, j] = x
-        state.Y[:, j] = y
-        state.normalizers[j] = nu
-        if events is not None:
-            events.extend(_event(iteration, j, kind, at) for kind, at in col_events)
+        _compute_column(sys, state, j)
 
 
 def _projection_parts(sys, state):
@@ -316,7 +320,7 @@ def match_shifts(old, candidates):
     return out
 
 
-def _pencil_sweep(wtv, state, events, iteration):
+def _pencil_sweep(wtv, state):
     """Eigenvalues of the pencil (G, W^T V), matched to the previous shifts.
 
     Locked positions come back exactly; the matching only permutes the
@@ -325,7 +329,7 @@ def _pencil_sweep(wtv, state, events, iteration):
     re-seeded at the mean of the active shifts.
     """
     G = wtv * state.shifts + _vhat(state)  # (W^T V) S + e vhat^T
-    w, _ = dense_eig(G, wtv)
+    w = dense_eig(G, wtv)
     new = np.empty(state.p, dtype=np.complex128)
     available = np.ones(state.p, dtype=bool)
     for j in np.flatnonzero(state.converged):
@@ -338,20 +342,19 @@ def _pencil_sweep(wtv, state, events, iteration):
         reseed = state.shifts[act].mean()
         for j in act[~np.isfinite(new[act])]:
             new[j] = reseed
-            if events is not None:
-                events.append(_event(iteration, j, "redundant-column", reseed))
+            _event(state, j, "redundant-column", reseed)
     return new
 
 
-def dpse_step(sys, state, events=None, iteration=0):
+def dpse_step(sys, state):
     """One full sweep: the eigenvalues of (G, W^T V) as the next shifts.
 
-    Re-seeded redundant columns are recorded in ``events`` when given.
+    Re-seeded redundant columns are recorded in ``state.events``.
     """
-    return _pencil_sweep(_projection_parts(sys, state), state, events, iteration)
+    return _pencil_sweep(_projection_parts(sys, state), state)
 
 
-def ddpse_step(sys, state, events=None, iteration=0):
+def ddpse_step(sys, state):
     """One diagonal sweep: ``s_j + vhat_j [ (W^T V)^-1 e ]_j`` per column.
 
     This is diag(F) without the p-by-p eigensolve; converged columns return
@@ -360,17 +363,16 @@ def ddpse_step(sys, state, events=None, iteration=0):
     """
     wtv = _projection_parts(sys, state)
     if not state.cond <= _COND_LIMIT:  # a NaN cond is ill-conditioned too
-        return _fallback_step(wtv, state, events, iteration)
+        return _fallback_step(wtv, state)
     u = np.linalg.solve(wtv, np.ones(state.p, dtype=np.complex128))
     return state.shifts + _vhat(state) * u
 
 
-def _fallback_step(wtv, state, events, iteration):
+def _fallback_step(wtv, state):
     """ddpse's sweep for a W^T V whose inverse cannot be trusted: dpse's
     pencil sweep, which needs no inverse, plus one sweep-wide event."""
-    if events is not None:
-        events.append(_event(iteration, -1, "ill-conditioned-projection", None))
-    return _pencil_sweep(wtv, state, events, iteration)
+    _event(state, -1, "ill-conditioned-projection", None)
+    return _pencil_sweep(wtv, state)
 
 
 def _residual_pair(sys, shift, x, y):
@@ -406,11 +408,13 @@ def check_convergence(sys, state, new_shifts, tol):
 
 
 def deflate(state, j, eigenvalue):
-    """Lock column j at the converged eigenvalue and freeze its vectors."""
+    """Lock column j at the converged eigenvalue in the current sweep and
+    freeze its vectors."""
     if state.converged[j]:
         raise SolverError(f"column {j} is already deflated")
     state.converged[j] = True
     state.shifts[j] = complex(eigenvalue)
+    state.iterations[j] = state.iter
 
 
 def estimate_residue(state, j):
@@ -544,7 +548,7 @@ class RunReport:
         }
 
 
-def _perturb_collisions(state, events, iteration):
+def _perturb_collisions(state):
     """Push apart active shifts that sit within _COLLISION_EPS of any earlier
     active shift or any locked eigenvalue (the later column moves)."""
     act = state.active_indices()
@@ -555,7 +559,7 @@ def _perturb_collisions(state, events, iteration):
             if k > state.p + 4:
                 raise SolverError(f"cannot separate shift for column {j}")
             state.shifts[j] = _kick(state.shifts[j], k)
-            events.append(_event(iteration, j, "collision", state.shifts[j]))
+            _event(state, j, "collision", state.shifts[j])
 
 
 def run(sys, config, initial_shifts=None):
@@ -579,19 +583,18 @@ def run(sys, config, initial_shifts=None):
         )
     step = dpse_step if config.method == "dpse" else ddpse_step
 
-    events = []
     state = ShiftState.start(sys, shifts)
     t0 = time.perf_counter()
     conv_time = np.zeros(config.p)
 
-    _perturb_collisions(state, events, iteration=0)
-    refresh_columns(sys, state, events, iteration=0)
+    _perturb_collisions(state)
+    refresh_columns(sys, state)
     trajectories = [state.shifts.copy()]
     residual_history = []
 
-    for it in range(1, config.max_iter + 1):
-        state.iter = it
-        new_shifts = step(sys, state, events, it)
+    while state.iter < config.max_iter:
+        state.iter += 1
+        new_shifts = step(sys, state)
         flags, residuals = check_convergence(sys, state, new_shifts, config.tol)
         residual_history.append(residuals)
         for j in state.active_indices():
@@ -602,19 +605,18 @@ def run(sys, config, initial_shifts=None):
             # let the collision machinery separate it (conjugate duplicates
             # are not affected and converge normally)
             if _nearest_taken(state, new_shifts[j]) <= _COLLISION_EPS:
-                events.append(_event(it, j, "duplicate-deferred", new_shifts[j]))
+                _event(state, j, "duplicate-deferred", new_shifts[j])
                 continue
             deflate(state, j, new_shifts[j])
             state.final_residuals[j] = residuals[j]
-            state.iterations[j] = it
             conv_time[j] = time.perf_counter() - t0
         for j in state.active_indices():
             state.shifts[j] = new_shifts[j]
         trajectories.append(state.shifts.copy())
         if state.all_converged:
             break
-        _perturb_collisions(state, events, iteration=it)
-        refresh_columns(sys, state, events, iteration=it)
+        _perturb_collisions(state)
+        refresh_columns(sys, state)
 
     poles = []
     for j in np.flatnonzero(state.converged):
@@ -659,7 +661,7 @@ def run(sys, config, initial_shifts=None):
         unconverged=unconverged,
         trajectories=trajectories,
         residual_history=residual_history,
-        events=events,
+        events=state.events,
         total_time_s=time.perf_counter() - t0,
         all_converged=state.all_converged,
     )

@@ -1,4 +1,4 @@
-"""Sparse CSC storage, shifted LU factorization, and small dense eigensolves.
+"""Sparse CSC storage, shifted LU factorization, and the small pencil eigensolve.
 
 A thin layer over scipy: it keeps only the checks scipy does not make
 (canonical complex CSC on the way in, a relative pivot threshold after LU).
@@ -279,25 +279,13 @@ def factorize(M):
     return Factorization(lu, growth, pattern.cols)
 
 
-def dense_eig(A, B=None):
-    """Eigenvalues of a dense matrix or of the pencil (A, B).
+def dense_eig(A, B):
+    """Eigenvalues of the small dense pencil ``A x = w B x``, from QZ.
 
-    Without B, returns all eigenvalues and unit-norm right eigenvectors of
-    A. With B, returns ``(w, None)``: the generalized eigenvalues of
-    ``A x = w B x`` from QZ, which does not invert B; a singular B gives
-    non-finite entries of w. Intended for small matrices (the projected
-    p-by-p systems and reference work up to a few hundred rows).
+    QZ does not invert B; a singular B gives non-finite entries of w.
+    scipy rejects non-finite entries and unequal shapes with ``ValueError``.
     """
-    mats = [np.ascontiguousarray(m, dtype=np.complex128) for m in (A, B) if m is not None]
-    for m in mats:
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape != mats[0].shape:
-            raise ValueError("dense_eig() requires square 2-D matrices of one shape")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
     try:
-        if B is None:
-            w, v = np.linalg.eig(mats[0])
-            return w, v
-        return sla.eigvals(*mats, check_finite=False), None
+        return sla.eigvals(A, B)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigenvalue iteration failed: {exc}") from exc

@@ -96,15 +96,39 @@ class TestPoles:
         [
             (["--shifts", "nan,-1"], "(nan+0j)"),
             (["--shifts", "1e400,-1"], "(inf+0j)"),
+            (["--shifts", "inf,-1"], "(inf+0j)"),
             (["--p", "2", "--scale", "nan"], "(nan+nanj)"),
         ],
-        ids=["nan", "overflow", "scale"],
+        ids=["nan", "overflow", "inf", "scale"],
     )
     def test_nonfinite_shift_rejected(self, toy_manifest, tmp_path, capsys, flags, shift):
         out = tmp_path / "report.json"
         assert main(["poles", str(toy_manifest), *flags, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: shift {shift} is not finite\n"
         assert not out.exists()
+
+    def test_imaginary_unit_i(self, toy_manifest, tmp_path):
+        out = tmp_path / "report.json"
+        main(["poles", str(toy_manifest), "--shifts", " -0.5+0.1i,-2.5-0.1i",
+              "--max-iter", "1", "--tol", "1e-300", "--out", str(out)])
+        first = json.loads(out.read_text())["trajectories"][0]
+        assert first == [[-0.5, 0.1], [-2.5, -0.1]]
+
+    def test_solver_error_exit_code(self, tmp_path, capsys):
+        # the algebraic variable appears in no equation's column: column 3
+        # of J - sE is empty for every s
+        J = [[-1.0, 1.0, 0.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]]
+        write_coordinate(tmp_path / "J.mtx", SparseMatrix.from_dense(J))
+        write_array(tmp_path / "B.mtx", np.ones(3))
+        write_array(tmp_path / "C.mtx", np.ones(3))
+        path = tmp_path / "empty_column.manifest"
+        path.write_text(
+            "jacobian = J.mtx\nb = B.mtx\nc = C.mtx\nndyn = 2\nd_re = 0.0\nd_im = 0.0\n"
+        )
+        assert main(["poles", str(path), "--p", "1", "--shifts", " -0.5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: factorization stayed singular")
+        assert "structurally singular" in err
 
     def test_csv_output(self, toy_manifest, tmp_path):
         csv = tmp_path / "poles.csv"
@@ -159,10 +183,13 @@ class TestTf:
         assert capsys.readouterr().err.startswith("error: --points must be at least 1")
         assert not out.exists()
 
-    def test_nonfinite_sample_rejected(self, toy_manifest, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "sample, shift", [("nan,1j", "(nan+0j)"), ("inf", "(inf+0j)")], ids=["nan", "inf"]
+    )
+    def test_nonfinite_sample_rejected(self, toy_manifest, tmp_path, capsys, sample, shift):
         out = tmp_path / "tf.csv"
-        assert main(["tf", str(toy_manifest), "--s", "nan,1j", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: shift (nan+0j) is not finite\n"
+        assert main(["tf", str(toy_manifest), "--s", sample, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: shift {shift} is not finite\n"
         assert not out.exists()
 
     def test_algebraic_toy_value(self, algebraic_toy_manifest, tmp_path):

@@ -454,9 +454,9 @@ class TestFallback:
         cond = {}
         step = solver.ddpse_step
 
-        def recorded(sys, state, events=None, iteration=0):
-            out = step(sys, state, events, iteration)
-            cond[iteration] = state.cond
+        def recorded(sys, state):
+            out = step(sys, state)
+            cond[state.iter] = state.cond
             return out
 
         monkeypatch.setattr(solver, "ddpse_step", recorded)
@@ -502,6 +502,23 @@ def test_p_above_observable_modes(method):
     assert len(report.unconverged) == 2
     redundant = {e["column"] for e in report.events if e["kind"] == "redundant-column"}
     assert redundant == {u["column"] for u in report.unconverged}
+
+
+def test_duplicate_of_a_locked_pole_is_deferred(monkeypatch):
+    # both columns step onto -1 in the same sweep: column 0 locks it, and
+    # column 1 stays active and is kicked off the locked eigenvalue
+    import dompole.solver as solver
+
+    def onto_minus_one(sys, state):
+        return np.where(state.converged, state.shifts, -1.0)
+
+    monkeypatch.setattr(solver, "dpse_step", onto_minus_one)
+    report = run(two_state(), SolverConfig(p=2, tol=1e-1), [-1.001, -0.999])
+    kinds = [(e["kind"], e["column"], e["iteration"]) for e in report.events]
+    deferred = kinds.index(("duplicate-deferred", 1, 1))
+    assert kinds[deferred + 1] == ("collision", 1, 1)
+    assert [p.eigenvalue for p in report.poles] == [-1.0]
+    assert [u["column"] for u in report.unconverged] == [1]
 
 
 class TestColumnRecovery:
