@@ -16,7 +16,9 @@ from dompole.sparsela import (
     factorize,
     shifted,
 )
-from dompole.solver import SolverConfig
+from dompole.solver import SolverConfig, match_shifts
+
+WORKED_F = np.array([[-1.125, -1.125], [-5.0 / 24.0, -2.875]])
 
 
 def random_sparse(rng, n, density=0.3, complex_vals=False, diag_boost=0.0):
@@ -304,6 +306,45 @@ class TestSolve:
 
 
 class TestDenseEig:
+    def test_diagonal(self):
+        w = dense_eig(np.diag([-1.0, -3.0]), np.eye(2))
+        assert_allclose(np.sort_complex(w), [-3.0, -1.0])
+
+    def test_worked_projection_matrix(self):
+        # characteristic polynomial x^2 + 4x + 3 has roots -1 and -3; the pencil
+        # (B F, B) has the eigenvalues of F for any nonsingular B
+        b = np.array([[2.0, 1.0], [-0.5, 3.0]])
+        w = dense_eig(b @ WORKED_F, b)
+        assert_allclose(np.sort_complex(w), [-3.0, -1.0], atol=1e-9)
+
+    def test_rotation(self):
+        w = dense_eig([[0.0, -1.0], [1.0, 0.0]], np.eye(2))
+        assert_allclose(np.sort(w.imag), [-1.0, 1.0], atol=1e-12)
+        assert_allclose(w.real, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_eigenpair_residuals(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        b = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        w = dense_eig(a, b)
+        assert w.shape == (12,) and np.isfinite(w).all()
+        scale = np.linalg.norm(a) + np.abs(w).max() * np.linalg.norm(b)
+        for k in range(12):
+            # a - w b is singular at each eigenvalue: its least singular value vanishes
+            sigma = np.linalg.svd(a - w[k] * b, compute_uv=False)[-1]
+            assert sigma <= 1e-10 * scale
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_similarity_invariance(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((8, 8))
+        b = rng.standard_normal((8, 8)) + 4.0 * np.eye(8)
+        d = rng.uniform(0.5, 2.0, 8) * rng.choice([-1.0, 1.0], 8)
+        w1 = dense_eig(a, b)
+        w2 = dense_eig(np.diag(1.0 / d) @ a @ np.diag(d), np.diag(1.0 / d) @ b @ np.diag(d))
+        assert_allclose(match_shifts(w1, w2), w1, atol=1e-8 * np.abs(w1).max())
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="infs or NaNs"):
             dense_eig([[np.nan, 0.0], [0.0, 1.0]], np.eye(2))
