@@ -13,6 +13,14 @@ the values, keeping a cancelled entry as a stored zero. ``factorize`` hands
 SuperLU every matrix with its columns already in such an order, taking one
 through ``shifted(M, 0, 0)`` first if ``shifted`` did not make it. J must
 not be changed in place once it has been shifted or factored.
+
+Every ``splu`` call, the ordering one and the one per shift, takes
+``SUPERLU_OPTIONS``: ``relax=1`` turns off SuperLU's relaxed supernodes, and
+``panel_size=4`` factors both benchmark models faster than SuperLU's default
+width of 10. A network's pattern has tiny supernodes, which the default
+relaxation pads with explicit zeros; without it the grid stores 14.6 factor
+entries per row instead of 22.2, and every LU, pivot check and solve
+touches fewer. The COLAMD order is the same either way.
 """
 
 from __future__ import annotations
@@ -38,6 +46,9 @@ __all__ = [
 # being propagated as huge solution components (a shift sitting exactly on an
 # eigenvalue must surface as an error the caller can recover from).
 PIVOT_RTOL = 1e-14
+
+# SuperLU options for every factorization (see the module docstring)
+SUPERLU_OPTIONS = {"relax": 1, "panel_size": 4}
 
 
 class SingularMatrixError(ArithmeticError):
@@ -158,7 +169,7 @@ class _ShiftPattern:
         noise = rng.uniform(1.0, 2.0, P.nnz) + 1j * rng.uniform(1.0, 2.0, P.nnz)
         generic = sp.csc_matrix((noise, P.indices, P.indptr), shape=(N, N))
         try:
-            perm_c = spla.splu(generic, permc_spec="COLAMD").perm_c
+            perm_c = spla.splu(generic, permc_spec="COLAMD", **SUPERLU_OPTIONS).perm_c
         except RuntimeError:
             self.cols = None
             return
@@ -264,7 +275,7 @@ def factorize(M):
     if pattern.cols is None:
         raise SingularMatrixError("sparse LU failed: the matrix is structurally singular")
     try:
-        lu = spla.splu(pattern.in_column_order(M), permc_spec="NATURAL")
+        lu = spla.splu(pattern.in_column_order(M), permc_spec="NATURAL", **SUPERLU_OPTIONS)
     except RuntimeError as exc:
         raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
     U = lu.U

@@ -187,7 +187,7 @@ class TestCachedOrder:
         M, rhs = random_shifted(seed)
         fac = factorize(M)
         assert fac.cols is not None
-        fresh = spla.splu(M.to_scipy(), permc_spec="COLAMD")
+        fresh = spla.splu(M.to_scipy(), permc_spec="COLAMD", **sparsela.SUPERLU_OPTIONS)
         assert_array_equal(fac.solve(rhs), fresh.solve(rhs))
         assert_array_equal(fac.solve(rhs, transposed=True), fresh.solve(rhs, trans="T"))
 
@@ -236,11 +236,12 @@ class TestCachedOrder:
         Jd[n:, n:] += np.diag(rng.uniform(1.5, 2.5, m))
         sys = DescriptorSystem(SparseMatrix.from_dense(Jd), n, rng.standard_normal(n + m),
                                rng.standard_normal(n + m))
-        specs, facs = [], []
+        specs, options, facs = [], [], []
         splu = spla.splu
 
         def recorded_splu(A, permc_spec=None, **kwargs):
             specs.append((A.shape[0], permc_spec))
+            options.append(kwargs)
             return splu(A, permc_spec=permc_spec, **kwargs)
 
         def recorded_factorize(M):
@@ -259,6 +260,41 @@ class TestCachedOrder:
         assert len(specs) == len(facs) + 3
         assert all(spec in ("COLAMD", "NATURAL") for _, spec in specs)
         assert all(fac.cols is not None for fac in facs)
+        assert all(kw == {"relax": 1, "panel_size": 4} for kw in options)
+
+
+def mesh_shifted(seed, k=12, machines=24):
+    """``J - sE`` of a small network: 4-state machines on a k-by-k bus mesh."""
+    rng = np.random.default_rng(seed)
+    path = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
+    J4 = sp.kronsum(path, path) + 0.1 * sp.identity(k * k)
+    n = 4 * machines
+    buses = rng.choice(k * k, machines, replace=False)
+    J1 = sp.block_diag([rng.standard_normal((4, 4)) - 3 * np.eye(4) for _ in range(machines)])
+    rows = 4 * np.arange(machines)
+    J2 = sp.csc_matrix((rng.uniform(0.5, 1.0, machines), (rows, buses)), shape=(n, k * k))
+    J3 = sp.csc_matrix((rng.uniform(0.5, 1.0, machines), (buses, rows + 1)), shape=(k * k, n))
+    J = SparseMatrix.from_scipy(sp.bmat([[J1, J2], [J3, J4]]))
+    rhs = rng.standard_normal(J.nrows) + 1j * rng.standard_normal(J.nrows)
+    return shifted(J, n, 0.3 + 2.1j), rhs
+
+
+class TestFill:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fewer_factor_entries_than_relaxed_supernodes(self, seed):
+        M, _ = mesh_shifted(seed)
+        fac = factorize(M)
+        relaxed = spla.splu(M.to_scipy()[:, fac.cols], permc_spec="NATURAL")
+        assert fac.lu.nnz < relaxed.nnz
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_backward_error(self, seed, transposed):
+        M, rhs = mesh_shifted(seed)
+        A = M.to_scipy().T if transposed else M.to_scipy()
+        x = factorize(M).solve(rhs, transposed=transposed)
+        scale = spla.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(rhs, np.inf)
+        assert np.linalg.norm(A @ x - rhs, np.inf) / scale <= 1e-12
 
 
 class TestSolve:
