@@ -46,6 +46,9 @@ __all__ = [
     "load_system",
 ]
 
+# Largest order reduce_to_state_space densifies; it serves reference work only.
+DENSE_REDUCTION_LIMIT = 4000
+
 
 class VanishingNormalizerError(ArithmeticError):
     """C^T (J - sE)^-1 B vanished; s sits at or near a transmission zero."""
@@ -211,14 +214,16 @@ def _lu_j4(J4):
     return lu, piv
 
 
-def reduce_to_state_space(sys, max_order=4000):
+def reduce_to_state_space(sys):
     """Eliminate the algebraic block and return the dense (A, b, c, d) model.
 
-    Dense reference work only; refuses systems above ``max_order``.
+    Dense reference work only; refuses systems above ``DENSE_REDUCTION_LIMIT``.
     """
     N = sys.order
-    if N > max_order:
-        raise ValueError(f"system order {N} exceeds dense reduction limit {max_order}")
+    if N > DENSE_REDUCTION_LIMIT:
+        raise ValueError(
+            f"system order {N} exceeds dense reduction limit {DENSE_REDUCTION_LIMIT}"
+        )
     n = sys.ndyn
     Jd = sys.J.to_dense()
     J1 = Jd[:n, :n]

@@ -18,15 +18,18 @@ columns: more shifts than the directions their vectors span) shows up as
 non-finite eigenvalues, and each such column is re-seeded at the mean
 active shift with a "redundant-column" event. The diagonal variant
 ("ddpse") takes diag(F) = s + vhat * (W^T V)^-1 e, which costs no
-eigensolve, while cond(W^T V) <= 1e8; beyond that it takes dpse's pencil
-sweep and emits an "ill-conditioned-projection" event. Any tuple of
+eigensolve, while cond(B) <= 1e8 (B below); beyond that it takes dpse's
+pencil sweep and emits an "ill-conditioned-projection" event. Any tuple of
 distinct eigenvalues is a fixed point of either map, and both converge
 quadratically near one.
 
-Converged columns are deflated: their vectors freeze, vhat_j is set to 0
-(its limit at an eigenvalue) and the shift is pinned at the locked
-eigenvalue, so column j of G equals ``lambda_j W^T V e_j`` and the locked
-value stays an eigenvalue of every later pencil.
+Converged columns freeze their vectors and lock at their two-sided Rayleigh
+quotient ``(y^T J x) / (y^T E x)``, DPA's Newton update, quadratically
+accurate in the residual. With vhat_j = 0, column j of G is
+``lambda_j W^T V e_j``, so both steps work on the active block only: the
+pencil ``(B S_A + q vhat_A^T, B)`` with ``B = Q (W^T V)[:, act]`` and
+``q = Q e``, the rows of Q spanning the complement of the locked columns of
+W^T V. A locked value leaves the pencil once and enters no later sweep.
 """
 
 from __future__ import annotations
@@ -116,9 +119,9 @@ class ShiftState:
     X and Y hold the normalized right/left columns for the shifts they were
     last computed at; converged columns are frozen and never recomputed, and
     their shift is the locked eigenvalue. ``iter`` is the current sweep (0
-    before the first), ``cond`` is cond(W^T V) of the last sweep, and
-    ``events`` collects every intervention of the run, each stamped with the
-    sweep it happened in.
+    before the first), ``cond`` is cond(B) of the last sweep's active block
+    (cond(W^T V) while no column is locked), and ``events`` collects every
+    intervention of the run, each stamped with the sweep it happened in.
     """
 
     shifts: np.ndarray
@@ -264,33 +267,35 @@ def refresh_columns(sys, state):
 
 
 def _projection_parts(sys, state):
-    """W^T V for the current state, built once per sweep.
+    """The active block ``(B, q)`` of the projected pencil, built once per sweep.
 
-    Records its condition number in ``state.cond``, from which ``ddpse_step``
-    chooses its update.
+    ``B = Q (W^T V)[:, act]`` and ``q = Q e``, where the rows of Q span the
+    complement of the locked columns of W^T V, from one complete QR; with no
+    locked column, B is W^T V and q is e. Records cond(B) in ``state.cond``,
+    from which ``ddpse_step`` chooses its update.
     """
-    n = sys.ndyn
-    wtv = state.Y[:n, :].T @ state.X[:n, :]
-    state.cond = float(np.linalg.cond(wtv))
-    return wtv
-
-
-def _vhat(state):
-    return np.where(state.converged, 0.0, 1.0 / state.normalizers)
+    wtv = state.Y[: sys.ndyn].T @ state.X[: sys.ndyn]
+    q = np.ones(state.p, dtype=np.complex128)
+    locked = state.converged
+    if locked.any():
+        Q = np.linalg.qr(wtv[:, locked], mode="complete")[0][:, locked.sum():].conj().T
+        wtv, q = Q @ wtv[:, ~locked], Q @ q
+    state.cond = float(np.linalg.cond(wtv)) if wtv.size else 1.0  # 0-by-0: all locked
+    return wtv, q
 
 
 def assemble_projection(sys, state):
     """The p-by-p projected matrix F = (W^T V)^-1 G for the current state.
 
-    Formed as ``diag(S) + (W^T V)^-1 e vhat^T``: converged columns are pinned
-    so that ``F e_j = lambda_j e_j`` exactly, which keeps locked eigenvalues
-    in the spectrum of every later F (block-triangular deflation). The
-    solver itself never inverts W^T V except in ddpse's well-conditioned
-    update.
+    Formed as ``diag(S) + (W^T V)^-1 e vhat^T`` with vhat_j = 0 on converged
+    columns, so that ``F e_j = lambda_j e_j`` exactly and locked eigenvalues
+    stay in the spectrum of F. The solver never forms F: it works on F's
+    active block (``_projection_parts``).
     """
-    wtv = _projection_parts(sys, state)
+    wtv = state.Y[: sys.ndyn].T @ state.X[: sys.ndyn]
     u = np.linalg.solve(wtv, np.ones(state.p, dtype=np.complex128))
-    return np.outer(u, _vhat(state)) + np.diag(state.shifts)
+    vhat = np.where(state.converged, 0.0, 1.0 / state.normalizers)
+    return np.outer(u, vhat) + np.diag(state.shifts)
 
 
 def match_shifts(old, candidates):
@@ -320,59 +325,46 @@ def match_shifts(old, candidates):
     return out
 
 
-def _pencil_sweep(wtv, state):
-    """Eigenvalues of the pencil (G, W^T V), matched to the previous shifts.
-
-    Locked positions come back exactly; the matching only permutes the
-    remaining candidates across active columns, finite ones first. An
-    active column left with a non-finite eigenvalue is redundant and is
-    re-seeded at the mean of the active shifts.
-    """
-    G = wtv * state.shifts + _vhat(state)  # (W^T V) S + e vhat^T
-    w = dense_eig(G, wtv)
-    new = np.empty(state.p, dtype=np.complex128)
-    available = np.ones(state.p, dtype=bool)
-    for j in np.flatnonzero(state.converged):
-        k = int(np.argmin(np.where(available, np.abs(w - state.shifts[j]), np.inf)))
-        available[k] = False
-        new[j] = state.shifts[j]
+def _pencil_sweep(B, q, state):
+    """Eigenvalues of the active block's pencil ``(B S_A + q vhat_A^T, B)``,
+    matched to the active shifts, finite ones first; locked columns keep
+    their value. An active column left with a non-finite eigenvalue is
+    redundant and is re-seeded at the mean of the active shifts."""
     act = state.active_indices()
-    if act.size:
-        new[act] = match_shifts(state.shifts[act], w[available])
-        reseed = state.shifts[act].mean()
-        for j in act[~np.isfinite(new[act])]:
-            new[j] = reseed
-            _event(state, j, "redundant-column", reseed)
+    s, vhat = state.shifts[act], 1.0 / state.normalizers[act]
+    new = state.shifts.copy()
+    new[act] = match_shifts(s, dense_eig(B * s + np.outer(q, vhat), B))
+    for j in act[~np.isfinite(new[act])]:
+        new[j] = s.mean()
+        _event(state, j, "redundant-column", new[j])
     return new
 
 
 def dpse_step(sys, state):
-    """One full sweep: the eigenvalues of (G, W^T V) as the next shifts.
-
-    Re-seeded redundant columns are recorded in ``state.events``.
-    """
-    return _pencil_sweep(_projection_parts(sys, state), state)
+    """One full sweep: the active block's pencil eigenvalues as the next
+    shifts; re-seeded redundant columns are recorded in ``state.events``."""
+    return _pencil_sweep(*_projection_parts(sys, state), state)
 
 
 def ddpse_step(sys, state):
-    """One diagonal sweep: ``s_j + vhat_j [ (W^T V)^-1 e ]_j`` per column.
-
-    This is diag(F) without the p-by-p eigensolve; converged columns return
-    their locked eigenvalue unchanged. An ill-conditioned W^T V takes
-    ``_fallback_step`` instead.
-    """
-    wtv = _projection_parts(sys, state)
+    """One diagonal sweep: ``s_j + vhat_j [B^-1 q]_j``, diag(F) on the active
+    columns without an eigensolve; locked columns keep their value. An
+    ill-conditioned B takes ``_fallback_step`` instead."""
+    parts = _projection_parts(sys, state)
     if not state.cond <= _COND_LIMIT:  # a NaN cond is ill-conditioned too
-        return _fallback_step(wtv, state)
-    u = np.linalg.solve(wtv, np.ones(state.p, dtype=np.complex128))
-    return state.shifts + _vhat(state) * u
+        return _fallback_step(parts, state)
+    act = state.active_indices()
+    new = state.shifts.copy()
+    new[act] += (1.0 / state.normalizers[act]) * np.linalg.solve(*parts)
+    return new
 
 
-def _fallback_step(wtv, state):
-    """ddpse's sweep for a W^T V whose inverse cannot be trusted: dpse's
-    pencil sweep, which needs no inverse, plus one sweep-wide event."""
+def _fallback_step(parts, state):
+    """ddpse's sweep for a B whose inverse cannot be trusted: dpse's pencil
+    sweep on the same ``(B, q)``, which needs no inverse, plus one sweep-wide
+    event."""
     _event(state, -1, "ill-conditioned-projection", None)
-    return _pencil_sweep(wtv, state)
+    return _pencil_sweep(*parts, state)
 
 
 def _residual_pair(sys, shift, x, y):
@@ -600,14 +592,16 @@ def run(sys, config, initial_shifts=None):
         for j in state.active_indices():
             if not flags[j]:
                 continue
-            # an exact duplicate of a locked eigenvalue would freeze two
-            # parallel columns into W^T V forever; keep the column active and
-            # let the collision machinery separate it (conjugate duplicates
-            # are not affected and converge normally)
-            if _nearest_taken(state, new_shifts[j]) <= _COLLISION_EPS:
-                _event(state, j, "duplicate-deferred", new_shifts[j])
+            # lock at the frozen vectors' two-sided Rayleigh quotient; an exact
+            # duplicate of a locked eigenvalue would freeze two parallel columns
+            # into W^T V forever, so that column stays active for the collision
+            # machinery (conjugate duplicates converge normally)
+            x, y = state.X[:, j], state.Y[:, j]
+            lam = (y @ sys.J.matvec(x)) / (y[: sys.ndyn] @ x[: sys.ndyn])
+            if _nearest_taken(state, lam) <= _COLLISION_EPS:
+                _event(state, j, "duplicate-deferred", lam)
                 continue
-            deflate(state, j, new_shifts[j])
+            deflate(state, j, lam)
             state.final_residuals[j] = residuals[j]
             conv_time[j] = time.perf_counter() - t0
         for j in state.active_indices():

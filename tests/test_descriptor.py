@@ -136,6 +136,13 @@ class TestReduce:
         with pytest.raises(SingularMatrixError):
             reduce_to_state_space(sys)
 
+    def test_order_above_the_limit_is_refused(self, monkeypatch):
+        import dompole.descriptor as descriptor
+
+        monkeypatch.setattr(descriptor, "DENSE_REDUCTION_LIMIT", 1)
+        with pytest.raises(ValueError, match="dense reduction limit 1"):
+            reduce_to_state_space(toy_system())
+
 
 class TestEvalTransfer:
     def test_toy_value(self):

@@ -13,7 +13,9 @@ from dompole.generator import build_system, sample_spectrum  # noqa: E402
 from dompole.oracle import reference_F  # noqa: E402
 from dompole.solver import (  # noqa: E402
     ShiftState,
+    assemble_projection,
     ddpse_step,
+    deflate,
     dpse_step,
     match_shifts,
     refresh_columns,
@@ -42,15 +44,23 @@ def prepared_state(gen, shifts):
     return state
 
 
+# grid points 0.3 apart across the box of the spectrum
+GRID = [complex(-6.45 + 0.3 * i, -4.45 + 0.3 * k) for i in range(21) for k in range(31)]
+
+
+def off_mode_shifts(gen, data, p):
+    """p distinct grid points, none within 0.05 of a mode."""
+    shifts = np.array(data.draw(st.lists(st.sampled_from(GRID), min_size=p, max_size=p, unique=True)))
+    assume(np.abs(shifts[:, None] - gen.truth.eigenvalues[None, :]).min() > 0.05)
+    return shifts
+
+
 @PROPERTY
 @given(gen=systems(), data=st.data())
 def test_dpse_step_is_the_eigenvalues_of_the_dense_F(gen, data):
-    # grid points 0.3 apart across the box of the spectrum, none on a mode
     n = gen.system.ndyn
     p = data.draw(st.integers(1, min(4, n)), label="p")
-    grid = [complex(-6.45 + 0.3 * i, -4.45 + 0.3 * k) for i in range(21) for k in range(31)]
-    shifts = np.array(data.draw(st.lists(st.sampled_from(grid), min_size=p, max_size=p, unique=True)))
-    assume(np.abs(shifts[:, None] - gen.truth.eigenvalues[None, :]).min() > 0.05)
+    shifts = off_mode_shifts(gen, data, p)
     state = prepared_state(gen, shifts)
     new = dpse_step(gen.system, state)
     F = reference_F(gen.state_space, shifts)
@@ -69,3 +79,34 @@ def test_distinct_eigenvalues_are_a_fixed_point(gen, data, method):
     state = prepared_state(gen, shifts)
     new = method(gen.system, state)
     assert np.abs(new - shifts).max() <= 1e-8 * max(1.0, float(np.abs(shifts).max()))
+
+
+@PROPERTY
+@given(gen=systems(), data=st.data())
+def test_steps_on_the_active_block_agree_with_the_pinned_F(gen, data):
+    # lock a subset of columns by hand: F keeps every column (vhat_j = 0 on
+    # the locked ones), while the steps deflate the locked ones out
+    n = gen.system.ndyn
+    p = data.draw(st.integers(2, min(5, n)), label="p")
+    shifts = off_mode_shifts(gen, data, p)
+    locked = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p - 1, unique=True))
+    state = prepared_state(gen, shifts)
+    for j in locked:
+        deflate(state, j, shifts[j])
+    act = state.active_indices()
+    F = assemble_projection(gen.system, state)
+    # 1e-10 relative while W^T V is well conditioned; F inverts W^T V, so
+    # beyond cond 1e4 its own error, eps * cond, sets the bound
+    wtv = state.Y[:n].T @ state.X[:n]
+    tol = 1e-10 * max(1.0, 1e-4 * float(np.linalg.cond(wtv))) * max(1.0, float(np.abs(F).max()))
+
+    new = dpse_step(gen.system, state)
+    # eigvals(F) minus the locked values, compared as multisets
+    got = np.concatenate([shifts[locked], new[act]])
+    assert np.abs(got - match_shifts(got, np.linalg.eigvals(F))).max() <= tol
+    assert np.array_equal(new[locked], shifts[locked])
+
+    diag = ddpse_step(gen.system, state)
+    assume(state.cond <= 1e8)  # beyond that ddpse takes the pencil sweep
+    assert np.abs(diag[act] - np.diag(F)[act]).max() <= tol
+    assert np.array_equal(diag[locked], shifts[locked])

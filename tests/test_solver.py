@@ -100,7 +100,7 @@ class TestAssembleProjection:
     def test_collision_detection(self):
         sys = two_state()
         state = prepared_state(sys, [-0.5, -0.5 + 1e-12])
-        assemble_projection(sys, state)
+        dpse_step(sys, state)  # the steps record cond; assemble_projection does not
         assert state.cond > 1e8
 
 
@@ -227,6 +227,14 @@ class TestDeflation:
             state.shifts[1] = dpse_step(sys, state)[1]
         # the remaining column still converges to another eigenvalue
         assert min(abs(state.shifts[1] + 3.0), abs(state.shifts[1] + 10.0)) <= 1e-8
+
+    @pytest.mark.parametrize("step", [dpse_step, ddpse_step])
+    def test_every_column_locked(self, step):
+        sys = two_state()
+        state = prepared_state(sys, [-0.9, -2.9])
+        deflate(state, 0, -1.0)
+        deflate(state, 1, -3.0)
+        assert list(step(sys, state)) == [-1.0, -3.0]
 
     def test_deflated_residuals_not_recomputed(self):
         sys = two_state()
@@ -506,18 +514,21 @@ def test_p_above_observable_modes(method):
 
 def test_duplicate_of_a_locked_pole_is_deferred(monkeypatch):
     # both columns step onto -1 in the same sweep: column 0 locks it, and
-    # column 1 stays active and is kicked off the locked eigenvalue
+    # column 1 stays active and is kicked off the locked eigenvalue. Both
+    # start 1e-5 off -1, so their Rayleigh quotients agree far inside the
+    # collision distance.
     import dompole.solver as solver
 
     def onto_minus_one(sys, state):
         return np.where(state.converged, state.shifts, -1.0)
 
     monkeypatch.setattr(solver, "dpse_step", onto_minus_one)
-    report = run(two_state(), SolverConfig(p=2, tol=1e-1), [-1.001, -0.999])
+    report = run(two_state(), SolverConfig(p=2, tol=1e-1), [-1.00001, -0.99999])
     kinds = [(e["kind"], e["column"], e["iteration"]) for e in report.events]
     deferred = kinds.index(("duplicate-deferred", 1, 1))
     assert kinds[deferred + 1] == ("collision", 1, 1)
-    assert [p.eigenvalue for p in report.poles] == [-1.0]
+    assert len(report.poles) == 1
+    assert abs(report.poles[0].eigenvalue + 1.0) <= 1e-9
     assert [u["column"] for u in report.unconverged] == [1]
 
 
