@@ -8,19 +8,18 @@ real/complex kernels.
 
 The pattern of ``J - sE`` does not depend on s. The first ``shifted(J,
 ndyn, s)`` call therefore builds that pattern and its COLAMD column order
-once for the pair ``(J, ndyn)`` and keeps them on J; later calls only refill
-the values, keeping a cancelled entry as a stored zero. ``factorize`` hands
-SuperLU every matrix with its columns already in such an order, taking one
-through ``shifted(M, 0, 0)`` first if ``shifted`` did not make it. J must
-not be changed in place once it has been shifted or factored.
+once for the pair ``(J, ndyn)`` and keeps them on J, J's values already in
+that order. Each call then makes ``(J - sE)[:, cols]``, the matrix SuperLU
+factors, with one copy and one subtraction; a cancelled entry stays stored
+as a zero. ``factorize`` takes any other matrix through ``shifted(M, 0, 0)``
+first. J must not be changed in place once it has been shifted or factored.
 
 Every ``splu`` call, the ordering one and the one per shift, takes
-``SUPERLU_OPTIONS``: ``relax=1`` turns off SuperLU's relaxed supernodes, and
-``panel_size=4`` factors both benchmark models faster than SuperLU's default
-width of 10. A network's pattern has tiny supernodes, which the default
-relaxation pads with explicit zeros; without it the grid stores 14.6 factor
-entries per row instead of 22.2, and every LU, pivot check and solve
-touches fewer. The COLAMD order is the same either way.
+``SUPERLU_OPTIONS``. ``relax=1`` turns off SuperLU's relaxed supernodes,
+which pad a network's tiny supernodes with explicit zeros: the grid stores
+14.6 factor entries per row instead of 22.2. ``panel_size=4`` factors both
+benchmark models faster than the default width of 10. The COLAMD order is
+the same either way.
 """
 
 from __future__ import annotations
@@ -135,17 +134,16 @@ class SparseMatrix:
 class _ShiftPattern:
     """What ``J - sE`` keeps across shifts, for one ``(J, ndyn)``.
 
-    ``indptr``/``indices`` are J's pattern, stored zeros dropped, united with
-    the first ``ndyn`` diagonal positions; ``values`` holds J's entries on it
-    and ``diag`` the data positions of E's ones. ``cols`` is the COLAMD
-    column order of that pattern, taken from one factorization of generic
-    values whose factors are discarded, or None when the pattern is
-    structurally singular. ``cols_indptr``, ``cols_indices`` and ``take``
-    describe ``M[:, cols]``: its data is ``M.data[take]``.
+    The pattern is J's, stored zeros dropped, united with the first ``ndyn``
+    diagonal positions. ``cols`` is its COLAMD column order, taken from one
+    factorization of generic values whose factors are discarded, or None when
+    the pattern is structurally singular (the arrays then keep the natural
+    order). ``indptr``, ``indices`` and ``values`` hold ``J[:, cols]`` on the
+    pattern, ``diag`` the data positions of E's ones in it, and ``max_off``
+    the largest ``|J|`` entry off those positions.
     """
 
-    __slots__ = ("ndyn", "indptr", "indices", "values", "diag",
-                 "cols", "cols_indptr", "cols_indices", "take")
+    __slots__ = ("ndyn", "cols", "indptr", "indices", "values", "diag", "max_off")
 
     def __init__(self, J, ndyn):
         N = J.nrows
@@ -153,16 +151,13 @@ class _ShiftPattern:
         E = sp.csc_matrix((np.ones(ndyn), (dyn, dyn)), shape=(N, N))
         # |J| + E sums nonnegative values, so nothing but J's stored zeros drops
         P = abs(J.to_scipy()) + E
-        self.ndyn = ndyn
-        self.indptr = P.indptr.astype(np.int32)
-        self.indices = P.indices.astype(np.int32)
         # each entry's position in P, found by its column-major key
         keys = np.repeat(np.arange(N, dtype=np.int64), np.diff(P.indptr)) * N + P.indices
         Jnz = J.data != 0
         jkeys = np.repeat(np.arange(N, dtype=np.int64), np.diff(J.indptr))[Jnz] * N
-        self.values = np.zeros(P.nnz, dtype=np.complex128)
-        self.values[np.searchsorted(keys, jkeys + J.indices[Jnz])] = J.data[Jnz]
-        self.diag = np.searchsorted(keys, dyn * (N + 1)).astype(np.int32)
+        values = np.zeros(P.nnz, dtype=np.complex128)
+        values[np.searchsorted(keys, jkeys + J.indices[Jnz])] = J.data[Jnz]
+        diag = np.searchsorted(keys, dyn * (N + 1))
         # complex values, like the shifted matrices', so that the factorizations
         # after this one reuse its memory instead of raising the peak
         rng = np.random.default_rng(0)
@@ -170,33 +165,28 @@ class _ShiftPattern:
         generic = sp.csc_matrix((noise, P.indices, P.indptr), shape=(N, N))
         try:
             perm_c = spla.splu(generic, permc_spec="COLAMD", **SUPERLU_OPTIONS).perm_c
-        except RuntimeError:
-            self.cols = None
-            return
-        self.cols = np.argsort(perm_c).astype(np.int32)
-        starts = P.indptr[self.cols]
-        counts = np.diff(P.indptr)[self.cols]
-        self.cols_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
-        offset = np.repeat(starts - self.cols_indptr[:-1], counts)
-        self.take = (np.arange(P.nnz) + offset).astype(np.int32)
-        self.cols_indices = self.indices[self.take]
-
-    def in_column_order(self, M):
-        """``M[:, cols]`` for a matrix ``shifted`` built on this pattern."""
-        csc = sp.csc_matrix((M.data[self.take], self.cols_indices, self.cols_indptr), shape=M.shape)
-        csc.has_canonical_format = True
-        return csc
+            self.cols = np.argsort(perm_c).astype(np.int32)
+        except RuntimeError:  # structurally singular: keep the natural order
+            perm_c, self.cols = np.arange(N), None
+        order = perm_c if self.cols is None else self.cols
+        counts = np.diff(P.indptr)[order]
+        self.ndyn = ndyn
+        self.indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+        take = np.repeat(P.indptr[order] - self.indptr[:-1], counts) + np.arange(P.nnz)
+        self.indices = P.indices[take].astype(np.int32)
+        self.values = values[take]
+        # column i of P is column perm_c[i] here, with its rows in the same order
+        self.diag = (self.indptr[perm_c[:ndyn]] + diag - P.indptr[:ndyn]).astype(np.int32)
+        self.max_off = float(np.abs(np.delete(self.values, self.diag)).max(initial=0.0))
 
 
 def shifted(J, ndyn, s):
-    """Return ``J - s*E`` where ``E = diag(1,...,1,0,...,0)`` with ``ndyn`` ones.
+    """Return ``(J - s*E)[:, cols]``, E = diag(1,...,1,0,...,0) with ``ndyn`` ones.
 
-    The result's pattern is J's pattern, stored zeros dropped, united with
-    the first ``ndyn`` diagonal positions, for every s: an entry that
-    cancels stays stored as a zero. The first call for a pair ``(J, ndyn)``
-    caches that pattern and its column order on J (see the module
-    docstring); the result shares the cached index arrays. A shift that is
-    not finite raises ValueError.
+    ``cols`` is the column order cached for ``(J, ndyn)`` (see the module
+    docstring), the natural one if the pattern is structurally singular.
+    The pattern is the same for every s; the result shares its index arrays
+    with the cache. A shift that is not finite raises ValueError.
     """
     N = J.nrows
     if not 0 <= ndyn <= N:
@@ -217,31 +207,37 @@ def shifted(J, ndyn, s):
 
 
 class Factorization:
-    """LU factors of a sparse matrix M in its cached fill-reducing column order.
+    """LU factors of ``A[:, cols]``, for A in its natural column order.
 
-    ``lu`` is scipy's SuperLU object for ``M[:, cols]``: M's columns in the
-    COLAMD order cached for its pattern, computed once and reused for every
-    shift. ``lu.perm_r`` and ``perm_c`` satisfy ``Pr @ M @ Pc = L @ U`` with
-    ``L = lu.L``, ``U = lu.U``, ``Pr[lu.perm_r[i], i] = 1`` and
-    ``Pc[i, perm_c[i]] = 1``. ``pivot_growth`` is ``max|U| / max|M|``.
+    A is ``J - sE`` for a result of ``shifted``, which is ``A[:, cols]``
+    already, or else the matrix given to ``factorize``. ``lu.perm_r`` and
+    ``perm_c`` satisfy ``Pr @ A @ Pc = L @ U`` with ``L = lu.L``,
+    ``U = lu.U``, ``Pr[lu.perm_r[i], i] = 1`` and ``Pc[i, perm_c[i]] = 1``.
+    ``pivot_growth``, ``max|U| / max|A|``, is computed when it is read.
     """
 
-    __slots__ = ("lu", "pivot_growth", "cols")
+    __slots__ = ("lu", "cols", "max_abs")
 
-    def __init__(self, lu, pivot_growth, cols):
+    def __init__(self, lu, cols, max_abs):
         self.lu = lu
-        self.pivot_growth = pivot_growth
         self.cols = cols
+        self.max_abs = max_abs
 
     order = property(lambda self: self.cols.size)
 
     @property
     def perm_c(self):
-        # column cols[j] of M is column j of the factored matrix
+        # column cols[j] of A is column j of the factored matrix
         return self.lu.perm_c[np.argsort(self.cols)]
 
+    @property
+    def pivot_growth(self):
+        # scipy keeps the lu.U that factorize's pivot test built
+        U = self.lu.U
+        return float(np.abs(U.data).max() / self.max_abs) if U.nnz else 0.0
+
     def solve(self, rhs, transposed=False):
-        """Solve ``M x = rhs`` or ``M.T x = rhs`` using the stored factors."""
+        """Solve ``A x = rhs`` or ``A.T x = rhs`` using the stored factors."""
         rhs = np.asarray(rhs, dtype=np.complex128)
         if rhs.shape != (self.order,):
             raise ValueError(
@@ -255,39 +251,42 @@ class Factorization:
 
 
 def factorize(M):
-    """Sparse LU of M with a fill-reducing column order and partial pivoting.
+    """Sparse LU of M in its cached column order, with partial pivoting.
 
-    M is factored in the column order cached for its pattern, the one of its
-    ``(J, ndyn)`` for a result of ``shifted``; any other matrix first goes
-    through ``shifted(M, 0, 0)``, which caches an order on M.
-    Raises SingularMatrixError for structural singularity or for any pivot at
-    or below ``PIVOT_RTOL * max|entry|``; the caller is expected to perturb
-    the shift and retry.
+    A matrix that ``shifted`` did not make goes through ``shifted(M, 0, 0)``
+    first. Raises SingularMatrixError for structural singularity or for any
+    pivot at or below ``PIVOT_RTOL * max|entry|``; the caller is expected to
+    perturb the shift and retry.
     """
     if M.nrows == 0:
         raise ValueError("cannot factorize an empty matrix")
-    max_abs = float(np.abs(M.data).max()) if M.nnz else 0.0
-    if max_abs == 0.0:
-        raise SingularMatrixError("matrix has no nonzero entries")
     if M._source is None:
         M = shifted(M, 0, 0.0)
     pattern = M._source
+    max_abs = float(np.abs(M.data[pattern.diag]).max(initial=pattern.max_off))
+    if max_abs == 0.0:
+        raise SingularMatrixError("matrix has no nonzero entries")
     if pattern.cols is None:
         raise SingularMatrixError("sparse LU failed: the matrix is structurally singular")
     try:
-        lu = spla.splu(pattern.in_column_order(M), permc_spec="NATURAL", **SUPERLU_OPTIONS)
+        lu = spla.splu(M.to_scipy(), permc_spec="NATURAL", **SUPERLU_OPTIONS)
     except RuntimeError as exc:
         raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
     U = lu.U
-    udiag = U.diagonal()
-    min_pivot = float(np.abs(udiag).min()) if udiag.size else 0.0
-    if udiag.size != M.nrows or min_pivot <= PIVOT_RTOL * max_abs:
+    # U's columns end with their diagonal entry on both benchmark models;
+    # read it there when every column does
+    last = U.indptr[1:] - 1
+    if U.nnz and np.array_equal(U.indices[last], np.arange(M.nrows)):
+        udiag = U.data[last]
+    else:
+        udiag = U.diagonal()
+    min_pivot = float(np.abs(udiag).min())
+    if min_pivot <= PIVOT_RTOL * max_abs:
         raise SingularMatrixError(
             f"pivot {min_pivot:.3e} below threshold {PIVOT_RTOL * max_abs:.3e}; "
             "the shift likely coincides with an eigenvalue"
         )
-    growth = float(np.abs(U.data).max() / max_abs) if U.nnz else 0.0
-    return Factorization(lu, growth, pattern.cols)
+    return Factorization(lu, pattern.cols, max_abs)
 
 
 def dense_eig(A, B):

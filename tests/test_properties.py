@@ -1,6 +1,7 @@
 """Property tests: the solver's sweeps against the dense oracle on drawn
-systems. Examples are derandomized and few, so the suite stays
-deterministic and fast."""
+systems, and the shifted LU against dense algebra on drawn matrices.
+Examples are derandomized and few, so the suite stays deterministic and
+fast."""
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dompole.solver import (  # noqa: E402
     match_shifts,
     refresh_columns,
 )
+from dompole.sparsela import SparseMatrix, factorize, shifted  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -110,3 +112,39 @@ def test_steps_on_the_active_block_agree_with_the_pinned_F(gen, data):
     assume(state.cond <= 1e8)  # beyond that ddpse takes the pencil sweep
     assert np.abs(diag[act] - np.diag(F)[act]).max() <= tol
     assert np.array_equal(diag[locked], shifts[locked])
+
+
+@st.composite
+def shifted_matrices(draw):
+    """A sparse J of order 1-12, real or complex, with diagonal entries
+    missing; a permutation's entries make it structurally nonsingular. Also
+    ndyn and a complex shift."""
+    n = draw(st.integers(1, 12), label="n")
+    ndyn = draw(st.integers(0, n), label="ndyn")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6]), label="density")
+    dense = np.where(rng.random((n, n)) < density, rng.standard_normal((n, n)), 0.0)
+    if draw(st.booleans(), label="complex"):
+        dense = dense + 1j * np.where(dense != 0, rng.standard_normal((n, n)), 0.0)
+    dense[rng.permutation(n), np.arange(n)] += rng.uniform(1.0, 2.0, n)
+    s = complex(draw(st.floats(-3, 3), label="re"), draw(st.floats(-3, 3), label="im"))
+    return dense, ndyn, s
+
+
+@PROPERTY
+@given(case=shifted_matrices())
+def test_shifted_lu_matches_dense_algebra(case):
+    dense, ndyn, s = case
+    n = dense.shape[0]
+    J = SparseMatrix.from_dense(dense)
+    A = dense - s * np.diag((np.arange(n) < ndyn).astype(float))
+    M = shifted(J, ndyn, s)
+    fac = factorize(M)
+    assert np.array_equal(M.to_dense(), A[:, fac.cols])
+    assert fac.pivot_growth == np.abs(fac.lu.U.data).max() / np.abs(A).max()
+    rng = np.random.default_rng(n)
+    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for op, transposed in ((A, False), (A.T, True)):
+        x = fac.solve(rhs, transposed=transposed)
+        scale = np.abs(op).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
+        assert np.abs(op @ x - rhs).max() / scale <= 1e-12

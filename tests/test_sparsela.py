@@ -32,12 +32,24 @@ def random_sparse(rng, n, density=0.3, complex_vals=False, diag_boost=0.0):
 
 
 def reconstruction_error(M, fac):
+    """``||Pr M - L U|| / ||M||`` for M in the factored column order, a
+    result of ``shifted``."""
     n = M.nrows
     Pr = sp.csc_matrix((np.ones(n), (fac.lu.perm_r, np.arange(n))), shape=(n, n))
-    Pc = sp.csc_matrix((np.ones(n), (np.arange(n), fac.perm_c)), shape=(n, n))
-    lhs = (Pr @ M.to_scipy() @ Pc).todense()
-    rhs = (fac.lu.L @ fac.lu.U).todense()
+    lhs = (Pr @ M.to_scipy()).toarray()
+    rhs = (fac.lu.L @ fac.lu.U).toarray()
     return np.linalg.norm(lhs - rhs) / np.linalg.norm(M.to_dense())
+
+
+def in_cached_order(J, dense):
+    """``dense[:, cols]`` for the column order ``shifted`` cached on J."""
+    cols = J._shifts.cols
+    return dense if cols is None else dense[:, cols]
+
+
+def natural_order(M, cols):
+    """A result of ``shifted`` with its columns back in the natural order."""
+    return M.to_scipy()[:, np.argsort(cols)]
 
 
 class TestSparseMatrix:
@@ -79,21 +91,23 @@ class TestSparseMatrix:
 class TestShifted:
     def test_diagonal_example(self):
         J = SparseMatrix.from_dense(np.diag([-1.0, 1.0]))
-        assert_allclose(shifted(J, 1, 2.0).to_dense(), np.diag([-3.0, 1.0]))
+        out = shifted(J, 1, 2.0).to_dense()
+        assert_array_equal(out, in_cached_order(J, np.diag([-3.0, 1.0])))
 
     def test_zero_shift_is_identity(self):
         J = SparseMatrix.from_dense([[-1.0, 2.0], [0.0, 1.0]])
-        assert_allclose(shifted(J, 2, 0.0).to_dense(), J.to_dense())
+        assert_array_equal(shifted(J, 2, 0.0).to_dense(), in_cached_order(J, J.to_dense()))
 
     def test_full_dynamic_block(self):
         J = SparseMatrix.from_dense(np.diag([-1.0, -3.0]))
-        assert_allclose(shifted(J, 2, -0.5).to_dense(), np.diag([-0.5, -2.5]))
+        out = shifted(J, 2, -0.5).to_dense()
+        assert_array_equal(out, in_cached_order(J, np.diag([-0.5, -2.5])))
 
     def test_inserts_missing_diagonal(self):
         J = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
         out = shifted(J, 2, 1.0)
         assert out.nnz == 4
-        assert_allclose(out.to_dense(), [[-1.0, 1.0], [1.0, -1.0]])
+        assert_array_equal(out.to_dense(), in_cached_order(J, np.array([[-1.0, 1.0], [1.0, -1.0]])))
 
     def test_cancelled_diagonal_stays_stored(self):
         J = SparseMatrix.from_dense(np.diag([-1.0, -3.0]))
@@ -102,7 +116,7 @@ class TestShifted:
         assert out.nnz == 2
         assert_array_equal(out.indptr, other.indptr)
         assert_array_equal(out.indices, other.indices)
-        assert_array_equal(out.to_dense(), J.to_dense() + np.eye(2))
+        assert_array_equal(out.to_dense(), in_cached_order(J, J.to_dense() + np.eye(2)))
 
     @pytest.mark.parametrize("ndyn", [0, 7, 30])
     def test_matches_dense_reference(self, ndyn):
@@ -113,8 +127,16 @@ class TestShifted:
         s = 0.3 - 1.7j
         E = np.diag((np.arange(30) < ndyn).astype(float))
         out = shifted(J, ndyn, s)
-        np.testing.assert_array_equal(out.to_dense(), dense - s * E)
+        assert_array_equal(out.to_dense(), in_cached_order(J, dense - s * E))
         assert out.to_scipy().has_canonical_format
+
+    def test_structurally_singular_pattern_keeps_the_natural_order(self):
+        dense = np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 0.0], [0.0, 0.0, 4.0]])
+        J = SparseMatrix.from_dense(dense)
+        assert_array_equal(shifted(J, 0, 1.0).to_dense(), dense)
+        assert J._shifts.cols is None
+        with pytest.raises(SingularMatrixError, match="structurally singular"):
+            factorize(J)
 
     def test_cache_follows_j_and_ndyn(self):
         rng = np.random.default_rng(4)
@@ -123,9 +145,11 @@ class TestShifted:
         s = 0.4 + 0.9j
         for ndyn in (3, 2, 3):
             E = np.diag((np.arange(8) < ndyn).astype(float))
-            assert_array_equal(shifted(J, ndyn, s).to_dense(), dense - s * E)
+            out = shifted(J, ndyn, s).to_dense()
+            assert_array_equal(out, in_cached_order(J, dense - s * E))
         other = SparseMatrix.from_dense(2.0 * dense)
-        assert_array_equal(shifted(other, 3, s).to_dense(), 2.0 * dense - s * E)
+        out = shifted(other, 3, s).to_dense()
+        assert_array_equal(out, in_cached_order(other, 2.0 * dense - s * E))
 
     def test_ndyn_out_of_range(self):
         J = SparseMatrix.from_dense(np.eye(2))
@@ -161,15 +185,33 @@ class TestFactorize:
         with pytest.raises(SingularMatrixError, match="threshold"):
             factorize(M)
 
+    def test_shifted_diagonal_sets_the_pivot_scale(self):
+        # max|M| is the shifted entry 1e12, not max|J| = 1e-3: the pivot 1e-3
+        # falls below the threshold 1e-2
+        J = SparseMatrix.from_dense(np.diag([0.0, 1e-3]))
+        with pytest.raises(SingularMatrixError, match="threshold 1.000e-02"):
+            factorize(shifted(J, 1, -1e12))
+        assert factorize(shifted(J, 1, -1.0)).max_abs == 1.0
+
+    def test_perm_c_orders_the_given_matrix(self):
+        rng = np.random.default_rng(8)
+        A = random_sparse(rng, 30, density=0.1, complex_vals=True)
+        fac = factorize(A)
+        n = A.nrows
+        Pc = sp.csc_matrix((np.ones(n), (np.arange(n), fac.perm_c)), shape=(n, n))
+        # A @ Pc is the matrix SuperLU factored
+        assert_array_equal((A.to_scipy() @ Pc).toarray(), shifted(A, 0, 0).to_dense())
+        assert reconstruction_error(shifted(A, 0, 0), fac) <= 1e-12
+
     def test_reconstruction_50(self):
         rng = np.random.default_rng(7)
-        M = random_sparse(rng, 50, complex_vals=True)
+        M = shifted(random_sparse(rng, 50, complex_vals=True), 0, 0)
         assert reconstruction_error(M, factorize(M)) <= 1e-12
 
     @pytest.mark.parametrize("n", [50, 120, 300])
     def test_backward_error_property(self, n):
         rng = np.random.default_rng(n)
-        M = random_sparse(rng, n, density=0.1, complex_vals=True)
+        M = shifted(random_sparse(rng, n, density=0.1, complex_vals=True), 0, 0)
         assert reconstruction_error(M, factorize(M)) <= 1e-10
 
 
@@ -187,7 +229,8 @@ class TestCachedOrder:
         M, rhs = random_shifted(seed)
         fac = factorize(M)
         assert fac.cols is not None
-        fresh = spla.splu(M.to_scipy(), permc_spec="COLAMD", **sparsela.SUPERLU_OPTIONS)
+        A = natural_order(M, fac.cols)
+        fresh = spla.splu(A, permc_spec="COLAMD", **sparsela.SUPERLU_OPTIONS)
         assert_array_equal(fac.solve(rhs), fresh.solve(rhs))
         assert_array_equal(fac.solve(rhs, transposed=True), fresh.solve(rhs, trans="T"))
 
@@ -203,7 +246,8 @@ class TestCachedOrder:
         fac = factorize(M)
         assert fac.cols is not None
         assert reconstruction_error(M, fac) <= 1e-14
-        assert_allclose(M.matvec(fac.solve(np.ones(3))), np.ones(3), rtol=1e-14)
+        # M is J - sE with its columns in the order cols
+        assert_allclose(M.matvec(fac.solve(np.ones(3))[fac.cols]), np.ones(3), rtol=1e-14)
 
     def test_one_splu_per_factorization_plus_one_ordering(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -284,15 +328,17 @@ class TestFill:
     def test_fewer_factor_entries_than_relaxed_supernodes(self, seed):
         M, _ = mesh_shifted(seed)
         fac = factorize(M)
-        relaxed = spla.splu(M.to_scipy()[:, fac.cols], permc_spec="NATURAL")
+        relaxed = spla.splu(M.to_scipy(), permc_spec="NATURAL")
         assert fac.lu.nnz < relaxed.nnz
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("transposed", [False, True])
     def test_backward_error(self, seed, transposed):
         M, rhs = mesh_shifted(seed)
-        A = M.to_scipy().T if transposed else M.to_scipy()
-        x = factorize(M).solve(rhs, transposed=transposed)
+        fac = factorize(M)
+        A = natural_order(M, fac.cols)
+        A = A.T if transposed else A
+        x = fac.solve(rhs, transposed=transposed)
         scale = spla.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(rhs, np.inf)
         assert np.linalg.norm(A @ x - rhs, np.inf) / scale <= 1e-12
 
