@@ -17,9 +17,9 @@ first. J must not be changed in place once it has been shifted or factored.
 Every ``splu`` call, the ordering one and the one per shift, takes
 ``SUPERLU_OPTIONS``. ``relax=1`` turns off SuperLU's relaxed supernodes,
 which pad a network's tiny supernodes with explicit zeros: the grid stores
-14.6 factor entries per row instead of 22.2. ``panel_size=4`` factors both
-benchmark models faster than the default width of 10. The COLAMD order is
-the same either way.
+14.6 factor entries per row instead of 22.2. ``panel_size=1`` factors both
+benchmark models faster than widths 4 and 10 (the default), with the same
+factor entries. The COLAMD order is the same either way.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ __all__ = [
 PIVOT_RTOL = 1e-14
 
 # SuperLU options for every factorization (see the module docstring)
-SUPERLU_OPTIONS = {"relax": 1, "panel_size": 4}
+SUPERLU_OPTIONS = {"relax": 1, "panel_size": 1}
 
 
 class SingularMatrixError(ArithmeticError):

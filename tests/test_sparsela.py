@@ -304,7 +304,7 @@ class TestCachedOrder:
         assert len(specs) == len(facs) + 3
         assert all(spec in ("COLAMD", "NATURAL") for _, spec in specs)
         assert all(fac.cols is not None for fac in facs)
-        assert all(kw == {"relax": 1, "panel_size": 4} for kw in options)
+        assert all(kw == {"relax": 1, "panel_size": 1} for kw in options)
 
 
 def mesh_shifted(seed, k=12, machines=24):
