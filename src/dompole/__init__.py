@@ -52,6 +52,7 @@ from .solver import (
 )
 from .sparsela import (
     Factorization,
+    ShiftedMatrix,
     SingularMatrixError,
     SparseMatrix,
     dense_eig,
@@ -72,6 +73,7 @@ __all__ = [
     "SingularMatrixError",
     "SolverError",
     "SparseMatrix",
+    "ShiftedMatrix",
     "Factorization",
     "SolverConfig",
     "ShiftState",

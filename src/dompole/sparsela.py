@@ -11,7 +11,8 @@ ndyn, s)`` call therefore builds that pattern and its COLAMD column order
 once for the pair ``(J, ndyn)`` and keeps them on J, J's values already in
 that order. Each call then makes ``(J - sE)[:, cols]``, the matrix SuperLU
 factors, with one copy and one subtraction; a cancelled entry stays stored
-as a zero. ``factorize`` takes any other matrix through ``shifted(M, 0, 0)``
+as a zero. The result is a ``ShiftedMatrix``: its columns permuted, it is no
+SparseMatrix. ``factorize`` takes a SparseMatrix through ``shifted(M, 0, 0)``
 first. J must not be changed in place once it has been shifted or factored.
 
 Every ``splu`` call, the ordering one and the one per shift, takes
@@ -25,6 +26,7 @@ factor entries. The COLAMD order is the same either way.
 from __future__ import annotations
 
 import cmath
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -35,6 +37,7 @@ __all__ = [
     "SingularMatrixError",
     "EigenSolverError",
     "SparseMatrix",
+    "ShiftedMatrix",
     "Factorization",
     "shifted",
     "factorize",
@@ -67,16 +70,14 @@ class SparseMatrix:
     """
 
     # _transpose: CSR view of M.T over M's own arrays, built by the first
-    # matvec_t. _shifts: on J, the _ShiftPattern of the last ndyn passed to
-    # shifted. _source: on a result of shifted, the _ShiftPattern it came from.
-    __slots__ = ("_csc", "_transpose", "_shifts", "_source")
+    # matvec_t. _shifts: the _ShiftPattern of the last ndyn passed to shifted.
+    __slots__ = ("_csc", "_transpose", "_shifts")
 
     def __init__(self, csc):
         """Wrap ``csc`` as is; it must already be canonical (see ``from_scipy``)."""
         self._csc = csc
         self._transpose = None
         self._shifts = None
-        self._source = None
 
     @classmethod
     def from_scipy(cls, m):
@@ -180,13 +181,21 @@ class _ShiftPattern:
         self.max_off = float(np.abs(np.delete(self.values, self.diag)).max(initial=0.0))
 
 
-def shifted(J, ndyn, s):
-    """Return ``(J - s*E)[:, cols]``, E = diag(1,...,1,0,...,0) with ``ndyn`` ones.
+@dataclass(frozen=True, eq=False)
+class ShiftedMatrix:
+    """``J - sE`` from ``shifted``: ``csc`` is ``(J - sE)[:, cols]`` in scipy CSC,
+    for ``cols`` the column order cached for ``(J, ndyn)`` (the natural order
+    if the pattern is structurally singular)."""
 
-    ``cols`` is the column order cached for ``(J, ndyn)`` (see the module
-    docstring), the natural one if the pattern is structurally singular.
+    csc: sp.csc_matrix
+    _pattern: _ShiftPattern
+
+
+def shifted(J, ndyn, s):
+    """``J - s*E`` as a ShiftedMatrix; E = diag(1,...,1,0,...,0) has ``ndyn`` ones.
+
     The pattern is the same for every s; the result shares its index arrays
-    with the cache. A shift that is not finite raises ValueError.
+    with the cache on J. A shift that is not finite raises ValueError.
     """
     N = J.nrows
     if not 0 <= ndyn <= N:
@@ -201,18 +210,16 @@ def shifted(J, ndyn, s):
     data[pattern.diag] -= s
     csc = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(N, N))
     csc.has_canonical_format = True
-    M = SparseMatrix(csc)
-    M._source = pattern
-    return M
+    return ShiftedMatrix(csc, pattern)
 
 
 class Factorization:
     """LU factors of ``A[:, cols]``, for A in its natural column order.
 
-    A is ``J - sE`` for a result of ``shifted``, which is ``A[:, cols]``
-    already, or else the matrix given to ``factorize``. ``lu.perm_r`` and
-    ``perm_c`` satisfy ``Pr @ A @ Pc = L @ U`` with ``L = lu.L``,
-    ``U = lu.U``, ``Pr[lu.perm_r[i], i] = 1`` and ``Pc[i, perm_c[i]] = 1``.
+    A is the SparseMatrix given to ``factorize``, or ``J - sE`` for a
+    ShiftedMatrix, whose ``csc`` is ``A[:, cols]``. ``lu.perm_r`` and
+    ``perm_c`` satisfy ``Pr @ A @ Pc = L @ U`` with ``L = lu.L``, ``U = lu.U``,
+    ``Pr[lu.perm_r[i], i] = 1`` and ``Pc[i, perm_c[i]] = 1``.
     ``pivot_growth``, ``max|U| / max|A|``, is computed when it is read.
     """
 
@@ -251,36 +258,28 @@ class Factorization:
 
 
 def factorize(M):
-    """Sparse LU of M in its cached column order, with partial pivoting.
+    """Sparse LU of a ShiftedMatrix or a SparseMatrix M, with partial pivoting.
 
-    A matrix that ``shifted`` did not make goes through ``shifted(M, 0, 0)``
-    first. Raises SingularMatrixError for structural singularity or for any
-    pivot at or below ``PIVOT_RTOL * max|entry|``; the caller is expected to
-    perturb the shift and retry.
+    A SparseMatrix goes through ``shifted(M, 0, 0)`` first. Raises
+    SingularMatrixError for structural singularity or for any pivot at or
+    below ``PIVOT_RTOL * max|entry|``; the caller is expected to perturb the
+    shift and retry.
     """
-    if M.nrows == 0:
-        raise ValueError("cannot factorize an empty matrix")
-    if M._source is None:
+    if isinstance(M, SparseMatrix):
+        if M.nrows == 0:
+            raise ValueError("cannot factorize an empty matrix")
         M = shifted(M, 0, 0.0)
-    pattern = M._source
-    max_abs = float(np.abs(M.data[pattern.diag]).max(initial=pattern.max_off))
+    pattern = M._pattern
+    max_abs = float(np.abs(M.csc.data[pattern.diag]).max(initial=pattern.max_off))
     if max_abs == 0.0:
         raise SingularMatrixError("matrix has no nonzero entries")
     if pattern.cols is None:
         raise SingularMatrixError("sparse LU failed: the matrix is structurally singular")
     try:
-        lu = spla.splu(M.to_scipy(), permc_spec="NATURAL", **SUPERLU_OPTIONS)
+        lu = spla.splu(M.csc, permc_spec="NATURAL", **SUPERLU_OPTIONS)
     except RuntimeError as exc:
         raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
-    U = lu.U
-    # U's columns end with their diagonal entry on both benchmark models;
-    # read it there when every column does
-    last = U.indptr[1:] - 1
-    if U.nnz and np.array_equal(U.indices[last], np.arange(M.nrows)):
-        udiag = U.data[last]
-    else:
-        udiag = U.diagonal()
-    min_pivot = float(np.abs(udiag).min())
+    min_pivot = float(np.abs(lu.U.diagonal()).min())
     if min_pivot <= PIVOT_RTOL * max_abs:
         raise SingularMatrixError(
             f"pivot {min_pivot:.3e} below threshold {PIVOT_RTOL * max_abs:.3e}; "

@@ -10,6 +10,7 @@ import dompole
 from dompole import descriptor, sparsela
 from dompole.descriptor import DescriptorSystem
 from dompole.sparsela import (
+    ShiftedMatrix,
     SingularMatrixError,
     SparseMatrix,
     dense_eig,
@@ -34,11 +35,11 @@ def random_sparse(rng, n, density=0.3, complex_vals=False, diag_boost=0.0):
 def reconstruction_error(M, fac):
     """``||Pr M - L U|| / ||M||`` for M in the factored column order, a
     result of ``shifted``."""
-    n = M.nrows
+    n = M.csc.shape[0]
     Pr = sp.csc_matrix((np.ones(n), (fac.lu.perm_r, np.arange(n))), shape=(n, n))
-    lhs = (Pr @ M.to_scipy()).toarray()
+    lhs = (Pr @ M.csc).toarray()
     rhs = (fac.lu.L @ fac.lu.U).toarray()
-    return np.linalg.norm(lhs - rhs) / np.linalg.norm(M.to_dense())
+    return np.linalg.norm(lhs - rhs) / np.linalg.norm(M.csc.toarray())
 
 
 def in_cached_order(J, dense):
@@ -49,7 +50,7 @@ def in_cached_order(J, dense):
 
 def natural_order(M, cols):
     """A result of ``shifted`` with its columns back in the natural order."""
-    return M.to_scipy()[:, np.argsort(cols)]
+    return M.csc[:, np.argsort(cols)]
 
 
 class TestSparseMatrix:
@@ -91,32 +92,32 @@ class TestSparseMatrix:
 class TestShifted:
     def test_diagonal_example(self):
         J = SparseMatrix.from_dense(np.diag([-1.0, 1.0]))
-        out = shifted(J, 1, 2.0).to_dense()
+        out = shifted(J, 1, 2.0).csc.toarray()
         assert_array_equal(out, in_cached_order(J, np.diag([-3.0, 1.0])))
 
     def test_zero_shift_is_identity(self):
         J = SparseMatrix.from_dense([[-1.0, 2.0], [0.0, 1.0]])
-        assert_array_equal(shifted(J, 2, 0.0).to_dense(), in_cached_order(J, J.to_dense()))
+        assert_array_equal(shifted(J, 2, 0.0).csc.toarray(), in_cached_order(J, J.to_dense()))
 
     def test_full_dynamic_block(self):
         J = SparseMatrix.from_dense(np.diag([-1.0, -3.0]))
-        out = shifted(J, 2, -0.5).to_dense()
+        out = shifted(J, 2, -0.5).csc.toarray()
         assert_array_equal(out, in_cached_order(J, np.diag([-0.5, -2.5])))
 
     def test_inserts_missing_diagonal(self):
         J = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
-        out = shifted(J, 2, 1.0)
+        out = shifted(J, 2, 1.0).csc
         assert out.nnz == 4
-        assert_array_equal(out.to_dense(), in_cached_order(J, np.array([[-1.0, 1.0], [1.0, -1.0]])))
+        assert_array_equal(out.toarray(), in_cached_order(J, np.array([[-1.0, 1.0], [1.0, -1.0]])))
 
     def test_cancelled_diagonal_stays_stored(self):
         J = SparseMatrix.from_dense(np.diag([-1.0, -3.0]))
-        out = shifted(J, 2, -1.0)
-        other = shifted(J, 2, 0.5)
+        out = shifted(J, 2, -1.0).csc
+        other = shifted(J, 2, 0.5).csc
         assert out.nnz == 2
         assert_array_equal(out.indptr, other.indptr)
         assert_array_equal(out.indices, other.indices)
-        assert_array_equal(out.to_dense(), in_cached_order(J, J.to_dense() + np.eye(2)))
+        assert_array_equal(out.toarray(), in_cached_order(J, J.to_dense() + np.eye(2)))
 
     @pytest.mark.parametrize("ndyn", [0, 7, 30])
     def test_matches_dense_reference(self, ndyn):
@@ -126,14 +127,24 @@ class TestShifted:
         J = SparseMatrix.from_dense(dense)
         s = 0.3 - 1.7j
         E = np.diag((np.arange(30) < ndyn).astype(float))
-        out = shifted(J, ndyn, s)
-        assert_array_equal(out.to_dense(), in_cached_order(J, dense - s * E))
-        assert out.to_scipy().has_canonical_format
+        out = shifted(J, ndyn, s).csc
+        assert_array_equal(out.toarray(), in_cached_order(J, dense - s * E))
+        assert out.has_canonical_format
+
+    def test_result_is_no_sparse_matrix(self):
+        # its columns are permuted, so it offers no product; the same values
+        # in a SparseMatrix are factored as the matrix they are
+        rng = np.random.default_rng(6)
+        J = random_sparse(rng, 12, density=0.2)
+        M = shifted(J, 5, 0.5 - 0.2j)
+        assert isinstance(M, ShiftedMatrix) and not hasattr(M, "matvec")
+        x = factorize(SparseMatrix.from_scipy(M.csc)).solve(np.ones(12))
+        assert_allclose(M.csc @ x, np.ones(12), rtol=1e-12)
 
     def test_structurally_singular_pattern_keeps_the_natural_order(self):
         dense = np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 0.0], [0.0, 0.0, 4.0]])
         J = SparseMatrix.from_dense(dense)
-        assert_array_equal(shifted(J, 0, 1.0).to_dense(), dense)
+        assert_array_equal(shifted(J, 0, 1.0).csc.toarray(), dense)
         assert J._shifts.cols is None
         with pytest.raises(SingularMatrixError, match="structurally singular"):
             factorize(J)
@@ -145,10 +156,10 @@ class TestShifted:
         s = 0.4 + 0.9j
         for ndyn in (3, 2, 3):
             E = np.diag((np.arange(8) < ndyn).astype(float))
-            out = shifted(J, ndyn, s).to_dense()
+            out = shifted(J, ndyn, s).csc.toarray()
             assert_array_equal(out, in_cached_order(J, dense - s * E))
         other = SparseMatrix.from_dense(2.0 * dense)
-        out = shifted(other, 3, s).to_dense()
+        out = shifted(other, 3, s).csc.toarray()
         assert_array_equal(out, in_cached_order(other, 2.0 * dense - s * E))
 
     def test_ndyn_out_of_range(self):
@@ -200,7 +211,7 @@ class TestFactorize:
         n = A.nrows
         Pc = sp.csc_matrix((np.ones(n), (np.arange(n), fac.perm_c)), shape=(n, n))
         # A @ Pc is the matrix SuperLU factored
-        assert_array_equal((A.to_scipy() @ Pc).toarray(), shifted(A, 0, 0).to_dense())
+        assert_array_equal((A.to_scipy() @ Pc).toarray(), shifted(A, 0, 0).csc.toarray())
         assert reconstruction_error(shifted(A, 0, 0), fac) <= 1e-12
 
     def test_reconstruction_50(self):
@@ -242,12 +253,12 @@ class TestCachedOrder:
     def test_cancelled_entry_keeps_the_order(self):
         J = SparseMatrix.from_dense([[-1.0, 2.0, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, 4.0]])
         M = shifted(J, 2, -1.0)
-        assert M.nnz == 7
+        assert M.csc.nnz == 7
         fac = factorize(M)
         assert fac.cols is not None
         assert reconstruction_error(M, fac) <= 1e-14
         # M is J - sE with its columns in the order cols
-        assert_allclose(M.matvec(fac.solve(np.ones(3))[fac.cols]), np.ones(3), rtol=1e-14)
+        assert_allclose(M.csc @ fac.solve(np.ones(3))[fac.cols], np.ones(3), rtol=1e-14)
 
     def test_one_splu_per_factorization_plus_one_ordering(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -328,7 +339,7 @@ class TestFill:
     def test_fewer_factor_entries_than_relaxed_supernodes(self, seed):
         M, _ = mesh_shifted(seed)
         fac = factorize(M)
-        relaxed = spla.splu(M.to_scipy(), permc_spec="NATURAL")
+        relaxed = spla.splu(M.csc, permc_spec="NATURAL")
         assert fac.lu.nnz < relaxed.nnz
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
