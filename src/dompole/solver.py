@@ -30,6 +30,15 @@ accurate in the residual. With vhat_j = 0, column j of G is
 pencil ``(B S_A + q vhat_A^T, B)`` with ``B = Q (W^T V)[:, act]`` and
 ``q = Q e``, the rows of Q spanning the complement of the locked columns of
 W^T V. A locked value leaves the pencil once and enters no later sweep.
+
+On a real system (J, B and C real), a locked complex pole lambda also gives
+conj(lambda): ``(J - conj(s) E)^-1 B = conj((J - s E)^-1 B)``, so its
+vectors, normalizer and residue are the conjugates of lambda's. An active
+column whose shift comes within ``_CONJUGATE_RADIUS |lambda|`` of a
+conj(lambda) that no column holds locks there with those conjugated vectors
+("conjugate-locked") instead of factoring its way to it. A column whose
+shift returns to where it was two sweeps earlier, for two sweeps running,
+is moved to the midpoint of its orbit ("two-cycle").
 """
 
 from __future__ import annotations
@@ -85,6 +94,12 @@ _MAX_NORMALIZER_KICKS = 5
 # weakly observable poles. The coarse _PERTURBATION * |s| kick stays
 # as the second retry.
 _SINGULAR_NUDGE = 1e-11
+# On a real system, an active shift within _CONJUGATE_RADIUS |lambda| of the
+# conjugate of a locked complex pole lambda locks there. A shift that comes
+# back within _TWO_CYCLE_RATIO of its step to where it was two sweeps earlier,
+# for two sweeps running, is in a period-2 orbit.
+_CONJUGATE_RADIUS = 5e-2
+_TWO_CYCLE_RATIO = 0.1
 
 
 class SolverError(RuntimeError):
@@ -554,6 +569,49 @@ def _perturb_collisions(state):
             _event(state, j, "collision", state.shifts[j])
 
 
+def _break_two_cycles(state, trajectories):
+    """Move each active column whose new shift is back within
+    _TWO_CYCLE_RATIO of its step to where it was two sweeps earlier, and was
+    so one sweep before too, to the midpoint of its last step."""
+    act = state.active_indices()
+    d = state.shifts[act]
+    t1, t2, t3 = (trajectories[-i][act] for i in (1, 2, 3))
+    cycling = (np.abs(d - t2) < _TWO_CYCLE_RATIO * np.abs(d - t1)) & (
+        np.abs(t1 - t3) < _TWO_CYCLE_RATIO * np.abs(t1 - t2)
+    )
+    for j, mid in zip(act[cycling], (t1[cycling] + d[cycling]) / 2):
+        state.shifts[j] = mid
+        _event(state, j, "two-cycle", mid)
+
+
+def _lock_conjugates(state):
+    """For a real system: lock each active column whose shift lies within
+    _CONJUGATE_RADIUS |lambda| of conj(lambda), for a locked complex pole
+    lambda whose conjugate no column holds, with lambda's conjugated vectors;
+    nearest hits first, one column per conjugate. Returns the locked columns.
+    """
+    done = np.flatnonzero(state.converged)
+    lam = state.shifts[done]
+    complex_ = np.abs(lam.imag) > _COLLISION_EPS * np.abs(lam)
+    src, targets = done[complex_], lam[complex_].conj()
+    act = state.active_indices()
+    dist = np.abs(state.shifts[act][:, None] - targets[None, :])
+    rows, cols = np.nonzero(dist <= _CONJUGATE_RADIUS * np.abs(targets))
+    locked = []
+    for i in np.argsort(dist[rows, cols], kind="stable"):
+        j, k, z = act[rows[i]], src[cols[i]], targets[cols[i]]
+        if state.converged[j] or _nearest_taken(state, z) <= _COLLISION_EPS:
+            continue
+        state.X[:, j] = state.X[:, k].conj()
+        state.Y[:, j] = state.Y[:, k].conj()
+        state.normalizers[j] = state.normalizers[k].conj()
+        deflate(state, j, z)
+        state.final_residuals[j] = state.final_residuals[k]
+        _event(state, j, "conjugate-locked", z)
+        locked.append(j)
+    return locked
+
+
 def run(sys, config, initial_shifts=None):
     """Drive the configured method until every column converges or max_iter.
 
@@ -574,6 +632,7 @@ def run(sys, config, initial_shifts=None):
             f"p = {config.p} exceeds the {sys.ndyn} dynamic states of the system"
         )
     step = dpse_step if config.method == "dpse" else ddpse_step
+    real = not (sys.J.data.imag.any() or sys.B.imag.any() or sys.C.imag.any())
 
     state = ShiftState.start(sys, shifts)
     t0 = time.perf_counter()
@@ -595,7 +654,8 @@ def run(sys, config, initial_shifts=None):
             # lock at the frozen vectors' two-sided Rayleigh quotient; an exact
             # duplicate of a locked eigenvalue would freeze two parallel columns
             # into W^T V forever, so that column stays active for the collision
-            # machinery (conjugate duplicates converge normally)
+            # machinery (a conjugate duplicate locks here too, but on a real
+            # system _lock_conjugates usually takes its column sweeps earlier)
             x, y = state.X[:, j], state.Y[:, j]
             lam = (y @ sys.J.matvec(x)) / (y[: sys.ndyn] @ x[: sys.ndyn])
             if _nearest_taken(state, lam) <= _COLLISION_EPS:
@@ -604,8 +664,13 @@ def run(sys, config, initial_shifts=None):
             deflate(state, j, lam)
             state.final_residuals[j] = residuals[j]
             conv_time[j] = time.perf_counter() - t0
-        for j in state.active_indices():
-            state.shifts[j] = new_shifts[j]
+        act = state.active_indices()
+        state.shifts[act] = new_shifts[act]
+        if len(trajectories) >= 3:
+            _break_two_cycles(state, trajectories)
+        if real:
+            for j in _lock_conjugates(state):
+                conv_time[j] = time.perf_counter() - t0
         trajectories.append(state.shifts.copy())
         if state.all_converged:
             break

@@ -11,15 +11,17 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from dompole.generator import build_system, sample_spectrum  # noqa: E402
-from dompole.oracle import reference_F  # noqa: E402
+from dompole.oracle import reference_F, residues  # noqa: E402
 from dompole.solver import (  # noqa: E402
     ShiftState,
+    SolverConfig,
     assemble_projection,
     ddpse_step,
     deflate,
     dpse_step,
     match_shifts,
     refresh_columns,
+    run,
 )
 from dompole.sparsela import SparseMatrix, factorize, shifted  # noqa: E402
 
@@ -112,6 +114,29 @@ def test_steps_on_the_active_block_agree_with_the_pinned_F(gen, data):
     assume(state.cond <= 1e8)  # beyond that ddpse takes the pencil sweep
     assert np.abs(diag[act] - np.diag(F)[act]).max() <= tol
     assert np.array_equal(diag[locked], shifts[locked])
+
+
+@PROPERTY
+@given(gen=systems(), data=st.data())
+def test_a_real_systems_poles_come_in_conjugate_pairs(gen, data):
+    # a shift near each upper pole and one farther off its conjugate, so
+    # that the lower column often locks at the conjugate of the upper pole
+    spec = gen.truth.eigenvalues
+    upper = spec[spec.imag > 0]
+    near = data.draw(st.floats(0.001, 0.02), label="near")
+    far = data.draw(st.floats(0.02, 0.3), label="far")
+    shifts = np.concatenate([upper * (1 + near * 1j), upper.conj() * (1 - far * 1j)])
+    report = run(gen.system, SolverConfig(p=len(shifts)), shifts)
+    table = residues(gen.state_space)
+    for pole in report.poles:
+        lam = pole.eigenvalue
+        if abs(lam.imag) <= 1e-8 * abs(lam):
+            continue
+        k = int(np.argmin(np.abs(table.eigenvalues - lam.conjugate())))
+        assert abs(table.eigenvalues[k] - lam.conjugate()) <= 1e-10 * abs(lam)
+        # residues carry first-order error from vectors converged to tol
+        R = table.residues[k]
+        assert abs(R - pole.residue.conjugate()) <= 1e-3 * abs(R)
 
 
 @st.composite

@@ -554,6 +554,77 @@ class TestColumnRecovery:
         assert abs(report.poles[0].eigenvalue - (-1.0)) <= 1e-9
 
 
+def pair_system(a22=-2.0):
+    """A real pair -0.1 +- 1j and a real mode a22, b = c = 1."""
+    A = np.array([[-0.1, 1.0, 0.0], [-1.0, -0.1, 0.0], [0.0, 0.0, a22]])
+    return DescriptorSystem.from_dense_state(A, [1, 1, 1], [1, 1, 1], 0)
+
+
+# column 0 locks -0.1 + 1j in sweep 2; in that sweep column 1's next shift
+# is within 5% of -0.1 - 1j, which it would reach on its own in sweep 5
+PAIR_SHIFTS = [-0.1 + 1.001j, -0.3 - 0.6j]
+
+
+class TestConjugateLock:
+    def test_conjugate_is_locked_with_conjugated_vectors(self):
+        report = run(pair_system(), SolverConfig(p=2), PAIR_SHIFTS)
+        kinds = [(e["kind"], e["column"], e["iteration"]) for e in report.events]
+        assert kinds == [("conjugate-locked", 1, 2)]
+        assert report.all_converged
+        upper, lower = sorted(report.poles, key=lambda p: -p.eigenvalue.imag)
+        assert abs(upper.eigenvalue - (-0.1 + 1j)) <= 1e-9
+        assert lower.eigenvalue == upper.eigenvalue.conjugate()
+        assert lower.residue == upper.residue.conjugate()
+        assert np.array_equal(lower.right_vector, upper.right_vector.conj())
+        assert np.array_equal(lower.left_vector, upper.left_vector.conj())
+        assert lower.final_residuals == upper.final_residuals
+        assert lower.iterations == 2
+
+    def test_column_locks_before_it_converges_there(self, monkeypatch):
+        import dompole.solver as solver
+
+        monkeypatch.setattr(solver, "_lock_conjugates", lambda state: [])
+        report = run(pair_system(), SolverConfig(p=2), PAIR_SHIFTS)
+        assert not report.events
+        lower = min(report.poles, key=lambda p: p.eigenvalue.imag)
+        assert abs(lower.eigenvalue - (-0.1 - 1j)) <= 1e-9
+        assert lower.iterations == 5
+
+    def test_complex_system_takes_no_conjugate(self):
+        report = run(pair_system(a22=-2.0 + 0.01j), SolverConfig(p=2), PAIR_SHIFTS)
+        assert not any(e["kind"] == "conjugate-locked" for e in report.events)
+        assert report.all_converged
+
+    def test_one_column_per_conjugate(self):
+        from dompole.solver import _lock_conjugates
+
+        lam = -0.1 + 1j
+        state = prepared_state(pair_system(), [lam, lam.conjugate() + 0.01, lam.conjugate() - 0.02j])
+        deflate(state, 0, lam)
+        assert _lock_conjugates(state) == [1]
+        assert state.shifts[1] == lam.conjugate()
+        assert not state.converged[2]
+        # both lam and its conjugate are held: column 2 stays active
+        assert _lock_conjugates(state) == []
+        assert state.shifts[2] == lam.conjugate() - 0.02j
+
+    def test_two_cycle_is_broken_at_its_midpoint(self, monkeypatch):
+        # column 0 alternates between a and b, starting at b: in sweep 3 its
+        # shift returns to a for the second sweep running
+        import dompole.solver as solver
+
+        a, b = -1.5 + 0.5j, -2.5 + 0.3j
+        monkeypatch.setattr(
+            solver, "dpse_step", lambda sys, state: np.array([a if state.iter % 2 else b])
+        )
+        report = run(two_state(), SolverConfig(p=1, max_iter=4), [b])
+        cycles = [e for e in report.events if e["kind"] == "two-cycle"]
+        assert (cycles[0]["iteration"], cycles[0]["column"]) == (3, 0)
+        mid = (a + b) / 2
+        assert complex(cycles[0]["shift_re"], cycles[0]["shift_im"]) == mid
+        assert report.trajectories[3][0] == mid
+
+
 class TestSequencesAgainstOracle:
     @pytest.mark.parametrize("method", ["dpse", "ddpse"])
     def test_descriptor_matches_dense_oracle(self, method):
