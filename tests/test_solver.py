@@ -599,7 +599,8 @@ class TestConjugateLock:
         from dompole.solver import _lock_conjugates
 
         lam = -0.1 + 1j
-        state = prepared_state(pair_system(), [lam, lam.conjugate() + 0.01, lam.conjugate() - 0.02j])
+        shifts = [lam, lam.conjugate() + 0.01, lam.conjugate() - 0.02j]
+        state = prepared_state(pair_system(), shifts)
         deflate(state, 0, lam)
         assert _lock_conjugates(state) == [1]
         assert state.shifts[1] == lam.conjugate()
