@@ -9,7 +9,8 @@ Subcommands:
     polemap  turn a report into plot-ready pole-map data
 
 Exit codes: 0 on success (all requested poles converged), 2 when a solver
-run ends with unconverged columns, 1 on input errors.
+run ends with unconverged columns, 1 on input errors and on solver errors
+(a factorization that stays singular, a failed QZ).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .descriptor import (
 from .generator import GeneratorError, build_system, sample_spectrum, write_system
 from .mmio import MatrixMarketError
 from .oracle import modal_reconstruct, residues
-from .sparsela import SingularMatrixError
+from .sparsela import EigenSolverError, SingularMatrixError
 from .solver import (
     SolverConfig,
     SolverError,
@@ -366,7 +367,7 @@ def main(argv=None):
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
-    except SolverError as exc:
+    except (SolverError, EigenSolverError) as exc:
         print(f"solver error: {exc}", file=_sys.stderr)
         return 1
 

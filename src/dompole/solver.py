@@ -100,6 +100,8 @@ _SINGULAR_NUDGE = 1e-11
 # for two sweeps running, is in a period-2 orbit.
 _CONJUGATE_RADIUS = 5e-2
 _TWO_CYCLE_RATIO = 0.1
+# Two reported poles closer than this, relative, are conjugate duplicates.
+_DUPLICATE_RTOL = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -133,10 +135,16 @@ class ShiftState:
 
     X and Y hold the normalized right/left columns for the shifts they were
     last computed at; converged columns are frozen and never recomputed, and
-    their shift is the locked eigenvalue. ``iter`` is the current sweep (0
-    before the first), ``cond`` is cond(B) of the last sweep's active block
-    (cond(W^T V) while no column is locked), and ``events`` collects every
-    intervention of the run, each stamped with the sweep it happened in.
+    their shift is the locked eigenvalue. ``final_residuals`` holds each
+    column's last checked residual pair (its locking one once converged).
+    ``iter`` is the current sweep (0 before the first), ``cond`` is cond(B)
+    of the last sweep's active block (cond(W^T V) while no column is
+    locked), and ``events`` collects every intervention of the run, each
+    stamped with the sweep it happened in. ``trajectories`` holds the shift
+    tuple after each sweep (the first after the initial solves) and
+    ``residual_history`` the residual pairs of each check; ``t0`` is the
+    ``perf_counter`` start and ``lock_time`` each column's seconds from it
+    to its lock.
     """
 
     shifts: np.ndarray
@@ -146,10 +154,14 @@ class ShiftState:
     converged: np.ndarray
     iterations: np.ndarray
     final_residuals: np.ndarray
+    lock_time: np.ndarray
     ndyn: int
     iter: int = 0
     cond: float = math.nan
     events: list = field(default_factory=list)
+    trajectories: list = field(default_factory=list)
+    residual_history: list = field(default_factory=list)
+    t0: float = field(default_factory=time.perf_counter)
 
     @classmethod
     def start(cls, sys, shifts):
@@ -164,6 +176,7 @@ class ShiftState:
             converged=np.zeros(p, dtype=bool),
             iterations=np.zeros(p, dtype=np.int64),
             final_residuals=np.full((p, 2), np.nan),
+            lock_time=np.zeros(p),
             ndyn=sys.ndyn,
         )
 
@@ -179,14 +192,15 @@ class ShiftState:
         return np.flatnonzero(~self.converged)
 
 
-def init_shifts(pattern, p=None, scale=DEFAULT_FAN_SCALE, center=-1.0 + 0.0j, radius=1.0):
+def init_shifts(pattern, p=None, scale=DEFAULT_FAN_SCALE):
     """Build an initial shift tuple.
 
     ``pattern`` is either an explicit sequence of complex shifts, ``"fan"``
     (``mu_k = k * scale`` for k = 1..p; the default scale -1/20 + i/2 spreads
-    the fan along the upper-left quadrant), or ``"ring"`` (p points on the
-    circle ``center + radius * exp(i theta)``, offset half a step so none
-    lands on the imaginary axis).
+    the fan along the upper-left quadrant), or ``"ring"`` (p points
+    ``-1 + exp(i theta)``, ``theta = 2 pi (k + 1/2) / p``; the half-step
+    offset keeps every point off the imaginary axis, in the open left
+    half-plane).
     """
     if isinstance(pattern, str):
         name = pattern.lower()
@@ -196,10 +210,7 @@ def init_shifts(pattern, p=None, scale=DEFAULT_FAN_SCALE, center=-1.0 + 0.0j, ra
             return np.arange(1, p + 1, dtype=np.complex128) * complex(scale)
         if name == "ring":
             theta = 2.0 * np.pi * (np.arange(p) + 0.5) / p
-            pts = complex(center) + float(radius) * np.exp(1j * theta)
-            if np.any(pts.real >= 0):
-                raise ValueError("ring leaves the left half-plane; shrink radius")
-            return pts
+            return -1.0 + np.exp(1j * theta)
         raise ValueError(f"unknown shift pattern '{pattern}'")
     arr = np.asarray(list(pattern), dtype=np.complex128)
     if arr.ndim != 1 or arr.size == 0:
@@ -276,8 +287,21 @@ def _compute_column(sys, state, j):
 
 
 def refresh_columns(sys, state):
-    """Recompute the X/Y columns of every active shift."""
-    for j in state.active_indices():
+    """Recompute the X/Y columns of every active shift, in column order.
+
+    Just before its solve, a shift within _COLLISION_EPS of a locked
+    eigenvalue or of an earlier active column's shift is kicked off it with
+    growing steps, one "collision" event per kick.
+    """
+    act = state.active_indices()
+    for idx, j in enumerate(act):
+        k = 0
+        while _nearest_taken(state, state.shifts[j], act[:idx]) <= _COLLISION_EPS:
+            k += 1
+            if k > state.p + 4:
+                raise SolverError(f"cannot separate shift for column {j}")
+            state.shifts[j] = _kick(state.shifts[j], k)
+            _event(state, j, "collision", state.shifts[j])
         _compute_column(sys, state, j)
 
 
@@ -395,33 +419,32 @@ def _residual_pair(sys, shift, x, y):
 
 
 def check_convergence(sys, state, new_shifts, tol):
-    """Relative residuals of the stored vectors against the new shifts.
+    """Relative residuals of the active columns' vectors against the new shifts.
 
         right_j = ||(J - s_j E) X e_j|| / ||X e_j||
         left_j  = ||(J^T - s_j E) Y e_j|| / ||Y e_j||
 
     using the vectors from the previous sweep, so convergence costs no extra
-    solve. A column converges only when both residuals are at or below tol.
-    Already-converged columns report their stored residuals.
+    solve. Stores them in ``state.final_residuals`` (locked columns keep
+    theirs), appends a copy of it to ``state.residual_history``, and returns
+    the active columns whose residuals are both at or below tol.
     """
-    new_shifts = np.asarray(new_shifts, dtype=np.complex128)
-    flags = state.converged.copy()
-    residuals = state.final_residuals.copy()
-    for j in state.active_indices():
-        r, l = _residual_pair(sys, new_shifts[j], state.X[:, j], state.Y[:, j])
-        residuals[j] = (r, l)
-        flags[j] = (r <= tol) and (l <= tol)
-    return flags, residuals
+    act = state.active_indices()
+    for j in act:
+        state.final_residuals[j] = _residual_pair(sys, new_shifts[j], state.X[:, j], state.Y[:, j])
+    state.residual_history.append(state.final_residuals.copy())
+    return act[(state.final_residuals[act] <= tol).all(axis=1)]
 
 
 def deflate(state, j, eigenvalue):
-    """Lock column j at the converged eigenvalue in the current sweep and
-    freeze its vectors."""
+    """Lock column j at the converged eigenvalue in the current sweep, freeze
+    its vectors and stamp its lock time."""
     if state.converged[j]:
         raise SolverError(f"column {j} is already deflated")
     state.converged[j] = True
     state.shifts[j] = complex(eigenvalue)
     state.iterations[j] = state.iter
+    state.lock_time[j] = time.perf_counter() - state.t0
 
 
 def estimate_residue(state, j):
@@ -515,8 +538,9 @@ class RunReport:
     def upper_half_count(self):
         return sum(1 for p in self.poles if p.eigenvalue.imag > 0)
 
-    def conjugate_duplicates(self, tol=1e-6):
-        """Index pairs (i, j) of poles equal up to conjugation.
+    def conjugate_duplicates(self):
+        """Index pairs (i, j) of poles equal up to conjugation, to
+        _DUPLICATE_RTOL relative (absolute below magnitude 1).
 
         Duplicates are reported, not suppressed: shifts started in one
         half-plane are free to converge in the other.
@@ -525,11 +549,8 @@ class RunReport:
         vals = [p.eigenvalue for p in self.poles]
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
-                scale = max(1.0, abs(vals[i]))
-                if (
-                    abs(vals[i] - vals[j]) <= tol * scale
-                    or abs(vals[i] - vals[j].conjugate()) <= tol * scale
-                ):
+                tol = _DUPLICATE_RTOL * max(1.0, abs(vals[i]))
+                if abs(vals[i] - vals[j]) <= tol or abs(vals[i] - vals[j].conjugate()) <= tol:
                     pairs.append((i, j))
         return pairs
 
@@ -555,27 +576,15 @@ class RunReport:
         }
 
 
-def _perturb_collisions(state):
-    """Push apart active shifts that sit within _COLLISION_EPS of any earlier
-    active shift or any locked eigenvalue (the later column moves)."""
-    act = state.active_indices()
-    for idx, j in enumerate(act):
-        k = 0
-        while _nearest_taken(state, state.shifts[j], act[:idx]) <= _COLLISION_EPS:
-            k += 1
-            if k > state.p + 4:
-                raise SolverError(f"cannot separate shift for column {j}")
-            state.shifts[j] = _kick(state.shifts[j], k)
-            _event(state, j, "collision", state.shifts[j])
-
-
-def _break_two_cycles(state, trajectories):
+def _break_two_cycles(state):
     """Move each active column whose new shift is back within
     _TWO_CYCLE_RATIO of its step to where it was two sweeps earlier, and was
     so one sweep before too, to the midpoint of its last step."""
+    if len(state.trajectories) < 3:
+        return
     act = state.active_indices()
     d = state.shifts[act]
-    t1, t2, t3 = (trajectories[-i][act] for i in (1, 2, 3))
+    t1, t2, t3 = (state.trajectories[-i][act] for i in (1, 2, 3))
     cycling = (np.abs(d - t2) < _TWO_CYCLE_RATIO * np.abs(d - t1)) & (
         np.abs(t1 - t3) < _TWO_CYCLE_RATIO * np.abs(t1 - t2)
     )
@@ -587,9 +596,8 @@ def _break_two_cycles(state, trajectories):
 def _lock_conjugates(state):
     """For a real system: lock each active column whose shift lies within
     _CONJUGATE_RADIUS |lambda| of conj(lambda), for a locked complex pole
-    lambda whose conjugate no column holds, with lambda's conjugated vectors;
-    nearest hits first, one column per conjugate. Returns the locked columns.
-    """
+    lambda whose conjugate no column holds, with lambda's conjugated vectors
+    and residuals; nearest hits first, one column per conjugate."""
     done = np.flatnonzero(state.converged)
     lam = state.shifts[done]
     complex_ = np.abs(lam.imag) > _COLLISION_EPS * np.abs(lam)
@@ -597,7 +605,6 @@ def _lock_conjugates(state):
     act = state.active_indices()
     dist = np.abs(state.shifts[act][:, None] - targets[None, :])
     rows, cols = np.nonzero(dist <= _CONJUGATE_RADIUS * np.abs(targets))
-    locked = []
     for i in np.argsort(dist[rows, cols], kind="stable"):
         j, k, z = act[rows[i]], src[cols[i]], targets[cols[i]]
         if state.converged[j] or _nearest_taken(state, z) <= _COLLISION_EPS:
@@ -608,8 +615,6 @@ def _lock_conjugates(state):
         deflate(state, j, z)
         state.final_residuals[j] = state.final_residuals[k]
         _event(state, j, "conjugate-locked", z)
-        locked.append(j)
-    return locked
 
 
 def run(sys, config, initial_shifts=None):
@@ -635,22 +640,13 @@ def run(sys, config, initial_shifts=None):
     real = not (sys.J.data.imag.any() or sys.B.imag.any() or sys.C.imag.any())
 
     state = ShiftState.start(sys, shifts)
-    t0 = time.perf_counter()
-    conv_time = np.zeros(config.p)
-
-    _perturb_collisions(state)
     refresh_columns(sys, state)
-    trajectories = [state.shifts.copy()]
-    residual_history = []
+    state.trajectories.append(state.shifts.copy())
 
     while state.iter < config.max_iter:
         state.iter += 1
         new_shifts = step(sys, state)
-        flags, residuals = check_convergence(sys, state, new_shifts, config.tol)
-        residual_history.append(residuals)
-        for j in state.active_indices():
-            if not flags[j]:
-                continue
+        for j in check_convergence(sys, state, new_shifts, config.tol):
             # lock at the frozen vectors' two-sided Rayleigh quotient; an exact
             # duplicate of a locked eigenvalue would freeze two parallel columns
             # into W^T V forever, so that column stays active for the collision
@@ -662,19 +658,14 @@ def run(sys, config, initial_shifts=None):
                 _event(state, j, "duplicate-deferred", lam)
                 continue
             deflate(state, j, lam)
-            state.final_residuals[j] = residuals[j]
-            conv_time[j] = time.perf_counter() - t0
         act = state.active_indices()
         state.shifts[act] = new_shifts[act]
-        if len(trajectories) >= 3:
-            _break_two_cycles(state, trajectories)
+        _break_two_cycles(state)
         if real:
-            for j in _lock_conjugates(state):
-                conv_time[j] = time.perf_counter() - t0
-        trajectories.append(state.shifts.copy())
+            _lock_conjugates(state)
+        state.trajectories.append(state.shifts.copy())
         if state.all_converged:
             break
-        _perturb_collisions(state)
         refresh_columns(sys, state)
 
     poles = []
@@ -690,37 +681,32 @@ def run(sys, config, initial_shifts=None):
                 dominance=dominance(residue, lam),
                 damping_ratio=damping_ratio(lam),
                 iterations=int(state.iterations[j]),
-                final_residuals=(
-                    float(state.final_residuals[j, 0]),
-                    float(state.final_residuals[j, 1]),
-                ),
-                time_s=float(conv_time[j]),
+                final_residuals=tuple(state.final_residuals[j].tolist()),
+                time_s=float(state.lock_time[j]),
             )
         )
     poles.sort(key=lambda p: dominance_sort_key(p.eigenvalue, p.dominance))
 
-    unconverged = []
-    last = residual_history[-1] if residual_history else np.full((config.p, 2), np.nan)
-    for j in state.active_indices():
-        unconverged.append(
-            {
-                "column": int(j),
-                "re": float(state.shifts[j].real),
-                "im": float(state.shifts[j].imag),
-                "residual_right": float(last[j, 0]),
-                "residual_left": float(last[j, 1]),
-                "iterations": int(state.iter),
-            }
-        )
+    unconverged = [
+        {
+            "column": int(j),
+            "re": float(state.shifts[j].real),
+            "im": float(state.shifts[j].imag),
+            "residual_right": float(state.final_residuals[j, 0]),
+            "residual_left": float(state.final_residuals[j, 1]),
+            "iterations": int(state.iter),
+        }
+        for j in state.active_indices()
+    ]
 
     return RunReport(
         method=config.method,
         config=asdict(config),
         poles=poles,
         unconverged=unconverged,
-        trajectories=trajectories,
-        residual_history=residual_history,
+        trajectories=state.trajectories,
+        residual_history=state.residual_history,
         events=state.events,
-        total_time_s=time.perf_counter() - t0,
+        total_time_s=time.perf_counter() - state.t0,
         all_converged=state.all_converged,
     )

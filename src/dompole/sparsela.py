@@ -217,9 +217,7 @@ class Factorization:
     """LU factors of ``A[:, cols]``, for A in its natural column order.
 
     A is the SparseMatrix given to ``factorize``, or ``J - sE`` for a
-    ShiftedMatrix, whose ``csc`` is ``A[:, cols]``. ``lu.perm_r`` and
-    ``perm_c`` satisfy ``Pr @ A @ Pc = L @ U`` with ``L = lu.L``, ``U = lu.U``,
-    ``Pr[lu.perm_r[i], i] = 1`` and ``Pc[i, perm_c[i]] = 1``.
+    ShiftedMatrix, whose ``csc`` is ``A[:, cols]``.
     ``pivot_growth``, ``max|U| / max|A|``, is computed when it is read.
     """
 
@@ -231,11 +229,6 @@ class Factorization:
         self.max_abs = max_abs
 
     order = property(lambda self: self.cols.size)
-
-    @property
-    def perm_c(self):
-        # column cols[j] of A is column j of the factored matrix
-        return self.lu.perm_c[np.argsort(self.cols)]
 
     @property
     def pivot_growth(self):

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from dompole.cli import main
 from dompole.generator import load_ground_truth
 from dompole.mmio import write_array, write_coordinate
-from dompole.sparsela import SparseMatrix
+from dompole.sparsela import EigenSolverError, SparseMatrix
 
 
 @pytest.fixture
@@ -130,6 +130,19 @@ class TestPoles:
         err = capsys.readouterr().err
         assert err.startswith("solver error: factorization stayed singular")
         assert "structurally singular" in err
+
+    def test_failed_qz_is_a_solver_error(self, toy_manifest, tmp_path, capsys, monkeypatch):
+        import dompole.solver as solver
+
+        def failing(A, B):
+            raise EigenSolverError("eigenvalue iteration failed: QZ did not converge")
+
+        monkeypatch.setattr(solver, "dense_eig", failing)
+        out = tmp_path / "report.json"
+        assert main(["poles", str(toy_manifest), "--shifts", " -0.5,-2.5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "solver error: eigenvalue iteration failed: QZ did not converge\n"
+        assert not out.exists()
 
     def test_csv_output(self, toy_manifest, tmp_path):
         csv = tmp_path / "poles.csv"

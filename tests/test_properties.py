@@ -3,13 +3,17 @@ systems, and the shifted LU against dense algebra on drawn matrices.
 Examples are derandomized and few, so the suite stays deterministic and
 fast."""
 
+import json
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from dompole.descriptor import DescriptorSystem  # noqa: E402
 from dompole.generator import build_system, sample_spectrum  # noqa: E402
 from dompole.oracle import reference_F, residues  # noqa: E402
 from dompole.solver import (  # noqa: E402
@@ -137,6 +141,58 @@ def test_a_real_systems_poles_come_in_conjugate_pairs(gen, data):
         # residues carry first-order error from vectors converged to tol
         R = table.residues[k]
         assert abs(R - pole.residue.conjugate()) <= 1e-3 * abs(R)
+
+
+def with_imaginary_offset(system, gamma):
+    """The system with i gamma added to J's first ndyn diagonal entries.
+
+    ``J + i gamma E - s E = J - (s - i gamma) E``, so h(s) becomes
+    h(s - i gamma): the spectrum moves by i gamma and every residue stays.
+    """
+    offset = sp.diags(1j * gamma * (np.arange(system.order) < system.ndyn))
+    J = SparseMatrix.from_scipy(system.J.to_scipy() + offset)
+    return DescriptorSystem(J, system.ndyn, system.B, system.C, system.D)
+
+
+def timeless(report):
+    """The report as JSON text without its time fields."""
+    data = report.to_dict()
+    del data["total_time_s"]
+    for row in data["poles"]:
+        del row["time_s"]
+    return json.dumps(data, sort_keys=True)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@PROPERTY
+@given(gen=systems(), data=st.data(), method=st.sampled_from(["dpse", "ddpse"]))
+def test_run_finds_true_poles_and_residues_and_repeats_itself(kind, gen, data, method):
+    # a complex system is the real one moved by i gamma, so the real one's
+    # dense oracle serves both
+    n = gen.system.ndyn
+    p = data.draw(st.integers(1, min(4, n)), label="p")
+    gamma = data.draw(st.floats(0.1, 3.0), label="gamma") if kind == "complex" else 0.0
+    system = with_imaginary_offset(gen.system, gamma) if gamma else gen.system
+    table = residues(gen.state_space)
+    spec = table.eigenvalues + 1j * gamma
+    shifts = off_mode_shifts(gen, data, p) + 1j * gamma
+    if p >= 2 and data.draw(st.booleans(), label="mirrored"):
+        # columns 0 and 1 start near a complex pole and near its conjugate;
+        # on a real system, column 1 often locks at that conjugate
+        lam = data.draw(st.sampled_from(list(spec[spec.imag > 0.5])), label="pole")
+        near = data.draw(st.floats(0.001, 0.02), label="near")
+        far = data.draw(st.floats(0.001, 0.02), label="far")
+        shifts[:2] = lam * (1 + near * 1j), lam.conjugate() * (1 - far * 1j)
+    config = SolverConfig(method=method, p=p)
+    report = run(system, config, shifts)
+    for pole in report.poles:
+        k = int(np.argmin(np.abs(spec - pole.eigenvalue)))
+        assert abs(spec[k] - pole.eigenvalue) <= 1e-8 * abs(spec[k])
+        # residues carry first-order error from vectors converged to tol
+        assert abs(table.residues[k] - pole.residue) <= 1e-3 * abs(table.residues[k])
+    if kind == "complex":
+        assert not any(e["kind"] == "conjugate-locked" for e in report.events)
+    assert timeless(run(system, config, shifts)) == timeless(report)
 
 
 @st.composite

@@ -47,7 +47,7 @@ class TestInitShifts:
         assert_allclose(init_shifts("fan", 1), [DEFAULT_FAN_SCALE])
 
     def test_ring(self):
-        s = init_shifts("ring", 4, center=-1.0, radius=1.0)
+        s = init_shifts("ring", 4)
         assert_allclose(np.abs(s + 1.0), np.ones(4))
         assert (s.real < 0).all()
 
@@ -57,10 +57,6 @@ class TestInitShifts:
     def test_explicit_length_mismatch(self):
         with pytest.raises(ValueError, match="explicit shifts"):
             init_shifts([-0.5], p=2)
-
-    def test_ring_outside_left_half_plane(self):
-        with pytest.raises(ValueError, match="left half-plane"):
-            init_shifts("ring", 8, center=-0.1, radius=1.0)
 
 
 class TestAssembleProjection:
@@ -171,16 +167,15 @@ class TestCheckConvergence:
         state = ShiftState.start(sys, np.array([-1.0 + 0j]))
         state.X[:, 0] = [1.0, 0.0]
         state.Y[:, 0] = [1.0, 0.0]
-        flags, res = check_convergence(sys, state, np.array([-1.0 + 0j]), 1e-5)
-        assert flags[0]
-        assert_allclose(res[0], [0.0, 0.0], atol=1e-15)
+        assert list(check_convergence(sys, state, np.array([-1.0 + 0j]), 1e-5)) == [0]
+        assert_allclose(state.final_residuals[0], [0.0, 0.0], atol=1e-15)
+        assert len(state.residual_history) == 1
 
     def test_worked_residual_value(self):
         sys = two_state()
         state = prepared_state(sys, [-0.5, -2.5])
-        flags, res = check_convergence(sys, state, np.array([-1.0, -3.0]), 1e-5)
-        assert res[0, 0] == pytest.approx(2.0 / np.sqrt(26.0), abs=1e-12)
-        assert not flags.any()
+        assert not check_convergence(sys, state, np.array([-1.0, -3.0]), 1e-5).size
+        assert state.final_residuals[0, 0] == pytest.approx(2.0 / np.sqrt(26.0), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_update_formula_equivalence(self, seed):
@@ -236,14 +231,25 @@ class TestDeflation:
         deflate(state, 1, -3.0)
         assert list(step(sys, state)) == [-1.0, -3.0]
 
+    def test_refresh_kicks_shifts_off_earlier_and_locked_ones(self):
+        sys = two_state()
+        state = prepared_state(sys, [-0.5, -0.5])
+        assert list(state.shifts) == [-0.5, -0.5 + 1e-6 * (1 + 1j)]
+        deflate(state, 0, -1.0)
+        state.shifts[1] = -1.0
+        refresh_columns(sys, state)
+        assert state.shifts[1] == -1.0 + 1e-6 * (1 + 1j)
+        assert [(e["kind"], e["column"]) for e in state.events] == [("collision", 1)] * 2
+
     def test_deflated_residuals_not_recomputed(self):
         sys = two_state()
         state = prepared_state(sys, [-0.5, -2.5])
         deflate(state, 0, -1.0)
         state.final_residuals[0] = (1e-9, 2e-9)
-        flags, res = check_convergence(sys, state, np.array([-1.0, -3.0]), 1e-5)
-        assert flags[0]
-        assert_allclose(res[0], [1e-9, 2e-9])
+        # the locked column is neither checked nor returned again
+        assert 0 not in check_convergence(sys, state, np.array([-1.0, -3.0]), 1e-5)
+        assert_allclose(state.final_residuals[0], [1e-9, 2e-9])
+        assert_allclose(state.residual_history[-1][0], [1e-9, 2e-9])
 
 
 class TestResidueEstimate:
@@ -583,7 +589,7 @@ class TestConjugateLock:
     def test_column_locks_before_it_converges_there(self, monkeypatch):
         import dompole.solver as solver
 
-        monkeypatch.setattr(solver, "_lock_conjugates", lambda state: [])
+        monkeypatch.setattr(solver, "_lock_conjugates", lambda state: None)
         report = run(pair_system(), SolverConfig(p=2), PAIR_SHIFTS)
         assert not report.events
         lower = min(report.poles, key=lambda p: p.eigenvalue.imag)
@@ -602,11 +608,13 @@ class TestConjugateLock:
         shifts = [lam, lam.conjugate() + 0.01, lam.conjugate() - 0.02j]
         state = prepared_state(pair_system(), shifts)
         deflate(state, 0, lam)
-        assert _lock_conjugates(state) == [1]
+        _lock_conjugates(state)
+        assert list(state.converged) == [True, True, False]
         assert state.shifts[1] == lam.conjugate()
-        assert not state.converged[2]
+        assert [e["kind"] for e in state.events].count("conjugate-locked") == 1
         # both lam and its conjugate are held: column 2 stays active
-        assert _lock_conjugates(state) == []
+        _lock_conjugates(state)
+        assert list(state.converged) == [True, True, False]
         assert state.shifts[2] == lam.conjugate() - 0.02j
 
     def test_two_cycle_is_broken_at_its_midpoint(self, monkeypatch):

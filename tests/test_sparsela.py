@@ -204,16 +204,6 @@ class TestFactorize:
             factorize(shifted(J, 1, -1e12))
         assert factorize(shifted(J, 1, -1.0)).max_abs == 1.0
 
-    def test_perm_c_orders_the_given_matrix(self):
-        rng = np.random.default_rng(8)
-        A = random_sparse(rng, 30, density=0.1, complex_vals=True)
-        fac = factorize(A)
-        n = A.nrows
-        Pc = sp.csc_matrix((np.ones(n), (np.arange(n), fac.perm_c)), shape=(n, n))
-        # A @ Pc is the matrix SuperLU factored
-        assert_array_equal((A.to_scipy() @ Pc).toarray(), shifted(A, 0, 0).csc.toarray())
-        assert reconstruction_error(shifted(A, 0, 0), fac) <= 1e-12
-
     def test_reconstruction_50(self):
         rng = np.random.default_rng(7)
         M = shifted(random_sparse(rng, 50, complex_vals=True), 0, 0)
