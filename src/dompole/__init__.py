@@ -14,7 +14,6 @@ from .descriptor import (
     ManifestError,
     StateSpaceSystem,
     VanishingNormalizerError,
-    apply_resolvent,
     eval_transfer,
     load_manifest,
     load_system,
@@ -38,7 +37,6 @@ from .solver import (
     ShiftState,
     SolverConfig,
     SolverError,
-    assemble_projection,
     check_convergence,
     ddpse_step,
     deflate,
@@ -79,8 +77,6 @@ __all__ = [
     "ShiftState",
     "PoleResult",
     "RunReport",
-    "apply_resolvent",
-    "assemble_projection",
     "build_system",
     "check_convergence",
     "ddpse_step",

@@ -39,7 +39,7 @@ __all__ = [
     "block_nnz",
     "reduce_to_state_space",
     "eval_transfer",
-    "apply_resolvent",
+    "feedthrough",
     "normalized_vectors",
     "load_manifest",
     "save_manifest",
@@ -252,20 +252,18 @@ def eval_transfer(sys, s):
     return TransferSample(s, complex(-(sys.C @ x) + sys.D))
 
 
-def apply_resolvent(sys, s, x):
-    """Apply ``(A - sI)^-1`` to a dynamic-block vector without forming A.
-
-    Solves the full system ``(J - sE) (z; w) = (x; 0)`` and returns the
-    dynamic part z.
-    """
+def feedthrough(sys):
+    """``kappa = C_a^T J4^-1 B_a``, the limit of ``C^T (J - sE)^-1 B`` as |s|
+    grows (the reduced model has ``d = D - kappa``), from one sparse LU of J4:
+    0 unless B and C both have algebraic entries, and 0 for a singular J4."""
     n = sys.ndyn
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (n,):
-        raise ValueError(f"x must have length ndyn = {n}")
-    rhs = np.zeros(sys.order, dtype=np.complex128)
-    rhs[:n] = x
-    fac = factorize(shifted(sys.J, n, s))
-    return fac.solve(rhs)[:n]
+    if not (sys.B[n:].any() and sys.C[n:].any()):
+        return 0j
+    try:
+        fac = factorize(SparseMatrix.from_scipy(sys.J.to_scipy()[n:, n:]))
+    except SingularMatrixError:
+        return 0j
+    return complex(sys.C[n:] @ fac.solve(sys.B[n:]))
 
 
 def normalized_vectors(sys, s, min_normalizer=0.0):

@@ -5,11 +5,15 @@ active shift s_j, the two systems ``(J - s_j E) x = B`` and
 ``(J - s_j E)^T y = C`` (one factorization each), normalizes both solutions
 by ``nu_j = C^T (J - s_j E)^-1 B``, and collects the columns into blocks
 X and Y. Writing W, V for the dynamic-row blocks of Y, X, the normalization
-gives ``W^T b = e``, so the projected pencil assembles without ever touching
-the state matrix:
+gives ``W^T b = w = 1 - kappa vhat``, so the projected pencil assembles
+without ever touching the state matrix:
 
-    G = W^T A V = (W^T V) S + e vhat^T,   F = (W^T V)^-1 G,
-    S = diag(shifts),   vhat_j = 1 / nu_j,   e = ones(p).
+    G = W^T A V = (W^T V) S + w vhat^T,   F = (W^T V)^-1 G,
+    S = diag(shifts),   vhat_j = 1 / nu_j,   kappa = C_a^T J4^-1 B_a.
+
+kappa (``descriptor.feedthrough``) is the limit of nu as |s| grows. Taking
+ones(p) for w would project the pencil (J, E) itself, which a nonzero kappa
+draws towards the infinite eigenvalues of E.
 
 The full method ("dpse") takes the eigenvalues of the pencil (G, W^T V) as
 the next shift tuple, matched back to the previous one; QZ computes them
@@ -17,7 +21,7 @@ without inverting W^T V. A numerically rank-deficient W^T V (redundant
 columns: more shifts than the directions their vectors span) shows up as
 non-finite eigenvalues, and each such column is re-seeded at the mean
 active shift with a "redundant-column" event. The diagonal variant
-("ddpse") takes diag(F) = s + vhat * (W^T V)^-1 e, which costs no
+("ddpse") takes diag(F) = s + vhat * (W^T V)^-1 w, which costs no
 eigensolve, while cond(B) <= 1e8 (B below); beyond that it takes dpse's
 pencil sweep and emits an "ill-conditioned-projection" event. Any tuple of
 distinct eigenvalues is a fixed point of either map, and both converge
@@ -25,10 +29,11 @@ quadratically near one.
 
 Converged columns freeze their vectors and lock at their two-sided Rayleigh
 quotient ``(y^T J x) / (y^T E x)``, DPA's Newton update, quadratically
-accurate in the residual. With vhat_j = 0, column j of G is
+accurate in the residual; ``check_convergence`` reads it off the ``J X``
+product that gives the right residuals. With vhat_j = 0, column j of G is
 ``lambda_j W^T V e_j``, so both steps work on the active block only: the
 pencil ``(B S_A + q vhat_A^T, B)`` with ``B = Q (W^T V)[:, act]`` and
-``q = Q e``, the rows of Q spanning the complement of the locked columns of
+``q = Q w``, the rows of Q spanning the complement of the locked columns of
 W^T V. A locked value leaves the pencil once and enters no later sweep.
 
 On a real system (J, B and C real), a locked complex pole lambda also gives
@@ -44,12 +49,13 @@ is moved to the midpoint of its orbit ("two-cycle").
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .descriptor import VanishingNormalizerError, normalized_vectors
+from .descriptor import VanishingNormalizerError, feedthrough, normalized_vectors
 from .sparsela import SingularMatrixError, dense_eig
 
 __all__ = [
@@ -61,7 +67,6 @@ __all__ = [
     "DEFAULT_FAN_SCALE",
     "init_shifts",
     "refresh_columns",
-    "assemble_projection",
     "dpse_step",
     "ddpse_step",
     "match_shifts",
@@ -121,12 +126,13 @@ class SolverConfig:
         self.method = str(self.method).lower()
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}")
-        if self.p < 1:
-            raise ValueError("p must be at least 1")
+        for name in ("p", "max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+            setattr(self, name, int(value))
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -144,7 +150,7 @@ class ShiftState:
     tuple after each sweep (the first after the initial solves) and
     ``residual_history`` the residual pairs of each check; ``t0`` is the
     ``perf_counter`` start and ``lock_time`` each column's seconds from it
-    to its lock.
+    to its lock. ``kappa`` is the system's ``feedthrough``.
     """
 
     shifts: np.ndarray
@@ -156,6 +162,7 @@ class ShiftState:
     final_residuals: np.ndarray
     lock_time: np.ndarray
     ndyn: int
+    kappa: complex
     iter: int = 0
     cond: float = math.nan
     events: list = field(default_factory=list)
@@ -178,6 +185,7 @@ class ShiftState:
             final_residuals=np.full((p, 2), np.nan),
             lock_time=np.zeros(p),
             ndyn=sys.ndyn,
+            kappa=feedthrough(sys),
         )
 
     @property
@@ -308,33 +316,19 @@ def refresh_columns(sys, state):
 def _projection_parts(sys, state):
     """The active block ``(B, q)`` of the projected pencil, built once per sweep.
 
-    ``B = Q (W^T V)[:, act]`` and ``q = Q e``, where the rows of Q span the
+    ``B = Q (W^T V)[:, act]`` and ``q = Q w``, where the rows of Q span the
     complement of the locked columns of W^T V, from one complete QR; with no
-    locked column, B is W^T V and q is e. Records cond(B) in ``state.cond``,
-    from which ``ddpse_step`` chooses its update.
+    locked column, B is W^T V and q is ``w = 1 - kappa vhat``. Records cond(B)
+    in ``state.cond``, from which ``ddpse_step`` chooses its update.
     """
     wtv = state.Y[: sys.ndyn].T @ state.X[: sys.ndyn]
-    q = np.ones(state.p, dtype=np.complex128)
+    q = 1.0 - state.kappa / state.normalizers
     locked = state.converged
     if locked.any():
         Q = np.linalg.qr(wtv[:, locked], mode="complete")[0][:, locked.sum():].conj().T
         wtv, q = Q @ wtv[:, ~locked], Q @ q
     state.cond = float(np.linalg.cond(wtv)) if wtv.size else 1.0  # 0-by-0: all locked
     return wtv, q
-
-
-def assemble_projection(sys, state):
-    """The p-by-p projected matrix F = (W^T V)^-1 G for the current state.
-
-    Formed as ``diag(S) + (W^T V)^-1 e vhat^T`` with vhat_j = 0 on converged
-    columns, so that ``F e_j = lambda_j e_j`` exactly and locked eigenvalues
-    stay in the spectrum of F. The solver never forms F: it works on F's
-    active block (``_projection_parts``).
-    """
-    wtv = state.Y[: sys.ndyn].T @ state.X[: sys.ndyn]
-    u = np.linalg.solve(wtv, np.ones(state.p, dtype=np.complex128))
-    vhat = np.where(state.converged, 0.0, 1.0 / state.normalizers)
-    return np.outer(u, vhat) + np.diag(state.shifts)
 
 
 def match_shifts(old, candidates):
@@ -406,18 +400,6 @@ def _fallback_step(parts, state):
     return _pencil_sweep(*parts, state)
 
 
-def _residual_pair(sys, shift, x, y):
-    n = sys.ndyn
-    rx = sys.J.matvec(x)
-    rx[:n] -= shift * x[:n]
-    ry = sys.J.matvec_t(y)
-    ry[:n] -= shift * y[:n]
-    return (
-        float(np.linalg.norm(rx) / np.linalg.norm(x)),
-        float(np.linalg.norm(ry) / np.linalg.norm(y)),
-    )
-
-
 def check_convergence(sys, state, new_shifts, tol):
     """Relative residuals of the active columns' vectors against the new shifts.
 
@@ -425,15 +407,25 @@ def check_convergence(sys, state, new_shifts, tol):
         left_j  = ||(J^T - s_j E) Y e_j|| / ||Y e_j||
 
     using the vectors from the previous sweep, so convergence costs no extra
-    solve. Stores them in ``state.final_residuals`` (locked columns keep
-    theirs), appends a copy of it to ``state.residual_history``, and returns
-    the active columns whose residuals are both at or below tol.
+    solve, and one ``J X`` and one ``J^T Y`` product over the active block.
+    Stores them in ``state.final_residuals`` (locked columns keep theirs),
+    appends a copy of it to ``state.residual_history``, and returns the
+    active columns whose residuals are both at or below tol, with their
+    two-sided Rayleigh quotients ``(y^T J x) / (y^T E x)``.
     """
     act = state.active_indices()
-    for j in act:
-        state.final_residuals[j] = _residual_pair(sys, new_shifts[j], state.X[:, j], state.Y[:, j])
-    state.residual_history.append(state.final_residuals.copy())
-    return act[(state.final_residuals[act] <= tol).all(axis=1)]
+    n, s = sys.ndyn, new_shifts[act]
+    X, Y = state.X[:, act], state.Y[:, act]
+    JX, JtY = sys.J.matvec(X), sys.J.matvec_t(Y)
+    yjx = np.einsum("ij,ij->j", Y, JX)
+    JX[:n] -= s * X[:n]
+    JtY[:n] -= s * Y[:n]
+    res = state.final_residuals
+    res[act, 0] = np.linalg.norm(JX, axis=0) / np.linalg.norm(X, axis=0)
+    res[act, 1] = np.linalg.norm(JtY, axis=0) / np.linalg.norm(Y, axis=0)
+    state.residual_history.append(res.copy())
+    ok = (res[act] <= tol).all(axis=1)
+    return act[ok], yjx[ok] / np.einsum("ij,ij->j", Y[:n, ok], X[:n, ok])
 
 
 def deflate(state, j, eigenvalue):
@@ -624,14 +616,7 @@ def run(sys, config, initial_shifts=None):
     dominant first) holds the converged results; columns that hit max_iter
     are reported in ``unconverged`` instead of aborting the run.
     """
-    if initial_shifts is None:
-        shifts = init_shifts("fan", config.p)
-    else:
-        shifts = np.asarray(initial_shifts, dtype=np.complex128).copy()
-        if shifts.shape != (config.p,):
-            raise ValueError(
-                f"initial shifts have shape {shifts.shape}, expected ({config.p},)"
-            )
+    shifts = init_shifts("fan" if initial_shifts is None else initial_shifts, config.p)
     if config.p > sys.ndyn:
         raise ValueError(
             f"p = {config.p} exceeds the {sys.ndyn} dynamic states of the system"
@@ -646,14 +631,12 @@ def run(sys, config, initial_shifts=None):
     while state.iter < config.max_iter:
         state.iter += 1
         new_shifts = step(sys, state)
-        for j in check_convergence(sys, state, new_shifts, config.tol):
+        for j, lam in zip(*check_convergence(sys, state, new_shifts, config.tol)):
             # lock at the frozen vectors' two-sided Rayleigh quotient; an exact
             # duplicate of a locked eigenvalue would freeze two parallel columns
             # into W^T V forever, so that column stays active for the collision
             # machinery (a conjugate duplicate locks here too, but on a real
             # system _lock_conjugates usually takes its column sweeps earlier)
-            x, y = state.X[:, j], state.Y[:, j]
-            lam = (y @ sys.J.matvec(x)) / (y[: sys.ndyn] @ x[: sys.ndyn])
             if _nearest_taken(state, lam) <= _COLLISION_EPS:
                 _event(state, j, "duplicate-deferred", lam)
                 continue

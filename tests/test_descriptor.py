@@ -10,8 +10,8 @@ from dompole.descriptor import (
     ManifestError,
     StateSpaceSystem,
     VanishingNormalizerError,
-    apply_resolvent,
     eval_transfer,
+    feedthrough,
     load_manifest,
     load_system,
     normalized_vectors,
@@ -20,7 +20,7 @@ from dompole.descriptor import (
     validate,
 )
 from dompole.mmio import write_array, write_coordinate
-from dompole.sparsela import SingularMatrixError, SparseMatrix
+from dompole.sparsela import SingularMatrixError, SparseMatrix, factorize, shifted
 
 
 def toy_system():
@@ -164,11 +164,9 @@ class TestEvalTransfer:
             eval_transfer(two_state_system(), -1.0)
 
 
-class TestApplyResolvent:
-    def test_toy_scalar(self):
-        z = apply_resolvent(toy_system(), 0.0, np.array([1.0]))
-        assert_allclose(z, [-1.0])
-
+class TestResolvent:
+    # (A - sI)^-1 x is the dynamic part of the sparse solve of
+    # (J - sE) (z; w) = (x; 0)
     @pytest.mark.parametrize("seed", [3, 4])
     def test_matches_dense_resolvent(self, seed):
         rng = np.random.default_rng(seed)
@@ -176,23 +174,33 @@ class TestApplyResolvent:
         ss = reduce_to_state_space(sys)
         s = 0.3 + 1.7j
         x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        z = apply_resolvent(sys, s, x)
+        z = factorize(shifted(sys.J, 12, s)).solve(np.r_[x, np.zeros(8)])[:12]
         z_ref = np.linalg.solve(ss.A - s * np.eye(12), x)
         assert_allclose(z, z_ref, rtol=1e-10, atol=1e-12)
 
     def test_eigenvalue_shift_raises(self):
         with pytest.raises(SingularMatrixError):
-            apply_resolvent(two_state_system(), -3.0, np.array([1.0, 0.0]))
+            factorize(shifted(two_state_system().J, 2, -3.0))
 
-    def test_linearity(self):
-        rng = np.random.default_rng(6)
-        sys = random_descriptor(rng, 10, 4)
-        x1 = rng.standard_normal(10)
-        x2 = rng.standard_normal(10)
-        a, b = 2.0 - 1.0j, -0.5 + 0.25j
-        lhs = apply_resolvent(sys, 1.1j, a * x1 + b * x2)
-        rhs = a * apply_resolvent(sys, 1.1j, x1) + b * apply_resolvent(sys, 1.1j, x2)
-        assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
+
+class TestFeedthrough:
+    def test_toy_value(self):
+        # C_a^T J4^-1 B_a = (-1)(1)/1; the toy reduces to d = D - kappa = 1
+        assert feedthrough(toy_system()) == -1.0
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_matches_the_reduced_model(self, seed):
+        sys = random_descriptor(np.random.default_rng(seed), 10, 6)
+        kappa = feedthrough(sys)
+        assert abs(kappa) > 1e-2
+        assert kappa == pytest.approx(sys.D - reduce_to_state_space(sys).d, rel=1e-10)
+
+    def test_zero_without_algebraic_input_or_with_a_singular_j4(self):
+        toy = toy_system()
+        assert feedthrough(DescriptorSystem(toy.J, 1, [1.0, 0.0], toy.C)) == 0
+        # the algebraic variable appears in no equation: J4 = [0]
+        J = SparseMatrix.from_dense([[-1.0, 1.0, 0.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
+        assert feedthrough(DescriptorSystem(J, 2, np.ones(3), np.ones(3))) == 0
 
 
 class TestNormalizedVectors:

@@ -13,13 +13,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from dompole.descriptor import DescriptorSystem  # noqa: E402
+from dompole.descriptor import DescriptorSystem, reduce_to_state_space  # noqa: E402
 from dompole.generator import build_system, sample_spectrum  # noqa: E402
-from dompole.oracle import reference_F, residues  # noqa: E402
+from dompole.oracle import full_spectrum, reference_F, residues  # noqa: E402
 from dompole.solver import (  # noqa: E402
     ShiftState,
     SolverConfig,
-    assemble_projection,
     ddpse_step,
     deflate,
     dpse_step,
@@ -102,7 +101,8 @@ def test_steps_on_the_active_block_agree_with_the_pinned_F(gen, data):
     for j in locked:
         deflate(state, j, shifts[j])
     act = state.active_indices()
-    F = assemble_projection(gen.system, state)
+    F = reference_F(gen.state_space, shifts)
+    F[:, locked] = np.diag(shifts)[:, locked]  # vhat_j = 0: F e_j = s_j e_j
     # 1e-10 relative while W^T V is well conditioned; F inverts W^T V, so
     # beyond cond 1e4 its own error, eps * cond, sets the bound
     wtv = state.Y[:n].T @ state.X[:n]
@@ -229,3 +229,51 @@ def test_shifted_lu_matches_dense_algebra(case):
         x = fac.solve(rhs, transposed=transposed)
         scale = np.abs(op).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
         assert np.abs(op @ x - rhs).max() / scale <= 1e-12
+
+
+@st.composite
+def free_systems(draw):
+    """A descriptor system drawn outside build_system, whose spectrum and
+    residues nobody prescribed: a sparse J of order 1-12, real or complex,
+    with ndyn >= 1 dynamic states, drawn as in ``shifted_matrices``, and
+    dense B and C. J4 is made diagonally dominant, so the algebraic states
+    eliminate and the dense oracle applies."""
+    n = draw(st.integers(1, 12), label="n")
+    ndyn = draw(st.integers(1, n), label="ndyn")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6]), label="density")
+    dense = np.where(rng.random((n, n)) < density, rng.standard_normal((n, n)), 0.0)
+    if draw(st.booleans(), label="complex"):
+        dense = dense + 1j * np.where(dense != 0, rng.standard_normal((n, n)), 0.0)
+    dense[rng.permutation(n), np.arange(n)] += rng.uniform(1.0, 2.0, n)
+    alg = np.arange(ndyn, n)
+    off = np.abs(dense[ndyn:, ndyn:]).sum(axis=1) - np.abs(dense[alg, alg])
+    dense[alg, alg] = rng.choice([-1.0, 1.0], n - ndyn) * (off + rng.uniform(0.5, 1.5, n - ndyn))
+    system = DescriptorSystem(
+        SparseMatrix.from_dense(dense), ndyn, rng.standard_normal(n), rng.standard_normal(n), 0.0
+    )
+    return system, reduce_to_state_space(system)
+
+
+@PROPERTY
+@given(case=free_systems(), data=st.data(), method=st.sampled_from(["dpse", "ddpse"]))
+def test_run_on_free_systems_reports_true_poles_or_unconverged_columns(case, data, method):
+    system, ss = case
+    p = data.draw(st.integers(1, min(3, system.ndyn)), label="p")
+    re = data.draw(st.lists(st.floats(-3, 3), min_size=p, max_size=p), label="re")
+    im = data.draw(st.lists(st.floats(-3, 3), min_size=p, max_size=p), label="im")
+    report = run(system, SolverConfig(method=method, p=p), np.array(re) + 1j * np.array(im))
+    # every column ends as a pole or as an unconverged row, never as a raise
+    assert len(report.poles) + len(report.unconverged) == p
+    assert report.all_converged == (not report.unconverged)
+    dec = full_spectrum(ss)
+    table = residues(ss, dec)
+    for pole in report.poles:
+        k = int(np.argmin(np.abs(table.eigenvalues - pole.eigenvalue)))
+        assert abs(table.eigenvalues[k] - pole.eigenvalue) <= 1e-8 * abs(table.eigenvalues[k])
+    # residues through an ill-conditioned eigenvector basis are the oracle's
+    # own error, not the solver's
+    assume(dec.basis_condition <= 1e4)
+    for pole in report.poles:
+        k = int(np.argmin(np.abs(table.eigenvalues - pole.eigenvalue)))
+        assert abs(table.residues[k] - pole.residue) <= 1e-3 * abs(table.residues[k])

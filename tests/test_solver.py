@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dompole.descriptor import DescriptorSystem, StateSpaceSystem
+from dompole.descriptor import DescriptorSystem, StateSpaceSystem, reduce_to_state_space
 from dompole.generator import build_system, sample_spectrum
 from dompole.oracle import full_spectrum, reference_F, reference_sequence, residues
+from dompole.sparsela import SparseMatrix
 from dompole.solver import (
     DEFAULT_FAN_SCALE,
     PoleResult,
     ShiftState,
     SolverConfig,
     SolverError,
-    assemble_projection,
     check_convergence,
     ddpse_step,
     deflate,
@@ -37,6 +37,27 @@ def prepared_state(sys, shifts):
     return state
 
 
+def state_space_system():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((8, 8))
+    a -= np.diag(np.abs(a).sum(axis=1) + 1.0)
+    ss = StateSpaceSystem(a, rng.standard_normal(8), rng.standard_normal(8), 0)
+    return DescriptorSystem.from_state_space(ss), ss
+
+
+def feedthrough_system():
+    """Five dynamic and four algebraic states, B and C on both: kappa =
+    C_a^T J4^-1 B_a is nonzero, so W^T b = 1 - kappa vhat, not ones(p)."""
+    rng = np.random.default_rng(21)
+    Jd = rng.standard_normal((9, 9)) * (rng.random((9, 9)) < 0.5)
+    Jd[:5, :5] -= np.diag(rng.uniform(3.0, 5.0, 5))
+    Jd[5:, 5:] += np.diag(rng.uniform(4.0, 5.0, 4))
+    sys = DescriptorSystem(
+        SparseMatrix.from_dense(Jd), 5, rng.standard_normal(9), rng.standard_normal(9)
+    )
+    return sys, reduce_to_state_space(sys)
+
+
 class TestInitShifts:
     def test_fan_endpoints(self):
         s = init_shifts("fan", 20)
@@ -59,44 +80,65 @@ class TestInitShifts:
             init_shifts([-0.5], p=2)
 
 
-class TestAssembleProjection:
+class TestSolverConfig:
+    @pytest.mark.parametrize("field", ["p", "max_iter"])
+    @pytest.mark.parametrize("value", [2.5, True, "3", 3.0, 0, -1])
+    def test_count_must_be_a_positive_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer of at least 1"):
+            SolverConfig(**{field: value})
+
+    def test_numpy_integers_pass_as_int(self):
+        config = SolverConfig(p=np.int64(3), max_iter=np.int32(7))
+        assert (config.p, config.max_iter) == (3, 7)
+        assert type(config.p) is int and type(config.max_iter) is int
+
+
+class TestProjection:
+    # the solver never forms the p-by-p F = (W^T V)^-1 G; the dense reference
+    # does, and the steps return its eigenvalues (dpse) and diagonal (ddpse)
     def test_worked_example(self):
-        state = prepared_state(two_state(), [-0.5, -2.5])
-        F = assemble_projection(two_state(), state)
+        F = reference_F(StateSpaceSystem(np.diag([-1.0, -3.0]), [1, 1], [1, 1], 0), [-0.5, -2.5])
         assert_allclose(F, WORKED_F, atol=1e-9)
 
-    def test_matches_reference_on_random_system(self):
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((8, 8))
-        a -= np.diag(np.abs(a).sum(axis=1) + 1.0)
-        ss = StateSpaceSystem(a, rng.standard_normal(8), rng.standard_normal(8), 0)
-        sys = DescriptorSystem.from_state_space(ss)
+    @pytest.mark.parametrize(
+        "make", [state_space_system, feedthrough_system], ids=lambda f: f.__name__
+    )
+    @pytest.mark.parametrize("locked", [(), (1,)])
+    def test_steps_match_reference(self, make, locked):
+        sys, ss = make()
         shifts = np.array([-0.5 + 0.6j, -1.5 - 0.3j, -2.5 + 1.1j])
         state = prepared_state(sys, shifts)
-        F = assemble_projection(sys, state)
-        assert_allclose(F, reference_F(ss, shifts), atol=1e-9 * np.abs(F).max())
+        F = reference_F(ss, shifts)
+        for j in locked:
+            deflate(state, j, shifts[j])
+            F[:, j] = shifts[j] * np.eye(3)[:, j]  # vhat_j = 0
+        scale = 1e-9 * np.abs(F).max()
+        assert_allclose(ddpse_step(sys, state), np.diag(F), atol=scale)
+        want = match_shifts(shifts, np.linalg.eigvals(F))
+        assert_allclose(dpse_step(sys, state), want, atol=scale)
 
     def test_near_eigenvalue_tuple_is_nearly_diagonal(self):
         sys = two_state()
         shifts = np.array([-1.0, -3.0]) + 1e-8
         state = prepared_state(sys, shifts)
-        F = assemble_projection(sys, state)
+        F = reference_F(StateSpaceSystem(np.diag([-1.0, -3.0]), [1, 1], [1, 1], 0), shifts)
         assert np.abs(F - np.diag(shifts)).max() <= 1e-6
+        assert np.abs(ddpse_step(sys, state) - shifts).max() <= 1e-6
 
     def test_rank_one_structure(self):
+        # F - S = (W^T V)^-1 e vhat^T, the form both steps rest on
         rng = np.random.default_rng(13)
         spec = sample_spectrum(10, 2, (0.1, 0.4), rng)
         gen = build_system(spec, n_algebraic=5, density=0.3, rng=rng)
         shifts = spec[:4] + 0.2 + 0.1j
-        state = prepared_state(gen.system, shifts)
-        F = assemble_projection(gen.system, state)
+        F = reference_F(gen.state_space, shifts)
         sv = np.linalg.svd(F - np.diag(shifts), compute_uv=False)
         assert sv[1] <= 1e-10 * np.linalg.norm(F)
 
     def test_collision_detection(self):
         sys = two_state()
         state = prepared_state(sys, [-0.5, -0.5 + 1e-12])
-        dpse_step(sys, state)  # the steps record cond; assemble_projection does not
+        dpse_step(sys, state)  # the steps record cond
         assert state.cond > 1e8
 
 
@@ -167,15 +209,37 @@ class TestCheckConvergence:
         state = ShiftState.start(sys, np.array([-1.0 + 0j]))
         state.X[:, 0] = [1.0, 0.0]
         state.Y[:, 0] = [1.0, 0.0]
-        assert list(check_convergence(sys, state, np.array([-1.0 + 0j]), 1e-5)) == [0]
+        cols, lams = check_convergence(sys, state, np.array([-1.0 + 0j]), 1e-5)
+        assert list(cols) == [0]
+        assert_allclose(lams, [-1.0], atol=1e-15)
         assert_allclose(state.final_residuals[0], [0.0, 0.0], atol=1e-15)
         assert len(state.residual_history) == 1
 
     def test_worked_residual_value(self):
         sys = two_state()
         state = prepared_state(sys, [-0.5, -2.5])
-        assert not check_convergence(sys, state, np.array([-1.0, -3.0]), 1e-5).size
+        cols, lams = check_convergence(sys, state, np.array([-1.0, -3.0]), 1e-5)
+        assert not cols.size and not lams.size
         assert state.final_residuals[0, 0] == pytest.approx(2.0 / np.sqrt(26.0), abs=1e-12)
+
+    def test_blocked_check_matches_a_column_loop(self):
+        rng = np.random.default_rng(14)
+        spec = sample_spectrum(10, 2, (0.1, 0.4), rng)
+        sys = build_system(spec, n_algebraic=5, density=0.3, rng=rng).system
+        n, Jd = sys.ndyn, sys.J.to_dense()
+        state = prepared_state(sys, spec[:4] + 0.2 + 0.1j)
+        deflate(state, 1, state.shifts[1])
+        new = state.shifts + 0.05
+        cols, lams = check_convergence(sys, state, new, np.inf)  # every active column passes
+        assert list(cols) == [0, 2, 3]
+        for j, lam in zip(cols, lams):
+            x, y = state.X[:, j], state.Y[:, j]
+            rx, ry = Jd @ x, Jd.T @ y
+            rx[:n] -= new[j] * x[:n]
+            ry[:n] -= new[j] * y[:n]
+            want = [np.linalg.norm(rx) / np.linalg.norm(x), np.linalg.norm(ry) / np.linalg.norm(y)]
+            assert_allclose(state.final_residuals[j], want, rtol=1e-12)
+            assert lam == pytest.approx((y @ Jd @ x) / (y[:n] @ x[:n]), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_update_formula_equivalence(self, seed):
@@ -204,7 +268,7 @@ class TestDeflation:
         with pytest.raises(SolverError, match="already"):
             deflate(state, 0, -1.0)
 
-    def test_locked_value_stays_in_spectrum(self):
+    def test_active_column_converges_beside_a_locked_one(self):
         sys = DescriptorSystem.from_dense_state(
             np.diag([-1.0, -3.0, -10.0]), np.ones(3), np.ones(3), 0
         )
@@ -216,10 +280,9 @@ class TestDeflation:
         state.shifts[1] = new[1]
         for _ in range(9):
             refresh_columns(sys, state)
-            F = assemble_projection(sys, state)
-            w = np.linalg.eigvals(F)
-            assert np.abs(w + 1.0).min() <= 1e-12
-            state.shifts[1] = dpse_step(sys, state)[1]
+            new = dpse_step(sys, state)
+            assert new[0] == -1.0
+            state.shifts[1] = new[1]
         # the remaining column still converges to another eigenvalue
         assert min(abs(state.shifts[1] + 3.0), abs(state.shifts[1] + 10.0)) <= 1e-8
 
@@ -247,7 +310,7 @@ class TestDeflation:
         deflate(state, 0, -1.0)
         state.final_residuals[0] = (1e-9, 2e-9)
         # the locked column is neither checked nor returned again
-        assert 0 not in check_convergence(sys, state, np.array([-1.0, -3.0]), 1e-5)
+        assert 0 not in check_convergence(sys, state, np.array([-1.0, -3.0]), 1e-5)[0]
         assert_allclose(state.final_residuals[0], [1e-9, 2e-9])
         assert_allclose(state.residual_history[-1][0], [1e-9, 2e-9])
 
@@ -423,6 +486,21 @@ class TestRun:
             final_residuals=(0.0, 0.0),
         )
         assert report.conjugate_duplicates() == [(0, 1)]
+
+    def test_one_product_each_way_per_check(self, monkeypatch):
+        # the residuals and the lock quotients share one J X and one J^T Y
+        calls = {"matvec": 0, "matvec_t": 0}
+        for name in calls:
+            def counted(self, x, _orig=getattr(SparseMatrix, name), _name=name):
+                calls[_name] += 1
+                return _orig(self, x)
+
+            monkeypatch.setattr(SparseMatrix, name, counted)
+        gen, s0 = far_shift_system()
+        report = run(gen.system, SolverConfig(p=4), initial_shifts=s0)
+        checks = len(report.residual_history)  # one row per check_convergence call
+        assert report.converged_count == 4 and checks > 1
+        assert calls == {"matvec": checks, "matvec_t": checks}
 
     def test_report_dict_is_json_ready(self):
         import json

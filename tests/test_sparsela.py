@@ -271,7 +271,9 @@ class TestCachedOrder:
         for _ in range(2):
             dompole.run(sys, SolverConfig(method="dpse", p=3), [-1 + 1j, -2, -3 + 2j])
         assert counts["factorize"] > 6
-        assert counts["splu"] == counts["factorize"] + 1
+        # one ordering for J - sE, and one for J4 in each run, whose LU gives
+        # kappa = C_a^T J4^-1 B_a
+        assert counts["splu"] == counts["factorize"] + 3
 
     def test_one_colamd_ordering_per_matrix_and_ndyn(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -300,9 +302,10 @@ class TestCachedOrder:
         assert descriptor.validate(sys).j4_nonsingular
         plain = random_sparse(rng, 7)
         facs += [factorize(plain), factorize(plain)]
-        # J with ndyn = n, its algebraic block J4, and the plain matrix
-        assert sorted(order for order, spec in specs if spec == "COLAMD") == [m, 7, n + m]
-        assert len(specs) == len(facs) + 3
+        # J with ndyn = n, its algebraic block J4 (built once by run for kappa
+        # and once by validate), and the plain matrix
+        assert sorted(order for order, spec in specs if spec == "COLAMD") == [m, m, 7, n + m]
+        assert len(specs) == len(facs) + 4
         assert all(spec in ("COLAMD", "NATURAL") for _, spec in specs)
         assert all(fac.cols is not None for fac in facs)
         assert all(kw == {"relax": 1, "panel_size": 1} for kw in options)
