@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -39,7 +40,6 @@ __all__ = [
     "block_nnz",
     "reduce_to_state_space",
     "eval_transfer",
-    "feedthrough",
     "normalized_vectors",
     "load_manifest",
     "save_manifest",
@@ -86,6 +86,25 @@ class DescriptorSystem:
     @property
     def order(self):
         return self.J.nrows
+
+    @cached_property
+    def j4(self):
+        """The algebraic block ``J[n:, n:]``, built once so that it is ordered once."""
+        return SparseMatrix.from_scipy(self.J.to_scipy()[self.ndyn :, self.ndyn :])
+
+    @cached_property
+    def kappa(self):
+        """``C_a^T J4^-1 B_a``, the limit of ``C^T (J - sE)^-1 B`` as |s| grows
+        (``d = D - kappa`` in the reduced model), from one sparse LU of J4: 0
+        unless B and C both have algebraic entries, or if J4 is singular."""
+        n = self.ndyn
+        if not (self.B[n:].any() and self.C[n:].any()):
+            return 0j
+        try:
+            fac = factorize(self.j4)
+        except SingularMatrixError:
+            return 0j
+        return complex(self.C[n:] @ fac.solve(self.B[n:]))
 
     @classmethod
     def from_dense_state(cls, A, b, c, d=0j):
@@ -184,9 +203,8 @@ def validate(sys):
     if rank < N:
         notes.append(f"structural rank of J is {rank} < {N}")
     if m > 0:
-        j4 = SparseMatrix.from_scipy(sys.J.to_scipy()[n:, n:])
         try:
-            factorize(j4)
+            factorize(sys.j4)
         except SingularMatrixError as exc:
             j4_ok = False
             notes.append(f"algebraic block singular: {exc}")
@@ -250,20 +268,6 @@ def eval_transfer(sys, s):
     x = fac.solve(sys.B)
     # (sE - J) = -(J - sE)
     return TransferSample(s, complex(-(sys.C @ x) + sys.D))
-
-
-def feedthrough(sys):
-    """``kappa = C_a^T J4^-1 B_a``, the limit of ``C^T (J - sE)^-1 B`` as |s|
-    grows (the reduced model has ``d = D - kappa``), from one sparse LU of J4:
-    0 unless B and C both have algebraic entries, and 0 for a singular J4."""
-    n = sys.ndyn
-    if not (sys.B[n:].any() and sys.C[n:].any()):
-        return 0j
-    try:
-        fac = factorize(SparseMatrix.from_scipy(sys.J.to_scipy()[n:, n:]))
-    except SingularMatrixError:
-        return 0j
-    return complex(sys.C[n:] @ fac.solve(sys.B[n:]))
 
 
 def normalized_vectors(sys, s, min_normalizer=0.0):

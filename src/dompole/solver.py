@@ -11,7 +11,7 @@ without ever touching the state matrix:
     G = W^T A V = (W^T V) S + w vhat^T,   F = (W^T V)^-1 G,
     S = diag(shifts),   vhat_j = 1 / nu_j,   kappa = C_a^T J4^-1 B_a.
 
-kappa (``descriptor.feedthrough``) is the limit of nu as |s| grows. Taking
+kappa (``DescriptorSystem.kappa``) is the limit of nu as |s| grows. Taking
 ones(p) for w would project the pencil (J, E) itself, which a nonzero kappa
 draws towards the infinite eigenvalues of E.
 
@@ -55,7 +55,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .descriptor import VanishingNormalizerError, feedthrough, normalized_vectors
+from .descriptor import VanishingNormalizerError, normalized_vectors
 from .sparsela import SingularMatrixError, dense_eig
 
 __all__ = [
@@ -150,7 +150,7 @@ class ShiftState:
     tuple after each sweep (the first after the initial solves) and
     ``residual_history`` the residual pairs of each check; ``t0`` is the
     ``perf_counter`` start and ``lock_time`` each column's seconds from it
-    to its lock. ``kappa`` is the system's ``feedthrough``.
+    to its lock.
     """
 
     shifts: np.ndarray
@@ -162,7 +162,6 @@ class ShiftState:
     final_residuals: np.ndarray
     lock_time: np.ndarray
     ndyn: int
-    kappa: complex
     iter: int = 0
     cond: float = math.nan
     events: list = field(default_factory=list)
@@ -185,7 +184,6 @@ class ShiftState:
             final_residuals=np.full((p, 2), np.nan),
             lock_time=np.zeros(p),
             ndyn=sys.ndyn,
-            kappa=feedthrough(sys),
         )
 
     @property
@@ -322,7 +320,7 @@ def _projection_parts(sys, state):
     in ``state.cond``, from which ``ddpse_step`` chooses its update.
     """
     wtv = state.Y[: sys.ndyn].T @ state.X[: sys.ndyn]
-    q = 1.0 - state.kappa / state.normalizers
+    q = 1.0 - sys.kappa / state.normalizers
     locked = state.converged
     if locked.any():
         Q = np.linalg.qr(wtv[:, locked], mode="complete")[0][:, locked.sum():].conj().T

@@ -11,7 +11,6 @@ from dompole.descriptor import (
     StateSpaceSystem,
     VanishingNormalizerError,
     eval_transfer,
-    feedthrough,
     load_manifest,
     load_system,
     normalized_vectors,
@@ -183,24 +182,24 @@ class TestResolvent:
             factorize(shifted(two_state_system().J, 2, -3.0))
 
 
-class TestFeedthrough:
+class TestKappa:
     def test_toy_value(self):
         # C_a^T J4^-1 B_a = (-1)(1)/1; the toy reduces to d = D - kappa = 1
-        assert feedthrough(toy_system()) == -1.0
+        assert toy_system().kappa == -1.0
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_matches_the_reduced_model(self, seed):
         sys = random_descriptor(np.random.default_rng(seed), 10, 6)
-        kappa = feedthrough(sys)
+        kappa = sys.kappa
         assert abs(kappa) > 1e-2
         assert kappa == pytest.approx(sys.D - reduce_to_state_space(sys).d, rel=1e-10)
 
     def test_zero_without_algebraic_input_or_with_a_singular_j4(self):
         toy = toy_system()
-        assert feedthrough(DescriptorSystem(toy.J, 1, [1.0, 0.0], toy.C)) == 0
+        assert DescriptorSystem(toy.J, 1, [1.0, 0.0], toy.C).kappa == 0
         # the algebraic variable appears in no equation: J4 = [0]
         J = SparseMatrix.from_dense([[-1.0, 1.0, 0.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
-        assert feedthrough(DescriptorSystem(J, 2, np.ones(3), np.ones(3))) == 0
+        assert DescriptorSystem(J, 2, np.ones(3), np.ones(3)).kappa == 0
 
 
 class TestNormalizedVectors:

@@ -266,14 +266,22 @@ class TestCachedOrder:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(sparsela.spla, "splu", counted("splu", spla.splu))
+        orders = []
+        splu = spla.splu
+
+        def ordered_splu(A, **kwargs):
+            orders.append(A.shape[0])
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(sparsela.spla, "splu", counted("splu", ordered_splu))
         monkeypatch.setattr(descriptor, "factorize", counted("factorize", factorize))
         for _ in range(2):
             dompole.run(sys, SolverConfig(method="dpse", p=3), [-1 + 1j, -2, -3 + 2j])
         assert counts["factorize"] > 6
-        # one ordering for J - sE, and one for J4 in each run, whose LU gives
-        # kappa = C_a^T J4^-1 B_a
-        assert counts["splu"] == counts["factorize"] + 3
+        # one ordering for J - sE and one for J4, whose one LU gives
+        # kappa = C_a^T J4^-1 B_a to both runs
+        assert counts["splu"] == counts["factorize"] + 2
+        assert orders.count(m) == 2
 
     def test_one_colamd_ordering_per_matrix_and_ndyn(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -302,10 +310,10 @@ class TestCachedOrder:
         assert descriptor.validate(sys).j4_nonsingular
         plain = random_sparse(rng, 7)
         facs += [factorize(plain), factorize(plain)]
-        # J with ndyn = n, its algebraic block J4 (built once by run for kappa
-        # and once by validate), and the plain matrix
-        assert sorted(order for order, spec in specs if spec == "COLAMD") == [m, m, 7, n + m]
-        assert len(specs) == len(facs) + 4
+        # J with ndyn = n, its algebraic block J4 (one order for run's kappa
+        # and validate), and the plain matrix
+        assert sorted(order for order, spec in specs if spec == "COLAMD") == [m, 7, n + m]
+        assert len(specs) == len(facs) + 3
         assert all(spec in ("COLAMD", "NATURAL") for _, spec in specs)
         assert all(fac.cols is not None for fac in facs)
         assert all(kw == {"relax": 1, "panel_size": 1} for kw in options)
