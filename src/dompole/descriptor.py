@@ -112,10 +112,6 @@ class DescriptorSystem:
         A = np.atleast_2d(np.asarray(A, dtype=np.complex128))
         return cls(SparseMatrix.from_dense(A), A.shape[0], b, c, d)
 
-    @classmethod
-    def from_state_space(cls, ss):
-        return cls.from_dense_state(ss.A, ss.b, ss.c, ss.d)
-
 
 @dataclass(frozen=True)
 class StateSpaceSystem:

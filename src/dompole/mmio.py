@@ -14,6 +14,7 @@ import io
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
 
 from .sparsela import SparseMatrix
 
@@ -196,7 +197,7 @@ def read_matrix_market(path):
         pair = np.column_stack([np.ones(len(values), bool), rows != cols])
         rows, cols = np.column_stack([rows, cols])[pair], np.column_stack([cols, rows])[pair]
         values = np.column_stack([values, values])[pair]
-    return SparseMatrix.from_triplets(nrows, ncols, rows, cols, values)
+    return SparseMatrix.from_scipy(sp.coo_matrix((values, (rows, cols)), shape=(nrows, ncols)))
 
 
 def read_vector(path):
@@ -211,7 +212,7 @@ def read_vector(path):
     )
 
 
-def _write(path, fmt, size, values, comment, index=None):
+def _write(path, fmt, size, values, index=None):
     """Write one ``general`` file; ``index`` holds each coordinate entry's 'i j'.
 
     The field is ``real`` when every value has zero imaginary part and
@@ -219,8 +220,6 @@ def _write(path, fmt, size, values, comment, index=None):
     """
     field = "complex" if np.any(values.imag != 0.0) else "real"
     out = [f"%%MatrixMarket matrix {fmt} {field} general"]
-    if comment:
-        out.extend(f"% {line}" for line in str(comment).splitlines())
     out.append(" ".join(str(d) for d in size))
     re = values.real.tolist()
     if field == "real":
@@ -234,20 +233,20 @@ def _write(path, fmt, size, values, comment, index=None):
         fh.write("\n".join(out) + "\n")
 
 
-def write_coordinate(path, m, comment=None):
+def write_coordinate(path, m):
     """Write a SparseMatrix (or 2-D array) in coordinate general format."""
     if not isinstance(m, SparseMatrix):
         m = SparseMatrix.from_dense(np.atleast_2d(m))
     cols = np.repeat(np.arange(1, m.ncols + 1), np.diff(m.indptr))
     index = [f"{i} {j}" for i, j in zip((m.indices + 1).tolist(), cols.tolist())]
-    _write(path, "coordinate", (m.nrows, m.ncols, m.nnz), m.data, comment, index)
+    _write(path, "coordinate", (m.nrows, m.ncols, m.nnz), m.data, index)
 
 
-def write_array(path, values, comment=None):
+def write_array(path, values):
     """Write a vector or 2-D array in array general format (column-major)."""
     a = np.asarray(values, dtype=np.complex128)
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2:
         raise ValueError("expected a vector or a 2-D array")
-    _write(path, "array", a.shape, a.ravel(order="F"), comment)
+    _write(path, "array", a.shape, a.ravel(order="F"))

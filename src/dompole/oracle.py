@@ -75,19 +75,6 @@ class ResidueTable:
     def __len__(self):
         return self.eigenvalues.shape[0]
 
-    def rows(self):
-        for lam, r, m in zip(self.eigenvalues, self.residues, self.dominances):
-            yield complex(lam), complex(r), float(m)
-
-    def to_csv(self, path):
-        lines = ["re,im,residue_re,residue_im,dominance"]
-        for lam, r, m in self.rows():
-            lines.append(
-                f"{lam.real!r},{lam.imag!r},{r.real!r},{r.imag!r},{m!r}"
-            )
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def residues(ss, decomposition=None):
     """Exact residues ``R_k = (c^T P e_k)(e_k^T P^-1 b)`` and dominances."""

@@ -1,19 +1,22 @@
 """Sparse CSC storage, shifted LU factorization, and the small pencil eigensolve.
 
 A thin layer over scipy: it keeps only the checks scipy does not make
-(canonical complex CSC on the way in, a relative pivot threshold after LU).
+(canonical complex CSC on the way in, full structural rank before LU, a
+relative pivot threshold after it).
 All numeric work runs in complex double precision even for real inputs:
 the solver shifts are complex, and a single complex path avoids duplicated
 real/complex kernels.
 
 The pattern of ``J - sE`` does not depend on s. The first ``shifted(J,
-ndyn, s)`` call therefore builds that pattern and its COLAMD column order
-once for the pair ``(J, ndyn)`` and keeps them on J, J's values already in
-that order. Each call then makes ``(J - sE)[:, cols]``, the matrix SuperLU
-factors, with one copy and one subtraction; a cancelled entry stays stored
-as a zero. The result is a ``ShiftedMatrix``: its columns permuted, it is no
-SparseMatrix. ``factorize`` takes a SparseMatrix through ``shifted(M, 0, 0)``
-first. J must not be changed in place once it has been shifted or factored.
+ndyn, s)`` call therefore keeps ``shifted(J, ndyn, 0)`` on J, its columns
+in the COLAMD order of that pattern. Each call then makes
+``(J - sE)[:, cols]``, the matrix SuperLU factors, with one copy and one
+subtraction; a cancelled entry stays stored as a zero. A pattern whose
+``structural_rank`` is short keeps the natural order and never reaches
+SuperLU: ``factorize`` raises SingularMatrixError for it. The result is a
+``ShiftedMatrix``: its columns permuted, it is no SparseMatrix.
+``factorize`` takes a SparseMatrix through ``shifted(M, 0, 0)`` first. J
+must not be changed in place once it has been shifted or factored.
 
 Every ``splu`` call, the ordering one and the one per shift, takes
 ``SUPERLU_OPTIONS``. ``relax=1`` turns off SuperLU's relaxed supernodes,
@@ -26,12 +29,13 @@ factor entries. The COLAMD order is the same either way.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import structural_rank
 
 __all__ = [
     "SingularMatrixError",
@@ -65,12 +69,12 @@ class SparseMatrix:
     """Complex sparse matrix held as one canonical ``scipy.sparse.csc_matrix``.
 
     The held matrix is complex128, with sorted row indices and no duplicate
-    entries. Build instances with ``from_scipy`` (or ``from_triplets``/
-    ``from_dense``), which makes that form and checks it.
+    entries. Build instances with ``from_scipy`` (or ``from_dense``), which
+    makes that form and checks it.
     """
 
     # _transpose: CSR view of M.T over M's own arrays, built by the first
-    # matvec_t. _shifts: the _ShiftPattern of the last ndyn passed to shifted.
+    # matvec_t. _shifts: shifted(J, ndyn, 0) for the last ndyn passed to shifted.
     __slots__ = ("_csc", "_transpose", "_shifts")
 
     def __init__(self, csc):
@@ -91,11 +95,6 @@ class SparseMatrix:
         csc.check_format(full_check=True)
         csc.sum_duplicates()
         return cls(csc)
-
-    @classmethod
-    def from_triplets(cls, nrows, ncols, rows, cols, values):
-        """Build from coordinate triplets; duplicate positions are summed."""
-        return cls.from_scipy(sp.coo_matrix((values, (rows, cols)), shape=(nrows, ncols)))
 
     @classmethod
     def from_dense(cls, a):
@@ -132,63 +131,52 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
 
-class _ShiftPattern:
-    """What ``J - sE`` keeps across shifts, for one ``(J, ndyn)``.
+@dataclass(frozen=True, eq=False)
+class ShiftedMatrix:
+    """``J - sE`` from ``shifted``: ``csc`` is ``(J - sE)[:, cols]`` in scipy CSC.
 
-    The pattern is J's, stored zeros dropped, united with the first ``ndyn``
-    diagonal positions. ``cols`` is its COLAMD column order, taken from one
-    factorization of generic values whose factors are discarded, or None when
-    the pattern is structurally singular (the arrays then keep the natural
-    order). ``indptr``, ``indices`` and ``values`` hold ``J[:, cols]`` on the
-    pattern, ``diag`` the data positions of E's ones in it, and ``max_off``
-    the largest ``|J|`` entry off those positions.
+    ``cols`` is the COLAMD column order cached for ``(J, ndyn)``, or None when
+    the pattern is structurally singular (``csc`` then keeps the natural
+    order). ``diag`` holds the data positions of E's ones in ``csc`` and
+    ``max_off`` the largest ``|J|`` entry off them.
     """
 
-    __slots__ = ("ndyn", "cols", "indptr", "indices", "values", "diag", "max_off")
+    csc: sp.csc_matrix
+    ndyn: int
+    cols: np.ndarray | None
+    diag: np.ndarray
+    max_off: float
 
-    def __init__(self, J, ndyn):
-        N = J.nrows
-        dyn = np.arange(ndyn)
-        E = sp.csc_matrix((np.ones(ndyn), (dyn, dyn)), shape=(N, N))
-        # |J| + E sums nonnegative values, so nothing but J's stored zeros drops
-        P = abs(J.to_scipy()) + E
-        # each entry's position in P, found by its column-major key
-        keys = np.repeat(np.arange(N, dtype=np.int64), np.diff(P.indptr)) * N + P.indices
-        Jnz = J.data != 0
-        jkeys = np.repeat(np.arange(N, dtype=np.int64), np.diff(J.indptr))[Jnz] * N
-        values = np.zeros(P.nnz, dtype=np.complex128)
-        values[np.searchsorted(keys, jkeys + J.indices[Jnz])] = J.data[Jnz]
-        diag = np.searchsorted(keys, dyn * (N + 1))
+
+def _unshifted(J, ndyn):
+    """``shifted(J, ndyn, 0)``, the cache that every shift of ``(J, ndyn)`` copies.
+
+    Its pattern is J's nonzero entries plus an explicit zero on each of E's
+    diagonal positions. Its column order comes from one COLAMD factorization
+    of generic values on that pattern, whose factors are discarded; a
+    structurally singular pattern skips it and keeps the natural order.
+    """
+    N = J.nrows
+    coo = J.to_scipy().tocoo()
+    nz = coo.data != 0
+    dyn = np.arange(ndyn)
+    # J's value plus an explicit zero is J's value, and stays stored either way
+    ij = (np.r_[coo.row[nz], dyn], np.r_[coo.col[nz], dyn])
+    P = sp.csc_matrix((np.r_[coo.data[nz], np.zeros(ndyn)], ij), shape=(N, N))
+    cols = None
+    if structural_rank(P) == N:
         # complex values, like the shifted matrices', so that the factorizations
         # after this one reuse its memory instead of raising the peak
         rng = np.random.default_rng(0)
         noise = rng.uniform(1.0, 2.0, P.nnz) + 1j * rng.uniform(1.0, 2.0, P.nnz)
         generic = sp.csc_matrix((noise, P.indices, P.indptr), shape=(N, N))
-        try:
-            perm_c = spla.splu(generic, permc_spec="COLAMD", **SUPERLU_OPTIONS).perm_c
-            self.cols = np.argsort(perm_c).astype(np.int32)
-        except RuntimeError:  # structurally singular: keep the natural order
-            perm_c, self.cols = np.arange(N), None
-        order = perm_c if self.cols is None else self.cols
-        counts = np.diff(P.indptr)[order]
-        self.ndyn = ndyn
-        self.indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
-        take = np.repeat(P.indptr[order] - self.indptr[:-1], counts) + np.arange(P.nnz)
-        self.indices = P.indices[take].astype(np.int32)
-        self.values = values[take]
-        # column i of P is column perm_c[i] here, with its rows in the same order
-        self.diag = (self.indptr[perm_c[:ndyn]] + diag - P.indptr[:ndyn]).astype(np.int32)
-        self.max_off = float(np.abs(np.delete(self.values, self.diag)).max(initial=0.0))
-
-
-@dataclass(frozen=True, eq=False)
-class ShiftedMatrix:
-    """``J - sE`` from ``shifted``: ``csc`` is ``(J - sE)[:, cols]`` in scipy CSC,
-    for ``cols`` the column order cached for ``(J, ndyn)`` (the natural order
-    if the pattern is structurally singular)."""
-
-    csc: sp.csc_matrix
-    _pattern: _ShiftPattern
+        perm_c = spla.splu(generic, permc_spec="COLAMD", **SUPERLU_OPTIONS).perm_c
+        cols = np.argsort(perm_c).astype(np.int32)
+        P = P[:, cols]
+    col = np.repeat(np.arange(N) if cols is None else cols, np.diff(P.indptr))
+    diag = np.flatnonzero((P.indices == col) & (col < ndyn))
+    max_off = float(np.abs(np.delete(P.data, diag)).max(initial=0.0))
+    return ShiftedMatrix(P, ndyn, cols, diag, max_off)
 
 
 def shifted(J, ndyn, s):
@@ -203,14 +191,14 @@ def shifted(J, ndyn, s):
     s = complex(s)
     if not cmath.isfinite(s):
         raise ValueError(f"shift {s!r} is not finite")
-    pattern = J._shifts
-    if pattern is None or pattern.ndyn != ndyn:
-        pattern = J._shifts = _ShiftPattern(J, ndyn)
-    data = pattern.values.copy()
-    data[pattern.diag] -= s
-    csc = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(N, N))
+    base = J._shifts
+    if base is None or base.ndyn != ndyn:
+        base = J._shifts = _unshifted(J, ndyn)
+    data = base.csc.data.copy()
+    data[base.diag] -= s
+    csc = sp.csc_matrix((data, base.csc.indices, base.csc.indptr), shape=(N, N))
     csc.has_canonical_format = True
-    return ShiftedMatrix(csc, pattern)
+    return replace(base, csc=csc)
 
 
 class Factorization:
@@ -262,11 +250,10 @@ def factorize(M):
         if M.nrows == 0:
             raise ValueError("cannot factorize an empty matrix")
         M = shifted(M, 0, 0.0)
-    pattern = M._pattern
-    max_abs = float(np.abs(M.csc.data[pattern.diag]).max(initial=pattern.max_off))
+    max_abs = float(np.abs(M.csc.data[M.diag]).max(initial=M.max_off))
     if max_abs == 0.0:
         raise SingularMatrixError("matrix has no nonzero entries")
-    if pattern.cols is None:
+    if M.cols is None:
         raise SingularMatrixError("sparse LU failed: the matrix is structurally singular")
     try:
         lu = spla.splu(M.csc, permc_spec="NATURAL", **SUPERLU_OPTIONS)
@@ -278,7 +265,7 @@ def factorize(M):
             f"pivot {min_pivot:.3e} below threshold {PIVOT_RTOL * max_abs:.3e}; "
             "the shift likely coincides with an eigenvalue"
         )
-    return Factorization(lu, pattern.cols, max_abs)
+    return Factorization(lu, M.cols, max_abs)
 
 
 def dense_eig(A, B):

@@ -115,7 +115,7 @@ class TestPoles:
         first = json.loads(out.read_text())["trajectories"][0]
         assert first == [[-0.5, 0.1], [-2.5, -0.1]]
 
-    def test_solver_error_exit_code(self, tmp_path, capsys):
+    def test_solver_error_exit_code(self, tmp_path, capfd):
         # the algebraic variable appears in no equation's column: column 3
         # of J - sE is empty for every s
         J = [[-1.0, 1.0, 0.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]]
@@ -127,9 +127,14 @@ class TestPoles:
             "jacobian = J.mtx\nb = B.mtx\nc = C.mtx\nndyn = 2\nd_re = 0.0\nd_im = 0.0\n"
         )
         assert main(["poles", str(path), "--p", "1", "--shifts", " -0.5"]) == 1
-        err = capsys.readouterr().err
+        # capfd also catches what C code, such as BLAS's error handler,
+        # writes to the process's stdout
+        out, err = capfd.readouterr()
+        assert out == ""
         assert err.startswith("solver error: factorization stayed singular")
         assert "structurally singular" in err
+        assert main(["spy", str(path)]) == 0
+        assert "note = structural rank of J is 2 < 3\n" in capfd.readouterr().out
 
     def test_failed_qz_is_a_solver_error(self, toy_manifest, tmp_path, capsys, monkeypatch):
         import dompole.solver as solver

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from dompole.descriptor import (
@@ -72,7 +73,9 @@ class TestValidate:
     def test_density_arithmetic_at_scale(self):
         # order 13251 with 49150 stored entries is 0.028% dense
         N, k = 13251, np.arange(49150)
-        J = SparseMatrix.from_triplets(N, N, k % N, (k % N + k // N) % N, -np.ones(k.size))
+        J = SparseMatrix.from_scipy(
+            sp.coo_matrix((-np.ones(k.size), (k % N, (k % N + k // N) % N)), shape=(N, N))
+        )
         rep = validate(DescriptorSystem(J=J, ndyn=N, B=np.ones(N), C=np.ones(N)))
         assert rep.nnz == 49150
         assert round(rep.density_pct, 3) == 0.028
@@ -81,9 +84,9 @@ class TestValidate:
 
     def test_empty_rows_and_columns_named(self):
         # row 2 (algebraic) and column 1 hold no nonzero; J[1, 1] is a stored zero
-        J = SparseMatrix.from_triplets(
-            3, 3, [0, 1, 0, 1, 1], [0, 0, 2, 2, 1], [-1.0, 1.0, 1.0, 1.0, 0.0]
-        )
+        J = SparseMatrix.from_scipy(sp.coo_matrix(
+            ([-1.0, 1.0, 1.0, 1.0, 0.0], ([0, 1, 0, 1, 1], [0, 0, 2, 2, 1])), shape=(3, 3)
+        ))
         assert J.nnz == 5
         rep = validate(DescriptorSystem(J=J, ndyn=1, B=[1, 0, 0], C=[1, 0, 0]))
         assert "empty rows of J (0-based): 2" in rep.notes

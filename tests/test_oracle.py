@@ -91,13 +91,6 @@ class TestResidues:
         expected = ss.c @ ss.b
         assert abs(total - expected) <= 1e-8 * max(1.0, abs(expected))
 
-    def test_csv_shape(self, tmp_path):
-        path = tmp_path / "table.csv"
-        residues(diag_system()).to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "re,im,residue_re,residue_im,dominance"
-        assert len(lines) == 3
-
 
 class TestModalReconstruct:
     def test_worked_sum(self):

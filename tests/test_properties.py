@@ -26,7 +26,7 @@ from dompole.solver import (  # noqa: E402
     refresh_columns,
     run,
 )
-from dompole.sparsela import SparseMatrix, factorize, shifted  # noqa: E402
+from dompole.sparsela import SingularMatrixError, SparseMatrix, factorize, shifted  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -198,28 +198,39 @@ def test_run_finds_true_poles_and_residues_and_repeats_itself(kind, gen, data, m
 @st.composite
 def shifted_matrices(draw):
     """A sparse J of order 1-12, real or complex, with diagonal entries
-    missing; a permutation's entries make it structurally nonsingular. Also
-    ndyn and a complex shift."""
+    missing; a permutation's entries make it structurally nonsingular, unless
+    ``singular`` empties one column at or beyond ndyn (E would refill an
+    earlier one). Also ndyn and a complex shift."""
     n = draw(st.integers(1, 12), label="n")
-    ndyn = draw(st.integers(0, n), label="ndyn")
+    singular = draw(st.booleans(), label="singular")
+    ndyn = draw(st.integers(0, n - int(singular)), label="ndyn")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     density = draw(st.sampled_from([0.1, 0.3, 0.6]), label="density")
     dense = np.where(rng.random((n, n)) < density, rng.standard_normal((n, n)), 0.0)
     if draw(st.booleans(), label="complex"):
         dense = dense + 1j * np.where(dense != 0, rng.standard_normal((n, n)), 0.0)
     dense[rng.permutation(n), np.arange(n)] += rng.uniform(1.0, 2.0, n)
+    if singular:
+        dense[:, draw(st.integers(ndyn, n - 1), label="empty")] = 0.0
     s = complex(draw(st.floats(-3, 3), label="re"), draw(st.floats(-3, 3), label="im"))
-    return dense, ndyn, s
+    return dense, ndyn, s, singular
 
 
 @PROPERTY
 @given(case=shifted_matrices())
 def test_shifted_lu_matches_dense_algebra(case):
-    dense, ndyn, s = case
+    dense, ndyn, s, singular = case
     n = dense.shape[0]
     J = SparseMatrix.from_dense(dense)
     A = dense - s * np.diag((np.arange(n) < ndyn).astype(float))
     M = shifted(J, ndyn, s)
+    if singular:
+        # a structurally singular pattern keeps the natural order
+        assert J._shifts.cols is None
+        assert np.array_equal(M.csc.toarray(), A)
+        with pytest.raises(SingularMatrixError, match="structurally singular|no nonzero"):
+            factorize(M)
+        return
     fac = factorize(M)
     assert np.array_equal(M.csc.toarray(), A[:, fac.cols])
     assert fac.pivot_growth == np.abs(fac.lu.U.data).max() / np.abs(A).max()

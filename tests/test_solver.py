@@ -42,7 +42,7 @@ def state_space_system():
     a = rng.standard_normal((8, 8))
     a -= np.diag(np.abs(a).sum(axis=1) + 1.0)
     ss = StateSpaceSystem(a, rng.standard_normal(8), rng.standard_normal(8), 0)
-    return DescriptorSystem.from_state_space(ss), ss
+    return DescriptorSystem.from_dense_state(ss.A, ss.b, ss.c, ss.d), ss
 
 
 def feedthrough_system():
@@ -336,7 +336,7 @@ class TestResidueEstimate:
         a = rng.standard_normal((8, 8))
         a -= np.diag(np.abs(a).sum(axis=1) + 0.5)
         ss = StateSpaceSystem(a, rng.standard_normal(8), rng.standard_normal(8), 0)
-        sys = DescriptorSystem.from_state_space(ss)
+        sys = DescriptorSystem.from_dense_state(ss.A, ss.b, ss.c, ss.d)
         table = residues(ss)
         targets = table.eigenvalues[:3]
         config = SolverConfig(method="dpse", p=3, tol=1e-8, max_iter=30)

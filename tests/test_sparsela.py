@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.sparse.csgraph import structural_rank
 
 import dompole
 from dompole import descriptor, sparsela
@@ -74,8 +75,8 @@ class TestSparseMatrix:
         m = SparseMatrix.from_scipy(raw([0, 2, 2], [0, 0], [1.0, 2.0]))
         assert m.indices.tolist() == [0] and m.data.tolist() == [3.0]
 
-    def test_from_triplets_sums_duplicates(self):
-        m = SparseMatrix.from_triplets(2, 2, [0, 0], [0, 0], [1.0, 2.0])
+    def test_from_scipy_sums_coo_duplicates(self):
+        m = SparseMatrix.from_scipy(sp.coo_matrix(([1.0, 2.0], ([0, 0], [0, 0])), shape=(2, 2)))
         assert m.nnz == 1
         assert m.to_dense()[0, 0] == 3.0
 
@@ -141,13 +142,35 @@ class TestShifted:
         x = factorize(SparseMatrix.from_scipy(M.csc)).solve(np.ones(12))
         assert_allclose(M.csc @ x, np.ones(12), rtol=1e-12)
 
-    def test_structurally_singular_pattern_keeps_the_natural_order(self):
-        dense = np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 0.0], [0.0, 0.0, 4.0]])
+    @pytest.mark.parametrize(
+        "dense, ndyn",
+        [
+            ([[0.0, 1.0, 2.0], [0.0, 3.0, 0.0], [0.0, 0.0, 4.0]], 0),
+            # column 2 is empty, and E's one at (0, 0) does not refill it
+            ([[1.0, 2.0, 0.0], [0.0, 3.0, 0.0], [4.0, 0.0, 0.0]], 1),
+            # no empty row or column, but rows 1 and 2 hold only column 0
+            ([[1.0, 2.0, 3.0], [4.0, 0.0, 0.0], [5.0, 0.0, 0.0]], 0),
+        ],
+        ids=["empty-column", "empty-column-beyond-ndyn", "short-rank"],
+    )
+    def test_structurally_singular_pattern_keeps_the_natural_order(self, monkeypatch, dense, ndyn):
+        seen = []
+        splu = spla.splu
+
+        def recorded_splu(A, **kwargs):
+            seen.append(A.copy())
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(sparsela.spla, "splu", recorded_splu)
         J = SparseMatrix.from_dense(dense)
-        assert_array_equal(shifted(J, 0, 1.0).csc.toarray(), dense)
+        s = 0.5 - 0.25j
+        E = np.diag((np.arange(3) < ndyn).astype(float))
+        assert_array_equal(shifted(J, ndyn, s).csc.toarray(), np.array(dense) - s * E)
         assert J._shifts.cols is None
         with pytest.raises(SingularMatrixError, match="structurally singular"):
-            factorize(J)
+            factorize(shifted(J, ndyn, s))
+        # SuperLU never sees a structurally singular matrix
+        assert all(structural_rank(A) == A.shape[0] for A in seen)
 
     def test_cache_follows_j_and_ndyn(self):
         rng = np.random.default_rng(4)
