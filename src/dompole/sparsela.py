@@ -8,22 +8,32 @@ the solver shifts are complex, and a single complex path avoids duplicated
 real/complex kernels.
 
 The pattern of ``J - sE`` does not depend on s. The first ``shifted(J,
-ndyn, s)`` call therefore keeps ``shifted(J, ndyn, 0)`` on J, its columns
-in the COLAMD order of that pattern. Each call then makes
-``(J - sE)[:, cols]``, the matrix SuperLU factors, with one copy and one
-subtraction; a cancelled entry stays stored as a zero. A pattern whose
+ndyn, s)`` call therefore keeps ``shifted(J, ndyn, 0)`` on J, its rows and
+columns in one symmetric order ``cols``: the minimum-degree order of the
+pattern of ``A + A^T``, from one SuperLU factorization of generic values
+in ``SymmetricMode``. Each call then makes ``(J - sE)[cols][:, cols]``,
+that is ``P (J - sE) P^T``, the matrix SuperLU factors, with one copy and
+one subtraction; a cancelled entry stays stored as a zero. A pattern whose
 ``structural_rank`` is short keeps the natural order and never reaches
 SuperLU: ``factorize`` raises SingularMatrixError for it. The result is a
-``ShiftedMatrix``: its columns permuted, it is no SparseMatrix.
-``factorize`` takes a SparseMatrix through ``shifted(M, 0, 0)`` first. J
-must not be changed in place once it has been shifted or factored.
+``ShiftedMatrix``: permuted, it is no SparseMatrix. ``factorize`` takes a
+SparseMatrix through ``shifted(M, 0, 0)`` first. J must not be changed in
+place once it has been shifted or factored.
 
 Every ``splu`` call, the ordering one and the one per shift, takes
-``SUPERLU_OPTIONS``. ``relax=1`` turns off SuperLU's relaxed supernodes,
-which pad a network's tiny supernodes with explicit zeros: the grid stores
-14.6 factor entries per row instead of 22.2. ``panel_size=1`` factors both
-benchmark models faster than widths 4 and 10 (the default), with the same
-factor entries. The COLAMD order is the same either way.
+``SUPERLU_OPTIONS``. Given ``P (J - sE) P^T`` in its natural order, SuperLU
+prefers each diagonal entry as the pivot, and ``diag_pivot_thresh=0.01``
+keeps it while it is at least 1% of the largest entry left in its column.
+Over the benchmark's pole hunts, the median LU of the grid stores 12.1
+factor entries per row and the feeder's 9.1, against 14.6 and 11.2 under
+the earlier COLAMD column order, whose partial pivoting swapped every row.
+Rows swap only where a diagonal entry falls below the threshold; that
+costs some fill (at most 12.5 and 10.2 per row) and lets pivot growth
+exceed 1 (at most 46, on the feeder). ``relax=1`` turns off SuperLU's
+relaxed supernodes, which padded the grid from 14.6 to 22.2 factor entries
+per row under COLAMD; in the symmetric order they pad neither benchmark
+model. ``panel_size=1`` factored both models faster than widths 4 and 10
+(the default) under COLAMD, with the same factor entries.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ __all__ = [
 PIVOT_RTOL = 1e-14
 
 # SuperLU options for every factorization (see the module docstring)
-SUPERLU_OPTIONS = {"relax": 1, "panel_size": 1}
+SUPERLU_OPTIONS = {"relax": 1, "panel_size": 1, "diag_pivot_thresh": 0.01}
 
 
 class SingularMatrixError(ArithmeticError):
@@ -133,12 +143,13 @@ class SparseMatrix:
 
 @dataclass(frozen=True, eq=False)
 class ShiftedMatrix:
-    """``J - sE`` from ``shifted``: ``csc`` is ``(J - sE)[:, cols]`` in scipy CSC.
+    """``J - sE`` from ``shifted``: ``csc`` is ``(J - sE)[cols][:, cols]`` in scipy CSC.
 
-    ``cols`` is the COLAMD column order cached for ``(J, ndyn)``, or None when
-    the pattern is structurally singular (``csc`` then keeps the natural
-    order). ``diag`` holds the data positions of E's ones in ``csc`` and
-    ``max_off`` the largest ``|J|`` entry off them.
+    ``cols`` is the symmetric order cached for ``(J, ndyn)``, applied to rows
+    and columns alike, or None when the pattern is structurally singular
+    (``csc`` then keeps the natural order). ``diag`` holds the data
+    positions of E's ones in ``csc`` and ``max_off`` the largest ``|J|``
+    entry off them.
     """
 
     csc: sp.csc_matrix
@@ -152,17 +163,19 @@ def _unshifted(J, ndyn):
     """``shifted(J, ndyn, 0)``, the cache that every shift of ``(J, ndyn)`` copies.
 
     Its pattern is J's nonzero entries plus an explicit zero on each of E's
-    diagonal positions. Its column order comes from one COLAMD factorization
-    of generic values on that pattern, whose factors are discarded; a
-    structurally singular pattern skips it and keeps the natural order.
+    diagonal positions. Its order comes from one minimum-degree
+    factorization of generic values on that pattern, whose factors are
+    discarded; a structurally singular pattern skips it and keeps the
+    natural order.
     """
     N = J.nrows
     coo = J.to_scipy().tocoo()
     nz = coo.data != 0
     dyn = np.arange(ndyn)
     # J's value plus an explicit zero is J's value, and stays stored either way
-    ij = (np.r_[coo.row[nz], dyn], np.r_[coo.col[nz], dyn])
-    P = sp.csc_matrix((np.r_[coo.data[nz], np.zeros(ndyn)], ij), shape=(N, N))
+    data = np.r_[coo.data[nz], np.zeros(ndyn)]
+    row, col = np.r_[coo.row[nz], dyn], np.r_[coo.col[nz], dyn]
+    P = sp.csc_matrix((data, (row, col)), shape=(N, N))
     cols = None
     if structural_rank(P) == N:
         # complex values, like the shifted matrices', so that the factorizations
@@ -170,11 +183,14 @@ def _unshifted(J, ndyn):
         rng = np.random.default_rng(0)
         noise = rng.uniform(1.0, 2.0, P.nnz) + 1j * rng.uniform(1.0, 2.0, P.nnz)
         generic = sp.csc_matrix((noise, P.indices, P.indptr), shape=(N, N))
-        perm_c = spla.splu(generic, permc_spec="COLAMD", **SUPERLU_OPTIONS).perm_c
-        cols = np.argsort(perm_c).astype(np.int32)
-        P = P[:, cols]
-    col = np.repeat(np.arange(N) if cols is None else cols, np.diff(P.indptr))
-    diag = np.flatnonzero((P.indices == col) & (col < ndyn))
+        perm = spla.splu(generic, permc_spec="MMD_AT_PLUS_A",
+                         options={"SymmetricMode": True}, **SUPERLU_OPTIONS).perm_c
+        cols = np.argsort(perm).astype(np.int32)
+        # entry (i, j) of J - sE is entry (perm[i], perm[j]) of P (J - sE) P^T
+        P = sp.csc_matrix((data, (perm[row], perm[col])), shape=(N, N))
+    at = np.repeat(np.arange(N), np.diff(P.indptr))
+    natural = at if cols is None else cols[at]
+    diag = np.flatnonzero((P.indices == at) & (natural < ndyn))
     max_off = float(np.abs(np.delete(P.data, diag)).max(initial=0.0))
     return ShiftedMatrix(P, ndyn, cols, diag, max_off)
 
@@ -202,10 +218,10 @@ def shifted(J, ndyn, s):
 
 
 class Factorization:
-    """LU factors of ``A[:, cols]``, for A in its natural column order.
+    """LU factors of ``A[cols][:, cols]``, for A in its natural order.
 
     A is the SparseMatrix given to ``factorize``, or ``J - sE`` for a
-    ShiftedMatrix, whose ``csc`` is ``A[:, cols]``.
+    ShiftedMatrix, whose ``csc`` is ``A[cols][:, cols]``.
     ``pivot_growth``, ``max|U| / max|A|``, is computed when it is read.
     """
 
@@ -231,15 +247,13 @@ class Factorization:
             raise ValueError(
                 f"right-hand side has length {rhs.shape}, expected ({self.order},)"
             )
-        if transposed:
-            return self.lu.solve(rhs[self.cols], trans="T")
         x = np.empty_like(rhs)
-        x[self.cols] = self.lu.solve(rhs)
+        x[self.cols] = self.lu.solve(rhs[self.cols], trans="T" if transposed else "N")
         return x
 
 
 def factorize(M):
-    """Sparse LU of a ShiftedMatrix or a SparseMatrix M, with partial pivoting.
+    """Sparse LU of a ShiftedMatrix or a SparseMatrix M, with threshold pivoting.
 
     A SparseMatrix goes through ``shifted(M, 0, 0)`` first. Raises
     SingularMatrixError for structural singularity or for any pivot at or

@@ -372,8 +372,8 @@ class TestRun:
         [
             np.diag([-1.0, -3.0]),
             # integer entries: J - sE at the integer start shifts has exact
-            # pivot ties, where SuperLU's COLAMD and pre-ordered paths round
-            # differently
+            # pivot ties, where SuperLU's ordering and pre-ordered factorizations
+            # round differently
             [[2, 0, 2, 1], [1, -1, 1, -2], [0, 0, 2, -2], [2, -2, 1, 0]],
             [[2, 1, 0, 0], [0, 0, -1, 1], [-2, 0, -1, 1], [1, 1, 2, 2]],
         ],

@@ -34,8 +34,8 @@ def random_sparse(rng, n, density=0.3, complex_vals=False, diag_boost=0.0):
 
 
 def reconstruction_error(M, fac):
-    """``||Pr M - L U|| / ||M||`` for M in the factored column order, a
-    result of ``shifted``."""
+    """``||Pr M - L U|| / ||M||`` for M in the factored order, a result of
+    ``shifted``."""
     n = M.csc.shape[0]
     Pr = sp.csc_matrix((np.ones(n), (fac.lu.perm_r, np.arange(n))), shape=(n, n))
     lhs = (Pr @ M.csc).toarray()
@@ -44,14 +44,15 @@ def reconstruction_error(M, fac):
 
 
 def in_cached_order(J, dense):
-    """``dense[:, cols]`` for the column order ``shifted`` cached on J."""
+    """``dense[cols][:, cols]`` for the symmetric order ``shifted`` cached on J."""
     cols = J._shifts.cols
-    return dense if cols is None else dense[:, cols]
+    return dense if cols is None else dense[np.ix_(cols, cols)]
 
 
 def natural_order(M, cols):
-    """A result of ``shifted`` with its columns back in the natural order."""
-    return M.csc[:, np.argsort(cols)]
+    """A result of ``shifted`` with its rows and columns back in the natural order."""
+    back = np.argsort(cols)
+    return M.csc[back][:, back]
 
 
 class TestSparseMatrix:
@@ -131,6 +132,12 @@ class TestShifted:
         out = shifted(J, ndyn, s).csc
         assert_array_equal(out.toarray(), in_cached_order(J, dense - s * E))
         assert out.has_canonical_format
+        # the flag is set, not checked: SuperLU rounds differently when the
+        # row indices of a column are out of order
+        canon = out.copy()
+        canon.has_canonical_format = False
+        canon.sum_duplicates()
+        assert_array_equal(canon.indices, out.indices)
 
     def test_result_is_no_sparse_matrix(self):
         # its columns are permuted, so it offers no product; the same values
@@ -249,14 +256,23 @@ def random_shifted(seed, n=40, ndyn=25):
 
 class TestCachedOrder:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_solves_equal_a_fresh_colamd_lu(self, seed):
+    def test_solves_equal_a_fresh_symmetric_lu(self, seed):
         M, rhs = random_shifted(seed)
         fac = factorize(M)
-        assert fac.cols is not None
-        A = natural_order(M, fac.cols)
-        fresh = spla.splu(A, permc_spec="COLAMD", **sparsela.SUPERLU_OPTIONS)
-        assert_array_equal(fac.solve(rhs), fresh.solve(rhs))
-        assert_array_equal(fac.solve(rhs, transposed=True), fresh.solve(rhs, trans="T"))
+        cols = fac.cols
+        assert cols is not None
+        A = natural_order(M, cols)
+        # a fresh symmetric factorization of A takes the same order and pivots
+        fresh = spla.splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True},
+                          **sparsela.SUPERLU_OPTIONS)
+        assert_array_equal(fresh.perm_c, np.argsort(cols))
+        assert_array_equal(fresh.perm_r[cols], fac.lu.perm_r)
+        # and the solves are those of an LU of A[cols][:, cols], put back in order
+        lu = spla.splu(A[cols][:, cols], permc_spec="NATURAL", **sparsela.SUPERLU_OPTIONS)
+        for trans, transposed in (("N", False), ("T", True)):
+            x = np.empty_like(rhs)
+            x[cols] = lu.solve(rhs[cols], trans=trans)
+            assert_array_equal(fac.solve(rhs, transposed=transposed), x)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reconstruction(self, seed):
@@ -270,7 +286,7 @@ class TestCachedOrder:
         fac = factorize(M)
         assert fac.cols is not None
         assert reconstruction_error(M, fac) <= 1e-14
-        # M is J - sE with its columns in the order cols
+        # M is J - sE with its rows and columns in the order cols
         assert_allclose(M.csc @ fac.solve(np.ones(3))[fac.cols], np.ones(3), rtol=1e-14)
 
     def test_one_splu_per_factorization_plus_one_ordering(self, monkeypatch):
@@ -306,7 +322,7 @@ class TestCachedOrder:
         assert counts["splu"] == counts["factorize"] + 2
         assert orders.count(m) == 2
 
-    def test_one_colamd_ordering_per_matrix_and_ndyn(self, monkeypatch):
+    def test_one_symmetric_ordering_per_matrix_and_ndyn(self, monkeypatch):
         rng = np.random.default_rng(5)
         n, m = 10, 5
         Jd = rng.standard_normal((n + m, n + m)) * (rng.random((n + m, n + m)) < 0.3)
@@ -319,7 +335,7 @@ class TestCachedOrder:
 
         def recorded_splu(A, permc_spec=None, **kwargs):
             specs.append((A.shape[0], permc_spec))
-            options.append(kwargs)
+            options.append((A.shape[0], permc_spec, kwargs))
             return splu(A, permc_spec=permc_spec, **kwargs)
 
         def recorded_factorize(M):
@@ -335,15 +351,24 @@ class TestCachedOrder:
         facs += [factorize(plain), factorize(plain)]
         # J with ndyn = n, its algebraic block J4 (one order for run's kappa
         # and validate), and the plain matrix
-        assert sorted(order for order, spec in specs if spec == "COLAMD") == [m, 7, n + m]
+        assert sorted(order for order, spec in specs if spec == "MMD_AT_PLUS_A") == [m, 7, n + m]
         assert len(specs) == len(facs) + 3
-        assert all(spec in ("COLAMD", "NATURAL") for _, spec in specs)
+        assert all(spec in ("MMD_AT_PLUS_A", "NATURAL") for _, spec in specs)
         assert all(fac.cols is not None for fac in facs)
-        assert all(kw == {"relax": 1, "panel_size": 1} for kw in options)
+        shared = {"relax": 1, "panel_size": 1, "diag_pivot_thresh": 0.01}
+        for _, spec, kw in options:
+            if spec == "MMD_AT_PLUS_A":
+                assert kw == {**shared, "options": {"SymmetricMode": True}}
+            else:
+                assert kw == shared
 
 
-def mesh_shifted(seed, k=12, machines=24):
-    """``J - sE`` of a small network: 4-state machines on a k-by-k bus mesh."""
+MESH_SHIFT = 0.3 + 2.1j
+
+
+def mesh_system(seed, k=12, machines=24):
+    """J, ndyn and a right-hand side of a small network: 4-state machines on
+    a k-by-k bus mesh."""
     rng = np.random.default_rng(seed)
     path = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
     J4 = sp.kronsum(path, path) + 0.1 * sp.identity(k * k)
@@ -355,16 +380,81 @@ def mesh_shifted(seed, k=12, machines=24):
     J3 = sp.csc_matrix((rng.uniform(0.5, 1.0, machines), (buses, rows + 1)), shape=(k * k, n))
     J = SparseMatrix.from_scipy(sp.bmat([[J1, J2], [J3, J4]]))
     rhs = rng.standard_normal(J.nrows) + 1j * rng.standard_normal(J.nrows)
-    return shifted(J, n, 0.3 + 2.1j), rhs
+    return J, n, rhs
+
+
+def mesh_shifted(seed):
+    """``J - sE`` of ``mesh_system(seed)`` at ``MESH_SHIFT``, and its right-hand side."""
+    J, n, rhs = mesh_system(seed)
+    return shifted(J, n, MESH_SHIFT), rhs
+
+
+def saddle_system(seed, n=8, k=12, g=4):
+    """J of a model whose algebraic block is a saddle point ``[[K, G^T], [G, 0]]``.
+
+    Its last g diagonal entries are structurally zero, and each of those rows
+    holds one entry of G, so a minimum-degree order takes them early. J1 is
+    upper triangular, and J2 J4^-1 J3 strictly so (J2 couples the first half
+    of the dynamic states, J3 the second), so the eigenvalues are -1, ..., -n.
+    """
+    rng = np.random.default_rng(seed)
+    J1 = np.triu(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4), 1)
+    J1 -= np.diag(np.arange(1.0, n + 1))
+    K = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(k, k))
+    G = sp.csr_matrix((rng.uniform(1.0, 2.0, g), (np.arange(g), rng.choice(k, g, replace=False))),
+                      shape=(g, k))
+    J4 = sp.bmat([[K, G.T], [G, None]])
+    m = k + g
+    J2 = np.zeros((n, m))
+    J2[: n // 2, rng.choice(m, 3, replace=False)] = rng.uniform(0.5, 1.0, (n // 2, 3))
+    J3 = np.zeros((m, n))
+    J3[rng.choice(m, 3, replace=False), n // 2:] = rng.uniform(0.5, 1.0, (3, n - n // 2))
+    J = sp.bmat([[sp.csc_matrix(J1), sp.csc_matrix(J2)], [sp.csc_matrix(J3), J4]])
+    return SparseMatrix.from_scipy(J), n
+
+
+class TestSaddlePoint:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pivots_leave_a_zero_diagonal(self, seed):
+        J, n = saddle_system(seed)
+        N = J.nrows
+        s = 0.3 - 0.8j
+        M = shifted(J, n, s)
+        fac = factorize(M)
+        assert (fac.lu.perm_r != np.arange(N)).any()
+        A = J.to_scipy() - s * sp.diags((np.arange(N) < n).astype(float))
+        rng = np.random.default_rng(seed)
+        rhs = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        for op, transposed in ((A, False), (A.T, True)):
+            x = fac.solve(rhs, transposed=transposed)
+            scale = spla.norm(op, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(rhs, np.inf)
+            assert np.linalg.norm(op @ x - rhs, np.inf) / scale <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shift_on_an_eigenvalue_is_singular(self, seed):
+        J, n = saddle_system(seed)
+        for k in range(1, n + 1):
+            with pytest.raises(SingularMatrixError):
+                factorize(shifted(J, n, -float(k)))
 
 
 class TestFill:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_fewer_factor_entries_than_relaxed_supernodes(self, seed):
+    def test_fewer_factor_entries_than_colamd(self, seed):
+        J, n, _ = mesh_system(seed)
+        fac = factorize(shifted(J, n, MESH_SHIFT))
+        E = sp.diags((np.arange(J.nrows) < n).astype(float))
+        A = (J.to_scipy() - MESH_SHIFT * E).tocsc()
+        colamd = spla.splu(A, permc_spec="COLAMD", relax=1, panel_size=1)
+        assert fac.lu.nnz < colamd.nnz
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pivots_stay_on_the_diagonal(self, seed):
+        # SuperLU prefers the pivot in row k of the matrix it is given, which
+        # is J - sE's diagonal only if rows are permuted like the columns
         M, _ = mesh_shifted(seed)
         fac = factorize(M)
-        relaxed = spla.splu(M.csc, permc_spec="NATURAL")
-        assert fac.lu.nnz < relaxed.nnz
+        assert_array_equal(fac.lu.perm_r, np.arange(M.csc.shape[0]))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("transposed", [False, True])
