@@ -28,12 +28,18 @@ Over the benchmark's pole hunts, the median LU of the grid stores 12.1
 factor entries per row and the feeder's 9.1, against 14.6 and 11.2 under
 the earlier COLAMD column order, whose partial pivoting swapped every row.
 Rows swap only where a diagonal entry falls below the threshold; that
-costs some fill (at most 12.5 and 10.2 per row) and lets pivot growth
-exceed 1 (at most 46, on the feeder). ``relax=1`` turns off SuperLU's
-relaxed supernodes, which padded the grid from 14.6 to 22.2 factor entries
-per row under COLAMD; in the symmetric order they pad neither benchmark
-model. ``panel_size=1`` factored both models faster than widths 4 and 10
-(the default) under COLAMD, with the same factor entries.
+costs some fill (at most 12.5 and 10.2 per row) and lets the pivot growth
+``max|U| / max|A|`` exceed 1 (at most 46, on the feeder). Past
+``GROWTH_LIMIT`` the threshold has cost more than two of the sixteen
+digits, and ``factorize`` factors the same matrix again with partial
+pivoting (``diag_pivot_thresh=1``), whose multipliers are at most 1 in
+modulus; no LU of the benchmark models reaches the limit. ``relax=1``
+turns off SuperLU's relaxed supernodes, which padded the grid from 14.6 to
+22.2 factor entries per row under COLAMD. In the symmetric order they pad
+neither benchmark model, but still add a median 15% to the factors of
+random unsymmetric patterns of order 20 to 199. ``panel_size=1`` factored
+both models faster than widths 4 and 10 (the default) under COLAMD, with
+the same factor entries.
 """
 
 from __future__ import annotations
@@ -65,6 +71,10 @@ PIVOT_RTOL = 1e-14
 
 # SuperLU options for every factorization (see the module docstring)
 SUPERLU_OPTIONS = {"relax": 1, "panel_size": 1, "diag_pivot_thresh": 0.01}
+
+# An LU whose pivot growth max|U| / max|A| exceeds this is made again with
+# partial pivoting (see the module docstring)
+GROWTH_LIMIT = 100.0
 
 
 class SingularMatrixError(ArithmeticError):
@@ -222,23 +232,18 @@ class Factorization:
 
     A is the SparseMatrix given to ``factorize``, or ``J - sE`` for a
     ShiftedMatrix, whose ``csc`` is ``A[cols][:, cols]``.
-    ``pivot_growth``, ``max|U| / max|A|``, is computed when it is read.
+    ``max_abs`` is ``max|A|`` and ``pivot_growth`` is ``max|U| / max|A|``.
     """
 
-    __slots__ = ("lu", "cols", "max_abs")
+    __slots__ = ("lu", "cols", "max_abs", "pivot_growth")
 
-    def __init__(self, lu, cols, max_abs):
+    def __init__(self, lu, cols, max_abs, pivot_growth):
         self.lu = lu
         self.cols = cols
         self.max_abs = max_abs
+        self.pivot_growth = pivot_growth
 
     order = property(lambda self: self.cols.size)
-
-    @property
-    def pivot_growth(self):
-        # scipy keeps the lu.U that factorize's pivot test built
-        U = self.lu.U
-        return float(np.abs(U.data).max() / self.max_abs) if U.nnz else 0.0
 
     def solve(self, rhs, transposed=False):
         """Solve ``A x = rhs`` or ``A.T x = rhs`` using the stored factors."""
@@ -255,10 +260,11 @@ class Factorization:
 def factorize(M):
     """Sparse LU of a ShiftedMatrix or a SparseMatrix M, with threshold pivoting.
 
-    A SparseMatrix goes through ``shifted(M, 0, 0)`` first. Raises
-    SingularMatrixError for structural singularity or for any pivot at or
-    below ``PIVOT_RTOL * max|entry|``; the caller is expected to perturb the
-    shift and retry.
+    A SparseMatrix goes through ``shifted(M, 0, 0)`` first. An LU whose
+    pivot growth exceeds ``GROWTH_LIMIT`` is made again with partial
+    pivoting. Raises SingularMatrixError for structural singularity or for
+    any pivot at or below ``PIVOT_RTOL * max|entry|``; the caller is
+    expected to perturb the shift and retry.
     """
     if isinstance(M, SparseMatrix):
         if M.nrows == 0:
@@ -269,17 +275,23 @@ def factorize(M):
         raise SingularMatrixError("matrix has no nonzero entries")
     if M.cols is None:
         raise SingularMatrixError("sparse LU failed: the matrix is structurally singular")
-    try:
-        lu = spla.splu(M.csc, permc_spec="NATURAL", **SUPERLU_OPTIONS)
-    except RuntimeError as exc:
-        raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
+    for thresh in (SUPERLU_OPTIONS["diag_pivot_thresh"], 1.0):
+        options = {**SUPERLU_OPTIONS, "diag_pivot_thresh": thresh}
+        try:
+            lu = spla.splu(M.csc, permc_spec="NATURAL", **options)
+        except RuntimeError as exc:
+            raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
+        # scipy builds lu.U at its first read and keeps it
+        growth = float(np.abs(lu.U.data).max(initial=0.0)) / max_abs
+        if growth <= GROWTH_LIMIT:
+            break
     min_pivot = float(np.abs(lu.U.diagonal()).min())
     if min_pivot <= PIVOT_RTOL * max_abs:
         raise SingularMatrixError(
             f"pivot {min_pivot:.3e} below threshold {PIVOT_RTOL * max_abs:.3e}; "
             "the shift likely coincides with an eigenvalue"
         )
-    return Factorization(lu, M.cols, max_abs)
+    return Factorization(lu, M.cols, max_abs, growth)
 
 
 def dense_eig(A, B):

@@ -449,6 +449,16 @@ class TestFill:
         assert fac.lu.nnz < colamd.nnz
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fewer_factor_entries_than_relaxed_supernodes(self, seed):
+        # in the symmetric order relaxed supernodes pad neither benchmark
+        # model, but still pad a random unsymmetric pattern
+        M, _ = random_shifted(seed)
+        fac = factorize(M)
+        options = {k: v for k, v in sparsela.SUPERLU_OPTIONS.items() if k != "relax"}
+        relaxed = spla.splu(M.csc, permc_spec="NATURAL", **options)
+        assert fac.lu.nnz < relaxed.nnz
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pivots_stay_on_the_diagonal(self, seed):
         # SuperLU prefers the pivot in row k of the matrix it is given, which
         # is J - sE's diagonal only if rows are permuted like the columns
@@ -466,6 +476,54 @@ class TestFill:
         x = fac.solve(rhs, transposed=transposed)
         scale = spla.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(rhs, np.inf)
         assert np.linalg.norm(A @ x - rhs, np.inf) / scale <= 1e-12
+
+
+def arrowhead(leaves, d):
+    """Diagonal entries d coupled by ones to a last row and column, whose
+    diagonal entry is 1.
+
+    A minimum-degree order takes the leaves first. Each leaf's pivot d passes
+    the threshold when d >= 0.01, and eliminating the leaves leaves
+    ``1 - leaves / d`` in the last row and column.
+    """
+    A = np.diag(np.r_[np.full(leaves, d), 1.0])
+    A[leaves, :leaves] = A[:leaves, leaves] = 1.0
+    return A
+
+
+class TestPivotGrowth:
+    @staticmethod
+    def counted_factorize(monkeypatch, A):
+        calls = []
+        splu = sparsela.spla.splu
+
+        def recorded_splu(*args, **kwargs):
+            calls.append(kwargs.get("diag_pivot_thresh"))
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(sparsela.spla, "splu", recorded_splu)
+        return factorize(SparseMatrix.from_dense(A)), calls
+
+    def test_growth_up_to_the_limit_keeps_the_diagonal(self, monkeypatch):
+        # two leaves grow the last entry to 1 - 2 / 0.02 = -99
+        fac, calls = self.counted_factorize(monkeypatch, arrowhead(2, 0.02))
+        assert calls == [0.01, 0.01]
+        assert fac.pivot_growth == pytest.approx(99.0)
+        assert_array_equal(fac.lu.perm_r, np.arange(3))
+
+    def test_growth_past_the_limit_refactors_with_partial_pivoting(self, monkeypatch):
+        # three leaves would grow it to -149: the ordering LU, the threshold
+        # LU and one with partial pivoting, in the same order
+        A = arrowhead(3, 0.02)
+        fac, calls = self.counted_factorize(monkeypatch, A)
+        assert calls == [0.01, 0.01, 1.0]
+        assert fac.pivot_growth <= sparsela.GROWTH_LIMIT
+        assert (fac.lu.perm_r != np.arange(4)).any()
+        rhs = np.arange(1.0, 5.0) + 1j
+        for op, transposed in ((A, False), (A.T, True)):
+            x = fac.solve(rhs, transposed=transposed)
+            scale = np.abs(op).sum(axis=1).max() * np.linalg.norm(x, np.inf) + np.linalg.norm(rhs, np.inf)
+            assert np.linalg.norm(op @ x - rhs, np.inf) / scale <= 1e-12
 
 
 class TestSolve:
