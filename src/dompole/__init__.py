@@ -26,7 +26,6 @@ from .mmio import MatrixMarketError, read_matrix_market, read_vector
 from .oracle import (
     full_spectrum,
     modal_reconstruct,
-    rank_by_dominance,
     reference_F,
     reference_sequence,
     residues,
@@ -94,7 +93,6 @@ __all__ = [
     "match_shifts",
     "modal_reconstruct",
     "normalized_vectors",
-    "rank_by_dominance",
     "read_matrix_market",
     "read_vector",
     "reduce_to_state_space",

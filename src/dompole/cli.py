@@ -235,8 +235,8 @@ def cmd_spy(args):
     for note in report.notes:
         print(f"note = {note}")
     if args.coords:
-        J = system.J
-        cols = np.repeat(np.arange(J.ncols), np.diff(J.indptr))
+        J = system.J.to_scipy()
+        cols = np.repeat(np.arange(J.shape[1]), np.diff(J.indptr))
         lines = ["row,col"] + [f"{i},{j}" for i, j in zip(J.indices.tolist(), cols.tolist())]
         _write_text(args.coords, "\n".join(lines))
     return 0

@@ -69,9 +69,9 @@ class DescriptorSystem:
     D: complex = 0j
 
     def __post_init__(self):
-        if self.J.nrows != self.J.ncols:
+        N, ncols = self.J.to_scipy().shape
+        if N != ncols:
             raise ValueError("J must be square")
-        N = self.J.nrows
         if not 1 <= self.ndyn <= N:
             raise ValueError(f"ndyn must lie in [1, {N}], got {self.ndyn}")
         object.__setattr__(self, "B", np.ascontiguousarray(self.B, dtype=np.complex128))
@@ -85,7 +85,7 @@ class DescriptorSystem:
 
     @property
     def order(self):
-        return self.J.nrows
+        return self.J.to_scipy().shape[0]
 
     @cached_property
     def j4(self):
@@ -101,7 +101,7 @@ class DescriptorSystem:
         if not (self.B[n:].any() and self.C[n:].any()):
             return 0j
         try:
-            fac = factorize(self.j4)
+            fac = factorize(shifted(self.j4, 0, 0))
         except SingularMatrixError:
             return 0j
         return complex(self.C[n:] @ fac.solve(self.B[n:]))
@@ -110,7 +110,7 @@ class DescriptorSystem:
     def from_dense_state(cls, A, b, c, d=0j):
         """Wrap a dense state-space model (E = I, no algebraic block)."""
         A = np.atleast_2d(np.asarray(A, dtype=np.complex128))
-        return cls(SparseMatrix.from_dense(A), A.shape[0], b, c, d)
+        return cls(SparseMatrix.from_scipy(A), A.shape[0], b, c, d)
 
 
 @dataclass(frozen=True)
@@ -184,6 +184,7 @@ def validate(sys):
     n = sys.ndyn
     m = N - n
     blocks = block_nnz(sys.J, n)
+    nnz = sys.J.to_scipy().nnz
     j4_ok = True
     notes = []
     pattern = sys.J.to_scipy().copy()
@@ -200,7 +201,7 @@ def validate(sys):
         notes.append(f"structural rank of J is {rank} < {N}")
     if m > 0:
         try:
-            factorize(sys.j4)
+            factorize(shifted(sys.j4, 0, 0))
         except SingularMatrixError as exc:
             j4_ok = False
             notes.append(f"algebraic block singular: {exc}")
@@ -208,8 +209,8 @@ def validate(sys):
         order=N,
         ndyn=n,
         n_algebraic=m,
-        nnz=sys.J.nnz,
-        density_pct=100.0 * sys.J.nnz / (N * N),
+        nnz=nnz,
+        density_pct=100.0 * nnz / (N * N),
         block_nnz=blocks,
         j4_nonsingular=j4_ok,
         notes=notes,
@@ -239,7 +240,7 @@ def reduce_to_state_space(sys):
             f"system order {N} exceeds dense reduction limit {DENSE_REDUCTION_LIMIT}"
         )
     n = sys.ndyn
-    Jd = sys.J.to_dense()
+    Jd = sys.J.to_scipy().toarray()
     J1 = Jd[:n, :n]
     if n == N:
         return StateSpaceSystem(J1, sys.B, sys.C, sys.D)

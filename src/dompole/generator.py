@@ -214,7 +214,7 @@ def build_system(
         Jd = np.block([[J1, J2], [J3, J4]])
     else:
         Jd = A0
-    J = SparseMatrix.from_dense(Jd)
+    J = SparseMatrix.from_scipy(Jd)
 
     forced = b is not None or c is not None
     for _ in range(int(max_resample)):

@@ -202,14 +202,11 @@ def read_matrix_market(path):
 
 def read_vector(path):
     """Read an N x 1 (or 1 x N) Matrix Market file as a 1-D complex vector."""
-    m = read_matrix_market(path)
-    if m.ncols == 1:
-        return m.to_dense()[:, 0]
-    if m.nrows == 1:
-        return m.to_dense()[0, :]
-    raise MatrixMarketError(
-        f"expected a vector, got a {m.nrows}x{m.ncols} matrix", path
-    )
+    m = read_matrix_market(path).to_scipy()
+    nrows, ncols = m.shape
+    if ncols == 1 or nrows == 1:
+        return m.toarray().ravel()
+    raise MatrixMarketError(f"expected a vector, got a {nrows}x{ncols} matrix", path)
 
 
 def _write(path, fmt, size, values, index=None):
@@ -236,10 +233,11 @@ def _write(path, fmt, size, values, index=None):
 def write_coordinate(path, m):
     """Write a SparseMatrix (or 2-D array) in coordinate general format."""
     if not isinstance(m, SparseMatrix):
-        m = SparseMatrix.from_dense(np.atleast_2d(m))
-    cols = np.repeat(np.arange(1, m.ncols + 1), np.diff(m.indptr))
+        m = SparseMatrix.from_scipy(np.atleast_2d(m))
+    m = m.to_scipy()
+    cols = np.repeat(np.arange(1, m.shape[1] + 1), np.diff(m.indptr))
     index = [f"{i} {j}" for i, j in zip((m.indices + 1).tolist(), cols.tolist())]
-    _write(path, "coordinate", (m.nrows, m.ncols, m.nnz), m.data, index)
+    _write(path, "coordinate", (*m.shape, m.nnz), m.data, index)
 
 
 def write_array(path, values):

@@ -26,7 +26,6 @@ __all__ = [
     "normalized_blocks",
     "reference_F",
     "reference_sequence",
-    "rank_by_dominance",
 ]
 
 # Residues computed through an eigenvector basis this ill-conditioned are
@@ -177,13 +176,3 @@ def reference_sequence(ss, shifts0, method="dpse", steps=5):
             raise ValueError(f"unknown method '{method}'")
         out.append(s.copy())
     return out
-
-
-def rank_by_dominance(poles):
-    """Sort (eigenvalue, dominance) pairs most dominant first.
-
-    Infinite dominance ranks ahead of everything; ties break by |Im|
-    ascending, then by Re descending (documented, arbitrary).
-    """
-    items = [(complex(lam), float(m)) for lam, m in poles]
-    return sorted(items, key=lambda t: dominance_sort_key(t[0], t[1]))

@@ -620,7 +620,7 @@ def run(sys, config, initial_shifts=None):
             f"p = {config.p} exceeds the {sys.ndyn} dynamic states of the system"
         )
     step = dpse_step if config.method == "dpse" else ddpse_step
-    real = not (sys.J.data.imag.any() or sys.B.imag.any() or sys.C.imag.any())
+    real = not (sys.J.to_scipy().data.imag.any() or sys.B.imag.any() or sys.C.imag.any())
 
     state = ShiftState.start(sys, shifts)
     refresh_columns(sys, state)

@@ -14,11 +14,11 @@ pattern of ``A + A^T``, from one SuperLU factorization of generic values
 in ``SymmetricMode``. Each call then makes ``(J - sE)[cols][:, cols]``,
 that is ``P (J - sE) P^T``, the matrix SuperLU factors, with one copy and
 one subtraction; a cancelled entry stays stored as a zero. A pattern whose
-``structural_rank`` is short keeps the natural order and never reaches
-SuperLU: ``factorize`` raises SingularMatrixError for it. The result is a
-``ShiftedMatrix``: permuted, it is no SparseMatrix. ``factorize`` takes a
-SparseMatrix through ``shifted(M, 0, 0)`` first. J must not be changed in
-place once it has been shifted or factored.
+``structural_rank`` is short raises SingularMatrixError there, before any
+SuperLU call, and nothing is cached. The result is a ``ShiftedMatrix``, the
+one input ``factorize`` takes; a SparseMatrix M itself is factored as
+``factorize(shifted(M, 0, 0))``. J must not be changed in place once it
+has been shifted.
 
 Every ``splu`` call, the ordering one and the one per shift, takes
 ``SUPERLU_OPTIONS``. Given ``P (J - sE) P^T`` in its natural order, SuperLU
@@ -89,8 +89,8 @@ class SparseMatrix:
     """Complex sparse matrix held as one canonical ``scipy.sparse.csc_matrix``.
 
     The held matrix is complex128, with sorted row indices and no duplicate
-    entries. Build instances with ``from_scipy`` (or ``from_dense``), which
-    makes that form and checks it.
+    entries. Build instances with ``from_scipy``, which makes that form and
+    checks it; read the matrix itself with ``to_scipy``.
     """
 
     # _transpose: CSR view of M.T over M's own arrays, built by the first
@@ -116,26 +116,8 @@ class SparseMatrix:
         csc.sum_duplicates()
         return cls(csc)
 
-    @classmethod
-    def from_dense(cls, a):
-        a = np.asarray(a, dtype=np.complex128)
-        if a.ndim != 2:
-            raise ValueError("expected a 2-D array")
-        return cls.from_scipy(a)
-
-    nrows = property(lambda self: self._csc.shape[0])
-    ncols = property(lambda self: self._csc.shape[1])
-    shape = property(lambda self: self._csc.shape)
-    nnz = property(lambda self: self._csc.nnz)
-    indptr = property(lambda self: self._csc.indptr)
-    indices = property(lambda self: self._csc.indices)
-    data = property(lambda self: self._csc.data)
-
     def to_scipy(self):
         return self._csc
-
-    def to_dense(self):
-        return self._csc.toarray()
 
     def matvec(self, x):
         """Return ``M @ x``."""
@@ -148,7 +130,8 @@ class SparseMatrix:
         return self._transpose @ np.asarray(x, dtype=np.complex128)
 
     def __repr__(self):
-        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
+        (nrows, ncols), nnz = self._csc.shape, self._csc.nnz
+        return f"SparseMatrix({nrows}x{ncols}, nnz={nnz})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,15 +139,13 @@ class ShiftedMatrix:
     """``J - sE`` from ``shifted``: ``csc`` is ``(J - sE)[cols][:, cols]`` in scipy CSC.
 
     ``cols`` is the symmetric order cached for ``(J, ndyn)``, applied to rows
-    and columns alike, or None when the pattern is structurally singular
-    (``csc`` then keeps the natural order). ``diag`` holds the data
-    positions of E's ones in ``csc`` and ``max_off`` the largest ``|J|``
-    entry off them.
+    and columns alike. ``diag`` holds the data positions of E's ones in
+    ``csc`` and ``max_off`` the largest ``|J|`` entry off them.
     """
 
     csc: sp.csc_matrix
     ndyn: int
-    cols: np.ndarray | None
+    cols: np.ndarray
     diag: np.ndarray
     max_off: float
 
@@ -175,32 +156,34 @@ def _unshifted(J, ndyn):
     Its pattern is J's nonzero entries plus an explicit zero on each of E's
     diagonal positions. Its order comes from one minimum-degree
     factorization of generic values on that pattern, whose factors are
-    discarded; a structurally singular pattern skips it and keeps the
-    natural order.
+    discarded. A structurally singular pattern raises SingularMatrixError
+    before that factorization.
     """
-    N = J.nrows
     coo = J.to_scipy().tocoo()
+    N = coo.shape[0]
     nz = coo.data != 0
     dyn = np.arange(ndyn)
     # J's value plus an explicit zero is J's value, and stays stored either way
     data = np.r_[coo.data[nz], np.zeros(ndyn)]
     row, col = np.r_[coo.row[nz], dyn], np.r_[coo.col[nz], dyn]
     P = sp.csc_matrix((data, (row, col)), shape=(N, N))
-    cols = None
-    if structural_rank(P) == N:
-        # complex values, like the shifted matrices', so that the factorizations
-        # after this one reuse its memory instead of raising the peak
-        rng = np.random.default_rng(0)
-        noise = rng.uniform(1.0, 2.0, P.nnz) + 1j * rng.uniform(1.0, 2.0, P.nnz)
-        generic = sp.csc_matrix((noise, P.indices, P.indptr), shape=(N, N))
-        perm = spla.splu(generic, permc_spec="MMD_AT_PLUS_A",
-                         options={"SymmetricMode": True}, **SUPERLU_OPTIONS).perm_c
-        cols = np.argsort(perm).astype(np.int32)
-        # entry (i, j) of J - sE is entry (perm[i], perm[j]) of P (J - sE) P^T
-        P = sp.csc_matrix((data, (perm[row], perm[col])), shape=(N, N))
+    rank = structural_rank(P)
+    if rank < N:
+        raise SingularMatrixError(
+            f"the matrix is structurally singular (structural rank {rank} < {N})"
+        )
+    # complex values, like the shifted matrices', so that the factorizations
+    # after this one reuse its memory instead of raising the peak
+    rng = np.random.default_rng(0)
+    noise = rng.uniform(1.0, 2.0, P.nnz) + 1j * rng.uniform(1.0, 2.0, P.nnz)
+    generic = sp.csc_matrix((noise, P.indices, P.indptr), shape=(N, N))
+    perm = spla.splu(generic, permc_spec="MMD_AT_PLUS_A",
+                     options={"SymmetricMode": True}, **SUPERLU_OPTIONS).perm_c
+    cols = np.argsort(perm).astype(np.int32)
+    # entry (i, j) of J - sE is entry (perm[i], perm[j]) of P (J - sE) P^T
+    P = sp.csc_matrix((data, (perm[row], perm[col])), shape=(N, N))
     at = np.repeat(np.arange(N), np.diff(P.indptr))
-    natural = at if cols is None else cols[at]
-    diag = np.flatnonzero((P.indices == at) & (natural < ndyn))
+    diag = np.flatnonzero((P.indices == at) & (cols[at] < ndyn))
     max_off = float(np.abs(np.delete(P.data, diag)).max(initial=0.0))
     return ShiftedMatrix(P, ndyn, cols, diag, max_off)
 
@@ -209,9 +192,10 @@ def shifted(J, ndyn, s):
     """``J - s*E`` as a ShiftedMatrix; E = diag(1,...,1,0,...,0) has ``ndyn`` ones.
 
     The pattern is the same for every s; the result shares its index arrays
-    with the cache on J. A shift that is not finite raises ValueError.
+    with the cache on J. A shift that is not finite raises ValueError, and a
+    structurally singular pattern SingularMatrixError.
     """
-    N = J.nrows
+    N = J.to_scipy().shape[0]
     if not 0 <= ndyn <= N:
         raise ValueError(f"ndyn {ndyn} out of range for order {N}")
     s = complex(s)
@@ -228,10 +212,9 @@ def shifted(J, ndyn, s):
 
 
 class Factorization:
-    """LU factors of ``A[cols][:, cols]``, for A in its natural order.
+    """LU factors of ``A[cols][:, cols]`` for ``A = J - sE``, the ShiftedMatrix's ``csc``.
 
-    A is the SparseMatrix given to ``factorize``, or ``J - sE`` for a
-    ShiftedMatrix, whose ``csc`` is ``A[cols][:, cols]``.
+    ``solve`` takes and returns vectors in A's natural order.
     ``max_abs`` is ``max|A|`` and ``pivot_growth`` is ``max|U| / max|A|``.
     """
 
@@ -258,23 +241,16 @@ class Factorization:
 
 
 def factorize(M):
-    """Sparse LU of a ShiftedMatrix or a SparseMatrix M, with threshold pivoting.
+    """Sparse LU of the ShiftedMatrix M from ``shifted``, with threshold pivoting.
 
-    A SparseMatrix goes through ``shifted(M, 0, 0)`` first. An LU whose
-    pivot growth exceeds ``GROWTH_LIMIT`` is made again with partial
-    pivoting. Raises SingularMatrixError for structural singularity or for
-    any pivot at or below ``PIVOT_RTOL * max|entry|``; the caller is
+    An LU whose pivot growth exceeds ``GROWTH_LIMIT`` is made again with
+    partial pivoting. Raises SingularMatrixError when M has no nonzero entry
+    or a pivot at or below ``PIVOT_RTOL * max|entry|``; the caller is
     expected to perturb the shift and retry.
     """
-    if isinstance(M, SparseMatrix):
-        if M.nrows == 0:
-            raise ValueError("cannot factorize an empty matrix")
-        M = shifted(M, 0, 0.0)
     max_abs = float(np.abs(M.csc.data[M.diag]).max(initial=M.max_off))
     if max_abs == 0.0:
         raise SingularMatrixError("matrix has no nonzero entries")
-    if M.cols is None:
-        raise SingularMatrixError("sparse LU failed: the matrix is structurally singular")
     for thresh in (SUPERLU_OPTIONS["diag_pivot_thresh"], 1.0):
         options = {**SUPERLU_OPTIONS, "diag_pivot_thresh": thresh}
         try:

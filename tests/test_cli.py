@@ -15,7 +15,7 @@ from dompole.sparsela import EigenSolverError, SparseMatrix
 @pytest.fixture
 def toy_manifest(tmp_path):
     """Manifest for the two-state diag(-1, -3) system with b = c = ones."""
-    write_coordinate(tmp_path / "J.mtx", SparseMatrix.from_dense(np.diag([-1.0, -3.0])))
+    write_coordinate(tmp_path / "J.mtx", SparseMatrix.from_scipy(np.diag([-1.0, -3.0])))
     write_array(tmp_path / "B.mtx", np.array([1.0, 1.0]))
     write_array(tmp_path / "C.mtx", np.array([1.0, 1.0]))
     path = tmp_path / "toy.manifest"
@@ -28,7 +28,7 @@ def toy_manifest(tmp_path):
 @pytest.fixture
 def algebraic_toy_manifest(tmp_path):
     """One dynamic plus one algebraic variable; reduces to A=[-1], b=c=[1], d=1."""
-    write_coordinate(tmp_path / "J.mtx", SparseMatrix.from_dense([[-1.0, 0.0], [0.0, 1.0]]))
+    write_coordinate(tmp_path / "J.mtx", SparseMatrix.from_scipy([[-1.0, 0.0], [0.0, 1.0]]))
     write_array(tmp_path / "B.mtx", np.array([1.0, 1.0]))
     write_array(tmp_path / "C.mtx", np.array([1.0, -1.0]))
     path = tmp_path / "alg.manifest"
@@ -119,7 +119,7 @@ class TestPoles:
         # the algebraic variable appears in no equation's column: column 3
         # of J - sE is empty for every s
         J = [[-1.0, 1.0, 0.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]]
-        write_coordinate(tmp_path / "J.mtx", SparseMatrix.from_dense(J))
+        write_coordinate(tmp_path / "J.mtx", SparseMatrix.from_scipy(J))
         write_array(tmp_path / "B.mtx", np.ones(3))
         write_array(tmp_path / "C.mtx", np.ones(3))
         path = tmp_path / "empty_column.manifest"
@@ -240,7 +240,7 @@ class TestTf:
         # carries the response at its resonant frequency
         lam = complex(-0.1, 10.0)
         J = np.diag([lam, -2.0 + 0j, -3.0 + 0j, -4.0 + 0j])
-        write_coordinate(tmp_path / "J.mtx", SparseMatrix.from_dense(J))
+        write_coordinate(tmp_path / "J.mtx", SparseMatrix.from_scipy(J))
         write_array(tmp_path / "B.mtx", np.ones(4))
         write_array(tmp_path / "C.mtx", np.array([10.0, 0.05, 0.05, 0.05]))
         manifest = tmp_path / "dom.manifest"

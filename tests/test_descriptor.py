@@ -25,7 +25,7 @@ from dompole.sparsela import SingularMatrixError, SparseMatrix, factorize, shift
 
 def toy_system():
     """One dynamic and one algebraic variable; reduces to A=[-1], b=c=[1], d=1."""
-    J = SparseMatrix.from_dense([[-1.0, 0.0], [0.0, 1.0]])
+    J = SparseMatrix.from_scipy([[-1.0, 0.0], [0.0, 1.0]])
     return DescriptorSystem(J=J, ndyn=1, B=[1.0, 1.0], C=[1.0, -1.0], D=0.0)
 
 
@@ -44,13 +44,13 @@ def random_descriptor(rng, n, m, kappa_free=False):
     if kappa_free and m:
         t = np.linalg.solve(Jd[n:, n:], B[n:])
         C[n:] -= (C[n:] @ t) / (t @ t) * t
-    return DescriptorSystem(J=SparseMatrix.from_dense(Jd), ndyn=n, B=B, C=C, D=0.25)
+    return DescriptorSystem(J=SparseMatrix.from_scipy(Jd), ndyn=n, B=B, C=C, D=0.25)
 
 
 @pytest.mark.parametrize("name", ["B", "C"])
 def test_all_zero_b_or_c_rejected(name):
     vectors = {"B": [1.0, 1.0], "C": [1.0, 1.0], name: [0.0, 0.0]}
-    J = SparseMatrix.from_dense(np.diag([-1.0, -3.0]))
+    J = SparseMatrix.from_scipy(np.diag([-1.0, -3.0]))
     with pytest.raises(ValueError, match=f"^{name} is all zero"):
         DescriptorSystem(J=J, ndyn=2, **vectors)
 
@@ -87,7 +87,7 @@ class TestValidate:
         J = SparseMatrix.from_scipy(sp.coo_matrix(
             ([-1.0, 1.0, 1.0, 1.0, 0.0], ([0, 1, 0, 1, 1], [0, 0, 2, 2, 1])), shape=(3, 3)
         ))
-        assert J.nnz == 5
+        assert J.to_scipy().nnz == 5
         rep = validate(DescriptorSystem(J=J, ndyn=1, B=[1, 0, 0], C=[1, 0, 0]))
         assert "empty rows of J (0-based): 2" in rep.notes
         assert "empty columns of J (0-based): 1" in rep.notes
@@ -95,13 +95,13 @@ class TestValidate:
 
     def test_structurally_singular_j_named(self):
         # no empty row or column, but rows 0 and 1 both hold only column 0
-        J = SparseMatrix.from_dense([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        J = SparseMatrix.from_scipy([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
         rep = validate(DescriptorSystem(J=J, ndyn=3, B=[1, 0, 0], C=[1, 0, 0]))
         assert rep.notes == ["structural rank of J is 2 < 3"]
         assert not rep.ok
 
     def test_singular_algebraic_block_flagged(self):
-        J = SparseMatrix.from_dense([[-1.0, 1.0], [1.0, 0.0]])
+        J = SparseMatrix.from_scipy([[-1.0, 1.0], [1.0, 0.0]])
         rep = validate(DescriptorSystem(J=J, ndyn=1, B=[1, 0], C=[1, 0]))
         assert not rep.j4_nonsingular
         assert any("singular" in note for note in rep.notes)
@@ -133,7 +133,7 @@ class TestReduce:
             assert abs(h_desc - h_ss) <= 1e-10 * max(1.0, abs(h_ss))
 
     def test_singular_j4_raises(self):
-        J = SparseMatrix.from_dense([[-1.0, 1.0], [1.0, 0.0]])
+        J = SparseMatrix.from_scipy([[-1.0, 1.0], [1.0, 0.0]])
         sys = DescriptorSystem(J=J, ndyn=1, B=[1, 0], C=[1, 0])
         with pytest.raises(SingularMatrixError):
             reduce_to_state_space(sys)
@@ -201,7 +201,7 @@ class TestKappa:
         toy = toy_system()
         assert DescriptorSystem(toy.J, 1, [1.0, 0.0], toy.C).kappa == 0
         # the algebraic variable appears in no equation: J4 = [0]
-        J = SparseMatrix.from_dense([[-1.0, 1.0, 0.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
+        J = SparseMatrix.from_scipy([[-1.0, 1.0, 0.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
         assert DescriptorSystem(J, 2, np.ones(3), np.ones(3)).kappa == 0
 
 
@@ -243,7 +243,7 @@ class TestNormalizedVectors:
 
 class TestManifest:
     def write_toy(self, tmp_path):
-        write_coordinate(tmp_path / "J.mtx", SparseMatrix.from_dense(np.diag([-1.0, -3.0])))
+        write_coordinate(tmp_path / "J.mtx", SparseMatrix.from_scipy(np.diag([-1.0, -3.0])))
         write_array(tmp_path / "B.mtx", np.array([1.0, 1.0]))
         write_array(tmp_path / "C.mtx", np.array([1.0, 1.0]))
         text = "jacobian = J.mtx\nb = B.mtx\nc = C.mtx\nndyn = 2\nd_re = 0.0\nd_im = 0.0\n"
@@ -253,7 +253,7 @@ class TestManifest:
     def test_load_system(self, tmp_path):
         sys = load_system(self.write_toy(tmp_path))
         assert sys.order == 2 and sys.ndyn == 2
-        assert_allclose(sys.J.to_dense(), np.diag([-1.0, -3.0]))
+        assert_allclose(sys.J.to_scipy().toarray(), np.diag([-1.0, -3.0]))
 
     def test_save_load_roundtrip(self, tmp_path):
         man = Manifest(

@@ -46,7 +46,7 @@ class TestBuildSystem:
             np.array([-1.0, -3.0]), n_algebraic=0, rng=np.random.default_rng(0),
             b=np.ones(2), c=np.ones(2),
         )
-        assert_allclose(gen.system.J.to_dense(), np.diag([-1.0, -3.0]))
+        assert_allclose(gen.system.J.to_scipy().toarray(), np.diag([-1.0, -3.0]))
         assert_allclose(gen.system.B, [1.0, 1.0])
         assert_allclose(gen.system.C, [1.0, 1.0])
         assert_allclose(gen.truth.residues, [1.0, 1.0], atol=1e-12)
@@ -65,7 +65,7 @@ class TestBuildSystem:
         spec = sample_spectrum(15, 3, (0.05, 0.3), rng)
         gen = build_system(spec, n_algebraic=10, density=0.2, rng=rng)
         n = gen.system.ndyn
-        Jd = gen.system.J.to_dense()
+        Jd = gen.system.J.to_scipy().toarray()
         kappa = gen.system.C[n:] @ np.linalg.solve(Jd[n:, n:], gen.system.B[n:])
         assert abs(kappa) <= 1e-12
         assert abs(reduce_to_state_space(gen.system).d) <= 1e-12
@@ -105,7 +105,7 @@ class TestWriteSystem:
         gen = self.build()
         manifest = write_system(gen, tmp_path, name="t")
         sys = load_system(manifest)
-        assert_allclose(sys.J.to_dense(), gen.system.J.to_dense(), atol=0)
+        assert_allclose(sys.J.to_scipy().toarray(), gen.system.J.to_scipy().toarray(), atol=0)
         assert_allclose(sys.B, gen.system.B, atol=0)
         assert_allclose(sys.C, gen.system.C, atol=0)
         truth = load_ground_truth(tmp_path / "t_truth.json")

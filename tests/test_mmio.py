@@ -38,15 +38,15 @@ def write(tmp_path, name, text):
 
 def test_read_coordinate_toy(tmp_path):
     m = read_matrix_market(write(tmp_path, "j.mtx", TOY_COORD))
-    assert m.nnz == 2
-    assert_allclose(m.to_dense(), np.diag([-1.0, 1.0]))
+    assert m.to_scipy().nnz == 2
+    assert_allclose(m.to_scipy().toarray(), np.diag([-1.0, 1.0]))
 
 
 def test_read_array_column(tmp_path):
     m = read_matrix_market(write(tmp_path, "b.mtx", TOY_ARRAY))
-    assert (m.nrows, m.ncols) == (2, 1)
-    assert m.nnz == 2
-    assert_allclose(m.to_dense()[:, 0], [1.0, 1.0])
+    assert m.to_scipy().shape == (2, 1)
+    assert m.to_scipy().nnz == 2
+    assert_allclose(m.to_scipy().toarray()[:, 0], [1.0, 1.0])
 
 
 def test_entry_count_mismatch(tmp_path):
@@ -166,7 +166,7 @@ def test_symmetric_complex_array(tmp_path):
         "1.0 0.5\n2.0 -1.0\n3.0 0.0\n"
     )
     m = read_matrix_market(write(tmp_path, "s.mtx", text))
-    assert_allclose(m.to_dense(), [[1 + 0.5j, 2 - 1j], [2 - 1j, 3]], atol=0)
+    assert_allclose(m.to_scipy().toarray(), [[1 + 0.5j, 2 - 1j], [2 - 1j, 3]], atol=0)
 
 
 def test_tabs_and_crlf(tmp_path):
@@ -175,25 +175,25 @@ def test_tabs_and_crlf(tmp_path):
         b"%%MatrixMarket matrix coordinate real general\r\n2 2 2\r\n"
         b"1\t1\t1.5\r\n% note\r\n2 \t2  -2.0\r\n"
     )
-    assert_allclose(read_matrix_market(path).to_dense(), np.diag([1.5, -2.0]), atol=0)
+    assert_allclose(read_matrix_market(path).to_scipy().toarray(), np.diag([1.5, -2.0]), atol=0)
 
 
 def test_trailing_comment_after_entry(tmp_path):
     m = read_matrix_market(write(tmp_path, "c.mtx", CR + "2 2 1\n1 2 7.0 % note\n"))
-    assert m.to_dense()[0, 1] == 7.0
+    assert m.to_scipy().toarray()[0, 1] == 7.0
 
 
 def test_trailing_comment_after_size_line(tmp_path):
     m = read_matrix_market(write(tmp_path, "c.mtx", CR + "2 2 1 % c\n1 2 7.0\n"))
-    assert m.shape == (2, 2)
-    assert m.to_dense()[0, 1] == 7.0
+    assert m.to_scipy().shape == (2, 2)
+    assert m.to_scipy().toarray()[0, 1] == 7.0
 
 
 def test_array_zeros_not_stored(tmp_path):
     text = "%%MatrixMarket matrix array real general\n3 2\n0.0\n2.0\n0.0\n-0.0\n0\n4.0\n"
     m = read_matrix_market(write(tmp_path, "z.mtx", text))
-    assert m.nnz == 2
-    assert_allclose(m.to_dense(), [[0.0, 0.0], [2.0, 0.0], [0.0, 4.0]], atol=0)
+    assert m.to_scipy().nnz == 2
+    assert_allclose(m.to_scipy().toarray(), [[0.0, 0.0], [2.0, 0.0], [0.0, 4.0]], atol=0)
 
 
 @pytest.mark.parametrize(
@@ -222,23 +222,23 @@ def test_symmetric_coordinate_expansion(tmp_path):
         "1 1 2.0\n2 1 -1.0\n3 3 4.0\n"
     )
     m = read_matrix_market(write(tmp_path, "s.mtx", text))
-    dense = m.to_dense()
+    dense = m.to_scipy().toarray()
     assert_allclose(dense, dense.T)
     assert dense[0, 1] == -1.0
-    assert m.nnz == 4
+    assert m.to_scipy().nnz == 4
 
 
 def test_symmetric_array(tmp_path):
     # lower triangle, column-major: (1,1) (2,1) (2,2)
     text = "%%MatrixMarket matrix array real symmetric\n2 2\n2.0\n-1.0\n3.0\n"
     m = read_matrix_market(write(tmp_path, "s.mtx", text))
-    assert_allclose(m.to_dense(), [[2.0, -1.0], [-1.0, 3.0]])
+    assert_allclose(m.to_scipy().toarray(), [[2.0, -1.0], [-1.0, 3.0]])
 
 
 def test_complex_coordinate(tmp_path):
     text = "%%MatrixMarket matrix coordinate complex general\n2 2 2\n1 1 1.0 -2.0\n2 1 0.5 0.25\n"
     m = read_matrix_market(write(tmp_path, "c.mtx", text))
-    dense = m.to_dense()
+    dense = m.to_scipy().toarray()
     assert dense[0, 0] == 1.0 - 2.0j
     assert dense[1, 0] == 0.5 + 0.25j
 
@@ -249,7 +249,7 @@ def test_comments_and_blank_lines_skipped(tmp_path):
         "% a comment\n\n2 2 1\n% another\n1 2 7.0\n\n"
     )
     m = read_matrix_market(write(tmp_path, "c.mtx", text))
-    assert m.to_dense()[0, 1] == 7.0
+    assert m.to_scipy().toarray()[0, 1] == 7.0
 
 
 def test_unsupported_header(tmp_path):
@@ -269,11 +269,11 @@ def test_read_vector_requires_vector_shape(tmp_path):
 def test_coordinate_roundtrip_matches_scipy(tmp_path, seed):
     rng = np.random.default_rng(seed)
     dense = np.where(rng.random((7, 5)) < 0.4, rng.standard_normal((7, 5)), 0.0)
-    m = SparseMatrix.from_dense(dense)
+    m = SparseMatrix.from_scipy(dense)
     path = tmp_path / "m.mtx"
     write_coordinate(path, m)
     back = read_matrix_market(path)
-    assert_allclose(back.to_dense(), dense, atol=0)
+    assert_allclose(back.to_scipy().toarray(), dense, atol=0)
     assert_allclose(np.asarray(scipy.io.mmread(path).todense()), dense, atol=0)
 
 
@@ -299,8 +299,8 @@ def test_scipy_written_file_matches_scipy_read(tmp_path, fmt, dtype, symmetry):
     ref = scipy.io.mmread(path)
     ref = ref.toarray() if scipy.sparse.issparse(ref) else ref
     m = read_matrix_market(path)
-    assert_allclose(m.to_dense(), ref, atol=0)
-    assert m.nnz == np.count_nonzero(dense)
+    assert_allclose(m.to_scipy().toarray(), ref, atol=0)
+    assert m.to_scipy().nnz == np.count_nonzero(dense)
 
 
 def test_complex_roundtrip(tmp_path):
@@ -308,8 +308,8 @@ def test_complex_roundtrip(tmp_path):
     dense = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     dense[rng.random((4, 4)) < 0.5] = 0.0
     path = tmp_path / "c.mtx"
-    write_coordinate(path, SparseMatrix.from_dense(dense))
-    assert_allclose(read_matrix_market(path).to_dense(), dense, atol=0)
+    write_coordinate(path, SparseMatrix.from_scipy(dense))
+    assert_allclose(read_matrix_market(path).to_scipy().toarray(), dense, atol=0)
 
 
 def test_array_roundtrip_vector(tmp_path):
@@ -322,7 +322,7 @@ def test_array_roundtrip_vector(tmp_path):
 def test_writes_are_deterministic(tmp_path):
     rng = np.random.default_rng(11)
     dense = np.where(rng.random((6, 6)) < 0.3, rng.standard_normal((6, 6)), 0.0)
-    m = SparseMatrix.from_dense(dense)
+    m = SparseMatrix.from_scipy(dense)
     p1 = tmp_path / "a.mtx"
     p2 = tmp_path / "b.mtx"
     write_coordinate(p1, m)

@@ -8,12 +8,11 @@ from dompole.descriptor import StateSpaceSystem
 from dompole.oracle import (
     full_spectrum,
     modal_reconstruct,
-    rank_by_dominance,
     reference_F,
     reference_sequence,
     residues,
 )
-from dompole.solver import dominance, match_shifts
+from dompole.solver import dominance, dominance_sort_key, match_shifts
 from dompole.sparsela import SingularMatrixError
 
 from grid_tables import GRID_POLES_A, GRID_POLES_B
@@ -160,29 +159,38 @@ class TestReferenceSequence:
         assert_allclose(seq[1], [-1.125, -2.875], atol=1e-12)
 
 
+def ranked(poles):
+    """(eigenvalue, dominance) pairs, most dominant first."""
+    return sorted(poles, key=lambda pole: dominance_sort_key(*pole))
+
+
 class TestRanking:
     def test_grid_table_a_top_pair(self):
-        ranked = rank_by_dominance([(complex(re, im), m) for re, im, m in GRID_POLES_A])
-        assert ranked[0][0] == pytest.approx(complex(-0.0335, -1.0787))
-        assert ranked[0][1] == pytest.approx(760.15)
-        top2 = {z for z, _ in ranked[:2]}
+        top = ranked([(complex(re, im), m) for re, im, m in GRID_POLES_A])
+        assert top[0][0] == pytest.approx(complex(-0.0335, -1.0787))
+        assert top[0][1] == pytest.approx(760.15)
+        top2 = {z for z, _ in top[:2]}
         assert top2 == {complex(-0.0335, -1.0787), complex(-0.0335, 1.0787)}
 
     def test_grid_table_b_top_pair(self):
-        ranked = rank_by_dominance([(complex(re, im), m) for re, im, m in GRID_POLES_B])
-        top2 = {z for z, _ in ranked[:2]}
+        top = ranked([(complex(re, im), m) for re, im, m in GRID_POLES_B])
+        top2 = {z for z, _ in top[:2]}
         assert top2 == {complex(-0.0335, -1.0787), complex(-0.0335, 1.0787)}
 
     def test_single_pole(self):
-        assert rank_by_dominance([(-1.0 + 0j, 2.0)]) == [(-1.0 + 0j, 2.0)]
+        assert ranked([(-1.0 + 0j, 2.0)]) == [(-1.0 + 0j, 2.0)]
 
     def test_simple_order(self):
-        ranked = rank_by_dominance([(-3.0 + 0j, 1.0 / 3.0), (-1.0 + 0j, 1.0)])
-        assert [z for z, _ in ranked] == [-1.0 + 0j, -3.0 + 0j]
+        top = ranked([(-3.0 + 0j, 1.0 / 3.0), (-1.0 + 0j, 1.0)])
+        assert [z for z, _ in top] == [-1.0 + 0j, -3.0 + 0j]
 
     def test_infinity_first(self):
-        ranked = rank_by_dominance([(-1.0 + 0j, 500.0), (1j, math.inf)])
-        assert ranked[0][0] == 1j
+        top = ranked([(-1.0 + 0j, 500.0), (1j, math.inf)])
+        assert top[0][0] == 1j
+
+    def test_ties_break_by_abs_imag_then_real_descending(self):
+        top = ranked([(-1.0 + 2j, 5.0), (-2.0 - 1j, 5.0), (-1.0 - 1j, 5.0), (-3.0 + 0j, 5.0)])
+        assert [z for z, _ in top] == [-3.0 + 0j, -1.0 - 1j, -2.0 - 1j, -1.0 + 2j]
 
 
 class TestDominance:

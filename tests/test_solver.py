@@ -53,7 +53,7 @@ def feedthrough_system():
     Jd[:5, :5] -= np.diag(rng.uniform(3.0, 5.0, 5))
     Jd[5:, 5:] += np.diag(rng.uniform(4.0, 5.0, 4))
     sys = DescriptorSystem(
-        SparseMatrix.from_dense(Jd), 5, rng.standard_normal(9), rng.standard_normal(9)
+        SparseMatrix.from_scipy(Jd), 5, rng.standard_normal(9), rng.standard_normal(9)
     )
     return sys, reduce_to_state_space(sys)
 
@@ -226,7 +226,7 @@ class TestCheckConvergence:
         rng = np.random.default_rng(14)
         spec = sample_spectrum(10, 2, (0.1, 0.4), rng)
         sys = build_system(spec, n_algebraic=5, density=0.3, rng=rng).system
-        n, Jd = sys.ndyn, sys.J.to_dense()
+        n, Jd = sys.ndyn, sys.J.to_scipy().toarray()
         state = prepared_state(sys, spec[:4] + 0.2 + 0.1j)
         deflate(state, 1, state.shifts[1])
         new = state.shifts + 0.05

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.sparse.csgraph import structural_rank
 
 import dompole
 from dompole import descriptor, sparsela
@@ -30,7 +29,7 @@ def random_sparse(rng, n, density=0.3, complex_vals=False, diag_boost=0.0):
             rng.random((n, n)) < density, rng.standard_normal((n, n)), 0.0
         )
     dense += np.diag(diag_boost + rng.uniform(1.0, 2.0, n))
-    return SparseMatrix.from_dense(dense)
+    return SparseMatrix.from_scipy(dense)
 
 
 def reconstruction_error(M, fac):
@@ -46,7 +45,7 @@ def reconstruction_error(M, fac):
 def in_cached_order(J, dense):
     """``dense[cols][:, cols]`` for the symmetric order ``shifted`` cached on J."""
     cols = J._shifts.cols
-    return dense if cols is None else dense[np.ix_(cols, cols)]
+    return dense[np.ix_(cols, cols)]
 
 
 def natural_order(M, cols):
@@ -67,66 +66,69 @@ class TestSparseMatrix:
         with pytest.raises(ValueError, match="indices must be < 2"):
             SparseMatrix.from_scipy(raw([0, 1, 1], [5], [1.0]))
         unsorted = raw([0, 2, 2], [1, 0], [1.0, 2.0])
-        m = SparseMatrix.from_scipy(unsorted)
+        m = SparseMatrix.from_scipy(unsorted).to_scipy()
         assert m.indptr.tolist() == [0, 2, 2]
         assert m.indices.tolist() == [0, 1]
         assert m.data.tolist() == [2.0, 1.0]
         assert m.data.dtype == np.complex128
         assert unsorted.indices.tolist() == [1, 0]  # the input is copied, not sorted in place
-        m = SparseMatrix.from_scipy(raw([0, 2, 2], [0, 0], [1.0, 2.0]))
+        m = SparseMatrix.from_scipy(raw([0, 2, 2], [0, 0], [1.0, 2.0])).to_scipy()
         assert m.indices.tolist() == [0] and m.data.tolist() == [3.0]
 
     def test_from_scipy_sums_coo_duplicates(self):
         m = SparseMatrix.from_scipy(sp.coo_matrix(([1.0, 2.0], ([0, 0], [0, 0])), shape=(2, 2)))
-        assert m.nnz == 1
-        assert m.to_dense()[0, 0] == 3.0
+        assert m.to_scipy().nnz == 1
+        assert m.to_scipy().toarray()[0, 0] == 3.0
 
     def test_matvec_against_dense(self):
         rng = np.random.default_rng(0)
         m = random_sparse(rng, 9, complex_vals=True)
         x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        assert_allclose(m.matvec(x), m.to_dense() @ x, rtol=1e-13)
-        assert_allclose(m.matvec_t(x), m.to_dense().T @ x, rtol=1e-13)
+        assert_allclose(m.matvec(x), m.to_scipy().toarray() @ x, rtol=1e-13)
+        assert_allclose(m.matvec_t(x), m.to_scipy().toarray().T @ x, rtol=1e-13)
         # the cached transpose view gives scipy's own transposed product
         assert_array_equal(m.matvec_t(x), m.to_scipy().T @ x)
 
 
 class TestShifted:
     def test_diagonal_example(self):
-        J = SparseMatrix.from_dense(np.diag([-1.0, 1.0]))
+        J = SparseMatrix.from_scipy(np.diag([-1.0, 1.0]))
         out = shifted(J, 1, 2.0).csc.toarray()
         assert_array_equal(out, in_cached_order(J, np.diag([-3.0, 1.0])))
 
     def test_zero_shift_is_identity(self):
-        J = SparseMatrix.from_dense([[-1.0, 2.0], [0.0, 1.0]])
-        assert_array_equal(shifted(J, 2, 0.0).csc.toarray(), in_cached_order(J, J.to_dense()))
+        dense = np.array([[-1.0, 2.0], [0.0, 1.0]])
+        J = SparseMatrix.from_scipy(dense)
+        assert_array_equal(shifted(J, 2, 0.0).csc.toarray(), in_cached_order(J, dense))
 
     def test_full_dynamic_block(self):
-        J = SparseMatrix.from_dense(np.diag([-1.0, -3.0]))
+        J = SparseMatrix.from_scipy(np.diag([-1.0, -3.0]))
         out = shifted(J, 2, -0.5).csc.toarray()
         assert_array_equal(out, in_cached_order(J, np.diag([-0.5, -2.5])))
 
     def test_inserts_missing_diagonal(self):
-        J = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
+        J = SparseMatrix.from_scipy([[0.0, 1.0], [1.0, 0.0]])
         out = shifted(J, 2, 1.0).csc
         assert out.nnz == 4
         assert_array_equal(out.toarray(), in_cached_order(J, np.array([[-1.0, 1.0], [1.0, -1.0]])))
 
     def test_cancelled_diagonal_stays_stored(self):
-        J = SparseMatrix.from_dense(np.diag([-1.0, -3.0]))
+        J = SparseMatrix.from_scipy(np.diag([-1.0, -3.0]))
         out = shifted(J, 2, -1.0).csc
         other = shifted(J, 2, 0.5).csc
         assert out.nnz == 2
         assert_array_equal(out.indptr, other.indptr)
         assert_array_equal(out.indices, other.indices)
-        assert_array_equal(out.toarray(), in_cached_order(J, J.to_dense() + np.eye(2)))
+        assert_array_equal(out.toarray(), in_cached_order(J, J.to_scipy().toarray() + np.eye(2)))
 
     @pytest.mark.parametrize("ndyn", [0, 7, 30])
     def test_matches_dense_reference(self, ndyn):
         rng = np.random.default_rng(ndyn)
-        # no diagonal boost: many diagonal positions are absent from J
+        # no diagonal boost: many diagonal positions are absent from J; a
+        # permutation's entries make it structurally nonsingular
         dense = np.where(rng.random((30, 30)) < 0.1, rng.standard_normal((30, 30)), 0.0)
-        J = SparseMatrix.from_dense(dense)
+        dense[rng.permutation(30), np.arange(30)] += rng.uniform(1.0, 2.0, 30)
+        J = SparseMatrix.from_scipy(dense)
         s = 0.3 - 1.7j
         E = np.diag((np.arange(30) < ndyn).astype(float))
         out = shifted(J, ndyn, s).csc
@@ -146,7 +148,7 @@ class TestShifted:
         J = random_sparse(rng, 12, density=0.2)
         M = shifted(J, 5, 0.5 - 0.2j)
         assert isinstance(M, ShiftedMatrix) and not hasattr(M, "matvec")
-        x = factorize(SparseMatrix.from_scipy(M.csc)).solve(np.ones(12))
+        x = factorize(shifted(SparseMatrix.from_scipy(M.csc), 0, 0)).solve(np.ones(12))
         assert_allclose(M.csc @ x, np.ones(12), rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -160,45 +162,37 @@ class TestShifted:
         ],
         ids=["empty-column", "empty-column-beyond-ndyn", "short-rank"],
     )
-    def test_structurally_singular_pattern_keeps_the_natural_order(self, monkeypatch, dense, ndyn):
+    def test_structurally_singular_pattern_is_refused(self, monkeypatch, dense, ndyn):
         seen = []
-        splu = spla.splu
-
-        def recorded_splu(A, **kwargs):
-            seen.append(A.copy())
-            return splu(A, **kwargs)
-
-        monkeypatch.setattr(sparsela.spla, "splu", recorded_splu)
-        J = SparseMatrix.from_dense(dense)
-        s = 0.5 - 0.25j
-        E = np.diag((np.arange(3) < ndyn).astype(float))
-        assert_array_equal(shifted(J, ndyn, s).csc.toarray(), np.array(dense) - s * E)
-        assert J._shifts.cols is None
+        monkeypatch.setattr(sparsela.spla, "splu", lambda A, **kwargs: seen.append(A))
+        J = SparseMatrix.from_scipy(dense)
         with pytest.raises(SingularMatrixError, match="structurally singular"):
-            factorize(shifted(J, ndyn, s))
-        # SuperLU never sees a structurally singular matrix
-        assert all(structural_rank(A) == A.shape[0] for A in seen)
+            shifted(J, ndyn, 0.5 - 0.25j)
+        # SuperLU never sees a structurally singular matrix, and nothing is cached
+        assert seen == []
+        assert J._shifts is None
 
     def test_cache_follows_j_and_ndyn(self):
         rng = np.random.default_rng(4)
         dense = np.where(rng.random((8, 8)) < 0.3, rng.standard_normal((8, 8)), 0.0)
-        J = SparseMatrix.from_dense(dense)
+        dense[rng.permutation(8), np.arange(8)] += rng.uniform(1.0, 2.0, 8)
+        J = SparseMatrix.from_scipy(dense)
         s = 0.4 + 0.9j
         for ndyn in (3, 2, 3):
             E = np.diag((np.arange(8) < ndyn).astype(float))
             out = shifted(J, ndyn, s).csc.toarray()
             assert_array_equal(out, in_cached_order(J, dense - s * E))
-        other = SparseMatrix.from_dense(2.0 * dense)
+        other = SparseMatrix.from_scipy(2.0 * dense)
         out = shifted(other, 3, s).csc.toarray()
         assert_array_equal(out, in_cached_order(other, 2.0 * dense - s * E))
 
     def test_ndyn_out_of_range(self):
-        J = SparseMatrix.from_dense(np.eye(2))
+        J = SparseMatrix.from_scipy(np.eye(2))
         with pytest.raises(ValueError, match="out of range"):
             shifted(J, 3, 1.0)
 
     def test_nonfinite_shift_is_rejected(self):
-        J = SparseMatrix.from_dense(np.eye(2))
+        J = SparseMatrix.from_scipy(np.eye(2))
         with pytest.raises(ValueError, match=re.escape("shift (nan+0j) is not finite")):
             shifted(J, 1, np.nan)
         with pytest.raises(ValueError, match=re.escape("shift (1-infj) is not finite")):
@@ -210,26 +204,25 @@ class TestShifted:
 
 class TestFactorize:
     def test_diagonal_factors(self):
-        M = SparseMatrix.from_dense(np.diag([-0.5, -2.5]))
-        fac = factorize(M)
+        fac = factorize(shifted(SparseMatrix.from_scipy(np.diag([-0.5, -2.5])), 0, 0))
         assert_allclose(fac.lu.L.toarray(), np.eye(2))
         assert_allclose(np.sort(np.abs(fac.lu.U.diagonal())), [0.5, 2.5])
         assert fac.pivot_growth == pytest.approx(1.0)
 
     def test_zero_row_is_singular(self):
-        M = SparseMatrix.from_dense([[1.0, 2.0], [0.0, 0.0]])
-        with pytest.raises(SingularMatrixError):
-            factorize(M)
+        M = SparseMatrix.from_scipy([[1.0, 2.0], [0.0, 0.0]])
+        with pytest.raises(SingularMatrixError, match="structurally singular"):
+            factorize(shifted(M, 0, 0))
 
     def test_tiny_pivot_is_singular(self):
-        M = SparseMatrix.from_dense(np.diag([1.0, 1e-20]))
+        M = SparseMatrix.from_scipy(np.diag([1.0, 1e-20]))
         with pytest.raises(SingularMatrixError, match="threshold"):
-            factorize(M)
+            factorize(shifted(M, 0, 0))
 
     def test_shifted_diagonal_sets_the_pivot_scale(self):
         # max|M| is the shifted entry 1e12, not max|J| = 1e-3: the pivot 1e-3
         # falls below the threshold 1e-2
-        J = SparseMatrix.from_dense(np.diag([0.0, 1e-3]))
+        J = SparseMatrix.from_scipy(np.diag([0.0, 1e-3]))
         with pytest.raises(SingularMatrixError, match="threshold 1.000e-02"):
             factorize(shifted(J, 1, -1e12))
         assert factorize(shifted(J, 1, -1.0)).max_abs == 1.0
@@ -260,7 +253,6 @@ class TestCachedOrder:
         M, rhs = random_shifted(seed)
         fac = factorize(M)
         cols = fac.cols
-        assert cols is not None
         A = natural_order(M, cols)
         # a fresh symmetric factorization of A takes the same order and pivots
         fresh = spla.splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True},
@@ -280,11 +272,10 @@ class TestCachedOrder:
         assert reconstruction_error(M, factorize(M)) <= 1e-12
 
     def test_cancelled_entry_keeps_the_order(self):
-        J = SparseMatrix.from_dense([[-1.0, 2.0, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, 4.0]])
+        J = SparseMatrix.from_scipy([[-1.0, 2.0, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, 4.0]])
         M = shifted(J, 2, -1.0)
         assert M.csc.nnz == 7
         fac = factorize(M)
-        assert fac.cols is not None
         assert reconstruction_error(M, fac) <= 1e-14
         # M is J - sE with its rows and columns in the order cols
         assert_allclose(M.csc @ fac.solve(np.ones(3))[fac.cols], np.ones(3), rtol=1e-14)
@@ -295,7 +286,7 @@ class TestCachedOrder:
         Jd = rng.standard_normal((n + m, n + m)) * (rng.random((n + m, n + m)) < 0.3)
         Jd[:n, :n] -= np.diag(rng.uniform(2.0, 4.0, n))
         Jd[n:, n:] += np.diag(rng.uniform(1.5, 2.5, m))
-        sys = DescriptorSystem(SparseMatrix.from_dense(Jd), n, rng.standard_normal(n + m),
+        sys = DescriptorSystem(SparseMatrix.from_scipy(Jd), n, rng.standard_normal(n + m),
                                rng.standard_normal(n + m))
         counts = {"splu": 0, "factorize": 0}
 
@@ -328,7 +319,7 @@ class TestCachedOrder:
         Jd = rng.standard_normal((n + m, n + m)) * (rng.random((n + m, n + m)) < 0.3)
         Jd[:n, :n] -= np.diag(rng.uniform(2.0, 4.0, n))
         Jd[n:, n:] += np.diag(rng.uniform(1.5, 2.5, m))
-        sys = DescriptorSystem(SparseMatrix.from_dense(Jd), n, rng.standard_normal(n + m),
+        sys = DescriptorSystem(SparseMatrix.from_scipy(Jd), n, rng.standard_normal(n + m),
                                rng.standard_normal(n + m))
         specs, options, facs = [], [], []
         splu = spla.splu
@@ -348,13 +339,12 @@ class TestCachedOrder:
         descriptor.eval_transfer(sys, 0.5j)
         assert descriptor.validate(sys).j4_nonsingular
         plain = random_sparse(rng, 7)
-        facs += [factorize(plain), factorize(plain)]
+        facs += [factorize(shifted(plain, 0, 0)), factorize(shifted(plain, 0, 0))]
         # J with ndyn = n, its algebraic block J4 (one order for run's kappa
         # and validate), and the plain matrix
         assert sorted(order for order, spec in specs if spec == "MMD_AT_PLUS_A") == [m, 7, n + m]
         assert len(specs) == len(facs) + 3
         assert all(spec in ("MMD_AT_PLUS_A", "NATURAL") for _, spec in specs)
-        assert all(fac.cols is not None for fac in facs)
         shared = {"relax": 1, "panel_size": 1, "diag_pivot_thresh": 0.01}
         for _, spec, kw in options:
             if spec == "MMD_AT_PLUS_A":
@@ -379,7 +369,8 @@ def mesh_system(seed, k=12, machines=24):
     J2 = sp.csc_matrix((rng.uniform(0.5, 1.0, machines), (rows, buses)), shape=(n, k * k))
     J3 = sp.csc_matrix((rng.uniform(0.5, 1.0, machines), (buses, rows + 1)), shape=(k * k, n))
     J = SparseMatrix.from_scipy(sp.bmat([[J1, J2], [J3, J4]]))
-    rhs = rng.standard_normal(J.nrows) + 1j * rng.standard_normal(J.nrows)
+    N = n + k * k
+    rhs = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     return J, n, rhs
 
 
@@ -417,7 +408,7 @@ class TestSaddlePoint:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pivots_leave_a_zero_diagonal(self, seed):
         J, n = saddle_system(seed)
-        N = J.nrows
+        N = J.to_scipy().shape[0]
         s = 0.3 - 0.8j
         M = shifted(J, n, s)
         fac = factorize(M)
@@ -443,7 +434,7 @@ class TestFill:
     def test_fewer_factor_entries_than_colamd(self, seed):
         J, n, _ = mesh_system(seed)
         fac = factorize(shifted(J, n, MESH_SHIFT))
-        E = sp.diags((np.arange(J.nrows) < n).astype(float))
+        E = sp.diags((np.arange(J.to_scipy().shape[0]) < n).astype(float))
         A = (J.to_scipy() - MESH_SHIFT * E).tocsc()
         colamd = spla.splu(A, permc_spec="COLAMD", relax=1, panel_size=1)
         assert fac.lu.nnz < colamd.nnz
@@ -502,7 +493,7 @@ class TestPivotGrowth:
             return splu(*args, **kwargs)
 
         monkeypatch.setattr(sparsela.spla, "splu", recorded_splu)
-        return factorize(SparseMatrix.from_dense(A)), calls
+        return factorize(shifted(SparseMatrix.from_scipy(A), 0, 0)), calls
 
     def test_growth_up_to_the_limit_keeps_the_diagonal(self, monkeypatch):
         # two leaves grow the last entry to 1 - 2 / 0.02 = -99
@@ -528,12 +519,11 @@ class TestPivotGrowth:
 
 class TestSolve:
     def test_diagonal_solve(self):
-        fac = factorize(SparseMatrix.from_dense(np.diag([-0.5, -2.5])))
+        fac = factorize(shifted(SparseMatrix.from_scipy(np.diag([-0.5, -2.5])), 0, 0))
         assert_allclose(fac.solve(np.array([1.0, 1.0])), [-2.0, -0.4])
 
     def test_transposed_equals_plain_for_symmetric(self):
-        M = SparseMatrix.from_dense(np.diag([-0.5, -2.5]))
-        fac = factorize(M)
+        fac = factorize(shifted(SparseMatrix.from_scipy(np.diag([-0.5, -2.5])), 0, 0))
         rhs = np.array([1.0, 2.0])
         assert_allclose(fac.solve(rhs, transposed=True), fac.solve(rhs))
 
@@ -541,31 +531,33 @@ class TestSolve:
         rng = np.random.default_rng(20)
         M = random_sparse(rng, 20, complex_vals=True)
         rhs = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        x = factorize(M).solve(rhs)
+        x = factorize(shifted(M, 0, 0)).solve(rhs)
         assert np.linalg.norm(M.matvec(x) - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_transposed_matches_explicit_transpose(self):
         rng = np.random.default_rng(21)
         M = random_sparse(rng, 25, complex_vals=True)
         rhs = rng.standard_normal(25) + 1j * rng.standard_normal(25)
-        xt = factorize(M).solve(rhs, transposed=True)
-        Mt = SparseMatrix.from_dense(M.to_dense().T)
-        xe = factorize(Mt).solve(rhs)
+        xt = factorize(shifted(M, 0, 0)).solve(rhs, transposed=True)
+        Mt = SparseMatrix.from_scipy(M.to_scipy().T)
+        xe = factorize(shifted(Mt, 0, 0)).solve(rhs)
         assert_allclose(xt, xe, rtol=1e-9, atol=1e-12)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 9, 10])
     def test_roundtrip_moderate_condition(self, seed):
         rng = np.random.default_rng(seed)
         n = 40
-        # condition bounded by the diagonal scaling spread (<= 1e6)
+        # rows scaled over six decades: cond is 1.1e7 to 9.3e7 on these seeds,
+        # so the residual grows with it; the normwise backward error does not
         scales = 10.0 ** rng.uniform(-3, 3, n)
-        M = SparseMatrix.from_dense(np.diag(scales) @ random_sparse(rng, n).to_dense())
+        A = np.diag(scales) @ random_sparse(rng, n).to_scipy().toarray()
         rhs = rng.standard_normal(n)
-        x = factorize(M).solve(rhs)
-        assert np.linalg.norm(M.matvec(x) - rhs) <= 1e-9 * np.linalg.norm(rhs)
+        x = factorize(shifted(SparseMatrix.from_scipy(A), 0, 0)).solve(rhs)
+        scale = np.linalg.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(rhs, np.inf)
+        assert np.linalg.norm(A @ x - rhs, np.inf) / scale <= 1e-12
 
     def test_dimension_mismatch(self):
-        fac = factorize(SparseMatrix.from_dense(np.eye(3)))
+        fac = factorize(shifted(SparseMatrix.from_scipy(np.eye(3)), 0, 0))
         with pytest.raises(ValueError, match="length"):
             fac.solve(np.ones(2))
 
