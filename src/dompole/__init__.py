@@ -52,6 +52,7 @@ from .sparsela import (
     ShiftedMatrix,
     SingularMatrixError,
     SparseMatrix,
+    StructurallySingularError,
     dense_eig,
     factorize,
     shifted,
@@ -68,6 +69,7 @@ __all__ = [
     "GroundTruth",
     "MatrixMarketError",
     "SingularMatrixError",
+    "StructurallySingularError",
     "SolverError",
     "SparseMatrix",
     "ShiftedMatrix",

@@ -9,8 +9,9 @@ Subcommands:
     polemap  turn a report into plot-ready pole-map data
 
 Exit codes: 0 on success (all requested poles converged), 2 when a solver
-run ends with unconverged columns, 1 on input errors and on solver errors
-(a factorization that stays singular, a failed QZ).
+run ends with unconverged columns, 1 on input errors (among them a
+structurally singular J - sE, singular for every s) and on solver errors (a
+shift that stays unusable after its moves, a failed QZ).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .descriptor import (
-    ManifestError,
     eval_transfer,
     load_manifest,
     load_system,
@@ -32,9 +32,8 @@ from .descriptor import (
     validate,
 )
 from .generator import GeneratorError, build_system, sample_spectrum, write_system
-from .mmio import MatrixMarketError
 from .oracle import modal_reconstruct, residues
-from .sparsela import EigenSolverError, SingularMatrixError
+from .sparsela import EigenSolverError, SingularMatrixError, StructurallySingularError
 from .solver import (
     SolverConfig,
     SolverError,
@@ -43,14 +42,8 @@ from .solver import (
     run,
 )
 
-_INPUT_ERRORS = (
-    ManifestError,
-    MatrixMarketError,
-    GeneratorError,
-    OSError,
-    ValueError,
-    json.JSONDecodeError,
-)
+# ManifestError, MatrixMarketError and json.JSONDecodeError are ValueErrors
+_INPUT_ERRORS = (ValueError, OSError, GeneratorError, StructurallySingularError)
 
 
 def _parse_complex_list(text):
@@ -150,6 +143,8 @@ def cmd_tf(args):
     for s in samples:
         try:
             h = eval_transfer(system, s).value
+        except StructurallySingularError:  # singular for every s
+            raise
         except SingularMatrixError as exc:  # sample sits on a pole
             print(f"warning: skipping s = {s}: {exc}", file=_sys.stderr)
             continue

@@ -4,9 +4,11 @@ Both methods iterate a p-tuple of complex shifts. Each sweep solves, per
 active shift s_j, the two systems ``(J - s_j E) x = B`` and
 ``(J - s_j E)^T y = C`` (one factorization each), normalizes both solutions
 by ``nu_j = C^T (J - s_j E)^-1 B``, and collects the columns into blocks
-X and Y. Writing W, V for the dynamic-row blocks of Y, X, the normalization
-gives ``W^T b = w = 1 - kappa vhat``, so the projected pencil assembles
-without ever touching the state matrix:
+X and Y; ``refresh_columns`` moves a shift that collides, sits on an
+eigenvalue or on a transmission zero, and refuses a structurally singular
+J - sE outright. Writing W, V for the dynamic-row blocks of Y, X, the
+normalization gives ``W^T b = w = 1 - kappa vhat``, so the projected pencil
+assembles without ever touching the state matrix:
 
     G = W^T A V = (W^T V) S + w vhat^T,   F = (W^T V)^-1 G,
     S = diag(shifts),   vhat_j = 1 / nu_j,   kappa = C_a^T J4^-1 B_a.
@@ -56,7 +58,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .descriptor import VanishingNormalizerError, normalized_vectors
-from .sparsela import SingularMatrixError, dense_eig
+from .sparsela import SingularMatrixError, StructurallySingularError, dense_eig
 
 __all__ = [
     "SolverError",
@@ -88,8 +90,7 @@ _METHODS = ("dpse", "ddpse")
 # takes the pencil sweep instead of inverting it).
 _COLLISION_EPS = 1e-8
 _COND_LIMIT = 1.0 / _COLLISION_EPS
-# Base size of the kick that moves a shift off a collision, and the bounded
-# number of growing kicks a vanishing normalizer gets.
+# Base size of the growing kicks, and the cap on them for a vanishing normalizer.
 _PERTURBATION = 1e-6
 _MAX_NORMALIZER_KICKS = 5
 # First retry after a singular factorization moves just far enough off the
@@ -226,10 +227,6 @@ def init_shifts(pattern, p=None, scale=DEFAULT_FAN_SCALE):
     return arr
 
 
-def _kick(shift, k):
-    return shift + _PERTURBATION * (1.0 + 1.0j) * k
-
-
 def _event(state, column, kind, shift):
     """Record one report event at the current sweep; sweep-wide events
     (column -1) have no shift."""
@@ -251,64 +248,53 @@ def _nearest_taken(state, z, earlier=()):
     return np.abs(taken - z).min() if taken.size else math.inf
 
 
-def _compute_column(sys, state, j):
-    """Solve column j with the singular-shift and transmission-zero retries.
-
-    Writes the vectors, the normalizer and the shift finally used into the
-    state, and records each retry as an event. A singular factorization
-    (the shift sits on an eigenvalue) first gets a tiny pivot-clearing
-    nudge, then one coarse relative kick; a vanishing normalizer is treated
-    like a collision and kicked a bounded number of times with growing
-    steps.
-    """
-    s = complex(state.shifts[j])
-    singular_retries = 0
-    kicks = 0
-    while True:
-        try:
-            x, y, nu = normalized_vectors(sys, s, min_normalizer=_COLLISION_EPS)
-            break
-        except SingularMatrixError as exc:
-            if singular_retries >= 2:
-                raise SolverError(
-                    f"factorization stayed singular near shift {s!r}: {exc}"
-                ) from exc
-            scale = _SINGULAR_NUDGE if singular_retries == 0 else _PERTURBATION
-            singular_retries += 1
-            _event(state, j, "singular-shift", s)
-            s = s + scale * (abs(s) or 1.0) * (1.0 + 1.0j)
-        except VanishingNormalizerError:
-            kicks += 1
-            if kicks > _MAX_NORMALIZER_KICKS:
-                raise SolverError(
-                    f"normalizer stayed below {_COLLISION_EPS:g} near "
-                    f"shift {s!r}; transfer function has a zero there"
-                )
-            _event(state, j, "small-normalizer", s)
-            s = _kick(s, kicks)
-    state.shifts[j] = s
-    state.X[:, j] = x
-    state.Y[:, j] = y
-    state.normalizers[j] = nu
-
-
 def refresh_columns(sys, state):
     """Recompute the X/Y columns of every active shift, in column order.
 
-    Just before its solve, a shift within _COLLISION_EPS of a locked
-    eigenvalue or of an earlier active column's shift is kicked off it with
-    growing steps, one "collision" event per kick.
+    A shift the column cannot use is moved and tried again, one event per
+    move at the shift it leaves: ``collision`` (within _COLLISION_EPS of a
+    locked eigenvalue or an earlier active column's shift) and
+    ``small-normalizer`` (a transmission zero) get growing kicks, at most
+    p + 4 and _MAX_NORMALIZER_KICKS; ``singular-shift`` (a numerically
+    singular LU) gets the nudge, then one kick, at most 2. One move more
+    raises SolverError. A structurally singular J - sE, which no shift
+    cures, raises StructurallySingularError on the first try.
     """
     act = state.active_indices()
     for idx, j in enumerate(act):
-        k = 0
-        while _nearest_taken(state, state.shifts[j], act[:idx]) <= _COLLISION_EPS:
-            k += 1
-            if k > state.p + 4:
-                raise SolverError(f"cannot separate shift for column {j}")
-            state.shifts[j] = _kick(state.shifts[j], k)
-            _event(state, j, "collision", state.shifts[j])
-        _compute_column(sys, state, j)
+        s = requested = complex(state.shifts[j])
+        moves = {}
+        while True:
+            if _nearest_taken(state, s, act[:idx]) <= _COLLISION_EPS:
+                kind = "collision"
+            else:
+                try:
+                    x, y, nu = normalized_vectors(sys, s, min_normalizer=_COLLISION_EPS)
+                    break
+                except StructurallySingularError:
+                    raise
+                except SingularMatrixError:
+                    kind = "singular-shift"
+                except VanishingNormalizerError:
+                    kind = "small-normalizer"
+            k = moves[kind] = moves.get(kind, 0) + 1
+            cap = {"collision": state.p + 4, "singular-shift": 2,
+                   "small-normalizer": _MAX_NORMALIZER_KICKS}[kind]
+            if k > cap:
+                raise SolverError(
+                    f"column {j}: {kind} persisted through {cap} moves "
+                    f"from the requested shift {requested!r}"
+                )
+            _event(state, j, kind, s)
+            if kind == "singular-shift":
+                step = (_SINGULAR_NUDGE if k == 1 else _PERTURBATION) * (abs(s) or 1.0)
+            else:
+                step = _PERTURBATION * k
+            s += step * (1.0 + 1.0j)
+        state.shifts[j] = s
+        state.X[:, j] = x
+        state.Y[:, j] = y
+        state.normalizers[j] = nu
 
 
 def _projection_parts(sys, state):

@@ -14,8 +14,9 @@ pattern of ``A + A^T``, from one SuperLU factorization of generic values
 in ``SymmetricMode``. Each call then makes ``(J - sE)[cols][:, cols]``,
 that is ``P (J - sE) P^T``, the matrix SuperLU factors, with one copy and
 one subtraction; a cancelled entry stays stored as a zero. A pattern whose
-``structural_rank`` is short raises SingularMatrixError there, before any
-SuperLU call, and nothing is cached. The result is a ``ShiftedMatrix``, the
+``structural_rank`` is short raises StructurallySingularError (a
+SingularMatrixError that no shift can cure) there, before any SuperLU call,
+and nothing is cached. The result is a ``ShiftedMatrix``, the
 one input ``factorize`` takes; a SparseMatrix M itself is factored as
 ``factorize(shifted(M, 0, 0))``. J must not be changed in place once it
 has been shifted.
@@ -55,6 +56,7 @@ from scipy.sparse.csgraph import structural_rank
 
 __all__ = [
     "SingularMatrixError",
+    "StructurallySingularError",
     "EigenSolverError",
     "SparseMatrix",
     "ShiftedMatrix",
@@ -79,6 +81,10 @@ GROWTH_LIMIT = 100.0
 
 class SingularMatrixError(ArithmeticError):
     """The matrix is structurally or numerically singular."""
+
+
+class StructurallySingularError(SingularMatrixError):
+    """``J - sE`` is singular for every s, by its pattern; only ``shifted`` raises it."""
 
 
 class EigenSolverError(RuntimeError):
@@ -156,8 +162,8 @@ def _unshifted(J, ndyn):
     Its pattern is J's nonzero entries plus an explicit zero on each of E's
     diagonal positions. Its order comes from one minimum-degree
     factorization of generic values on that pattern, whose factors are
-    discarded. A structurally singular pattern raises SingularMatrixError
-    before that factorization.
+    discarded. A structurally singular pattern raises
+    StructurallySingularError before that factorization.
     """
     coo = J.to_scipy().tocoo()
     N = coo.shape[0]
@@ -169,7 +175,7 @@ def _unshifted(J, ndyn):
     P = sp.csc_matrix((data, (row, col)), shape=(N, N))
     rank = structural_rank(P)
     if rank < N:
-        raise SingularMatrixError(
+        raise StructurallySingularError(
             f"the matrix is structurally singular (structural rank {rank} < {N})"
         )
     # complex values, like the shifted matrices', so that the factorizations
@@ -193,7 +199,7 @@ def shifted(J, ndyn, s):
 
     The pattern is the same for every s; the result shares its index arrays
     with the cache on J. A shift that is not finite raises ValueError, and a
-    structurally singular pattern SingularMatrixError.
+    structurally singular pattern StructurallySingularError.
     """
     N = J.to_scipy().shape[0]
     if not 0 <= ndyn <= N:

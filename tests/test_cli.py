@@ -26,6 +26,21 @@ def toy_manifest(tmp_path):
 
 
 @pytest.fixture
+def empty_column_manifest(tmp_path):
+    """The algebraic variable appears in no equation's column: column 3 of
+    J - sE is empty for every s."""
+    J = [[-1.0, 1.0, 0.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]]
+    write_coordinate(tmp_path / "J.mtx", SparseMatrix.from_scipy(J))
+    write_array(tmp_path / "B.mtx", np.ones(3))
+    write_array(tmp_path / "C.mtx", np.ones(3))
+    path = tmp_path / "empty_column.manifest"
+    path.write_text(
+        "jacobian = J.mtx\nb = B.mtx\nc = C.mtx\nndyn = 2\nd_re = 0.0\nd_im = 0.0\n"
+    )
+    return path
+
+
+@pytest.fixture
 def algebraic_toy_manifest(tmp_path):
     """One dynamic plus one algebraic variable; reduces to A=[-1], b=c=[1], d=1."""
     write_coordinate(tmp_path / "J.mtx", SparseMatrix.from_scipy([[-1.0, 0.0], [0.0, 1.0]]))
@@ -115,25 +130,19 @@ class TestPoles:
         first = json.loads(out.read_text())["trajectories"][0]
         assert first == [[-0.5, 0.1], [-2.5, -0.1]]
 
-    def test_solver_error_exit_code(self, tmp_path, capfd):
-        # the algebraic variable appears in no equation's column: column 3
-        # of J - sE is empty for every s
-        J = [[-1.0, 1.0, 0.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]]
-        write_coordinate(tmp_path / "J.mtx", SparseMatrix.from_scipy(J))
-        write_array(tmp_path / "B.mtx", np.ones(3))
-        write_array(tmp_path / "C.mtx", np.ones(3))
-        path = tmp_path / "empty_column.manifest"
-        path.write_text(
-            "jacobian = J.mtx\nb = B.mtx\nc = C.mtx\nndyn = 2\nd_re = 0.0\nd_im = 0.0\n"
-        )
-        assert main(["poles", str(path), "--p", "1", "--shifts", " -0.5"]) == 1
+    def test_solver_error_exit_code(self, empty_column_manifest, capfd):
+        path = str(empty_column_manifest)
+        # a structurally singular J - sE is an input error, refused before any
+        # shift is moved
+        assert main(["poles", path, "--p", "1", "--shifts", " -0.5"]) == 1
         # capfd also catches what C code, such as BLAS's error handler,
         # writes to the process's stdout
         out, err = capfd.readouterr()
         assert out == ""
-        assert err.startswith("solver error: factorization stayed singular")
+        assert err.startswith("error: ")
         assert "structurally singular" in err
-        assert main(["spy", str(path)]) == 0
+        assert err.count("\n") == 1
+        assert main(["spy", path]) == 0
         assert "note = structural rank of J is 2 < 3\n" in capfd.readouterr().out
 
     def test_failed_qz_is_a_solver_error(self, toy_manifest, tmp_path, capsys, monkeypatch):
@@ -227,6 +236,22 @@ class TestTf:
         assert main(["tf", str(toy_manifest), "--s", sample, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: shift {shift} is not finite\n"
         assert not out.exists()
+
+    def test_sample_on_a_pole_is_skipped(self, toy_manifest, capsys):
+        assert main(["tf", str(toy_manifest), "--s", " -1,-2"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1:] == ["-2.0,0.0,0.0,0.0"]
+        assert err.startswith("warning: skipping s = (-1+0j): ")
+        assert err.count("\n") == 1
+
+    def test_structurally_singular_pencil_is_refused(self, empty_column_manifest, capfd):
+        # no sample is skipped: the pattern is singular at every s
+        assert main(["tf", str(empty_column_manifest), "--s", " -0.5j,1,2+3j"]) == 1
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "structurally singular" in err
+        assert err.count("\n") == 1
 
     def test_algebraic_toy_value(self, algebraic_toy_manifest, tmp_path):
         # (2E - J) = diag(3, -1), so h(2) = 1/3 + 1

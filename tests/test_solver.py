@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dompole.descriptor import DescriptorSystem, StateSpaceSystem, reduce_to_state_space
+from dompole import solver, sparsela
+from dompole.descriptor import (
+    DescriptorSystem,
+    StateSpaceSystem,
+    VanishingNormalizerError,
+    reduce_to_state_space,
+)
 from dompole.generator import build_system, sample_spectrum
 from dompole.oracle import full_spectrum, reference_F, reference_sequence, residues
-from dompole.sparsela import SparseMatrix
+from dompole.sparsela import SingularMatrixError, SparseMatrix, StructurallySingularError
 from dompole.solver import (
     DEFAULT_FAN_SCALE,
     PoleResult,
@@ -303,6 +309,8 @@ class TestDeflation:
         refresh_columns(sys, state)
         assert state.shifts[1] == -1.0 + 1e-6 * (1 + 1j)
         assert [(e["kind"], e["column"]) for e in state.events] == [("collision", 1)] * 2
+        # each event is at the shift that collided, not where it was kicked
+        assert [e["shift_re"] for e in state.events] == [-0.5, -1.0]
 
     def test_deflated_residuals_not_recomputed(self):
         sys = two_state()
@@ -541,8 +549,6 @@ class TestFallback:
         assert_poles_in_spectrum(report, gen.state_space, 1e-10)
 
     def test_ddpse_falls_back_on_every_ill_conditioned_sweep(self, monkeypatch):
-        import dompole.solver as solver
-
         cond = {}
         step = solver.ddpse_step
 
@@ -565,8 +571,6 @@ class TestFallback:
 @pytest.mark.parametrize("method", ["dpse", "ddpse"])
 def test_one_projection_per_sweep(method, monkeypatch):
     # the fallback sweep reuses the W^T V its step built
-    import dompole.solver as solver
-
     built = []
     parts = solver._projection_parts
 
@@ -601,8 +605,6 @@ def test_duplicate_of_a_locked_pole_is_deferred(monkeypatch):
     # column 1 stays active and is kicked off the locked eigenvalue. Both
     # start 1e-5 off -1, so their Rayleigh quotients agree far inside the
     # collision distance.
-    import dompole.solver as solver
-
     def onto_minus_one(sys, state):
         return np.where(state.converged, state.shifts, -1.0)
 
@@ -617,7 +619,7 @@ def test_duplicate_of_a_locked_pole_is_deferred(monkeypatch):
 
 
 class TestColumnRecovery:
-    """Force each column-recovery path of ``_compute_column`` on diag(-1, -3)
+    """Force each kind of unusable shift in ``refresh_columns`` on diag(-1, -3)
     with B = C = (1, 1), whose transfer function has a zero at -2."""
 
     def test_shift_on_an_eigenvalue(self):
@@ -636,6 +638,95 @@ class TestColumnRecovery:
         assert kinds == [("small-normalizer", 0, 0)]
         assert report.all_converged
         assert abs(report.poles[0].eigenvalue - (-1.0)) <= 1e-9
+
+    def test_move_onto_a_locked_eigenvalue_is_kicked_off(self, monkeypatch):
+        # column 1's LU is forced singular twice; its second move lands within
+        # 1e-8 of the value column 0 holds, so it is kicked off that value too
+        real, forced = solver.normalized_vectors, [SingularMatrixError("forced")] * 2
+
+        def singular_twice(sys, s, min_normalizer):
+            if forced:
+                raise forced.pop()
+            return real(sys, s, min_normalizer=min_normalizer)
+
+        monkeypatch.setattr(solver, "normalized_vectors", singular_twice)
+        s0 = -2.5
+        s1 = s0 + 1e-11 * abs(s0) * (1 + 1j)
+        s2 = s1 + 1e-6 * abs(s1) * (1 + 1j)
+        sys = two_state()
+        state = ShiftState.start(sys, np.array([-1.0, s0]))
+        deflate(state, 0, s2 + 5e-9)
+        refresh_columns(sys, state)
+        moves = [(e["kind"], e["column"], complex(e["shift_re"], e["shift_im"]))
+                 for e in state.events]
+        assert moves == [("singular-shift", 1, s0), ("singular-shift", 1, s1),
+                         ("collision", 1, s2)]
+        assert state.shifts[1] == s2 + 1e-6 * (1 + 1j)
+
+
+class TestMoveCaps:
+    """Each kind of unusable shift is moved at most its cap times per column,
+    each move recorded at the shift it leaves; one more raises SolverError."""
+
+    @staticmethod
+    def exhaust(monkeypatch, name, fake):
+        monkeypatch.setattr(solver, name, fake)
+        sys = two_state()
+        state = ShiftState.start(sys, np.array([-0.5, -2.5]))
+        with pytest.raises(SolverError) as info:
+            refresh_columns(sys, state)
+        assert str(info.value).startswith("column 0: ")
+        assert str(info.value).endswith("from the requested shift (-0.5+0j)")
+        assert {e["column"] for e in state.events} == {0}
+        return [e["kind"] for e in state.events], [
+            complex(e["shift_re"], e["shift_im"]) for e in state.events
+        ]
+
+    @staticmethod
+    def growing_kicks(count):
+        shifts = [-0.5 + 0j]
+        for k in range(1, count):
+            shifts.append(shifts[-1] + 1e-6 * k * (1 + 1j))
+        return shifts
+
+    def test_collision(self, monkeypatch):
+        kinds, shifts = self.exhaust(monkeypatch, "_nearest_taken", lambda *args: 0.0)
+        assert kinds == ["collision"] * 6  # p + 4
+        assert shifts == self.growing_kicks(6)
+
+    def test_singular_shift(self, monkeypatch):
+        def singular(sys, s, min_normalizer):
+            raise SingularMatrixError("forced")
+
+        kinds, shifts = self.exhaust(monkeypatch, "normalized_vectors", singular)
+        assert kinds == ["singular-shift"] * 2
+        assert shifts == [-0.5, -0.5 + 1e-11 * 0.5 * (1 + 1j)]
+
+    def test_small_normalizer(self, monkeypatch):
+        def vanishing(sys, s, min_normalizer):
+            raise VanishingNormalizerError("forced")
+
+        kinds, shifts = self.exhaust(monkeypatch, "normalized_vectors", vanishing)
+        assert kinds == ["small-normalizer"] * 5
+        assert shifts == self.growing_kicks(5)
+
+
+def test_structurally_singular_pencil_is_refused_on_first_sight(monkeypatch):
+    # the last column of J - sE is empty for every s: no shift is moved, the
+    # pattern is checked once and SuperLU never runs
+    J = SparseMatrix.from_scipy([[-1.0, 1.0, 0.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
+    sys = DescriptorSystem(J, 2, np.ones(3), np.ones(3))
+    calls = []
+    rank, splu = sparsela.structural_rank, sparsela.spla.splu
+    monkeypatch.setattr(sparsela, "structural_rank", lambda A: calls.append("rank") or rank(A))
+    monkeypatch.setattr(
+        sparsela.spla, "splu", lambda *a, **kw: calls.append("splu") or splu(*a, **kw)
+    )
+    state = ShiftState.start(sys, np.array([-0.5]))
+    with pytest.raises(StructurallySingularError, match=r"structural rank 2 < 3"):
+        refresh_columns(sys, state)
+    assert state.events == []
+    assert calls == ["rank"]
 
 
 def pair_system(a22=-2.0):
@@ -665,8 +756,6 @@ class TestConjugateLock:
         assert lower.iterations == 2
 
     def test_column_locks_before_it_converges_there(self, monkeypatch):
-        import dompole.solver as solver
-
         monkeypatch.setattr(solver, "_lock_conjugates", lambda state: None)
         report = run(pair_system(), SolverConfig(p=2), PAIR_SHIFTS)
         assert not report.events
@@ -698,8 +787,6 @@ class TestConjugateLock:
     def test_two_cycle_is_broken_at_its_midpoint(self, monkeypatch):
         # column 0 alternates between a and b, starting at b: in sweep 3 its
         # shift returns to a for the second sweep running
-        import dompole.solver as solver
-
         a, b = -1.5 + 0.5j, -2.5 + 0.3j
         monkeypatch.setattr(
             solver, "dpse_step", lambda sys, state: np.array([a if state.iter % 2 else b])

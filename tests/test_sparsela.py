@@ -13,6 +13,7 @@ from dompole.sparsela import (
     ShiftedMatrix,
     SingularMatrixError,
     SparseMatrix,
+    StructurallySingularError,
     dense_eig,
     factorize,
     shifted,
@@ -166,7 +167,7 @@ class TestShifted:
         seen = []
         monkeypatch.setattr(sparsela.spla, "splu", lambda A, **kwargs: seen.append(A))
         J = SparseMatrix.from_scipy(dense)
-        with pytest.raises(SingularMatrixError, match="structurally singular"):
+        with pytest.raises(StructurallySingularError, match="structurally singular"):
             shifted(J, ndyn, 0.5 - 0.25j)
         # SuperLU never sees a structurally singular matrix, and nothing is cached
         assert seen == []
@@ -216,8 +217,10 @@ class TestFactorize:
 
     def test_tiny_pivot_is_singular(self):
         M = SparseMatrix.from_scipy(np.diag([1.0, 1e-20]))
-        with pytest.raises(SingularMatrixError, match="threshold"):
+        with pytest.raises(SingularMatrixError, match="threshold") as info:
             factorize(shifted(M, 0, 0))
+        # a numerically singular matrix is not refused as a structural one
+        assert not isinstance(info.value, StructurallySingularError)
 
     def test_shifted_diagonal_sets_the_pivot_scale(self):
         # max|M| is the shifted entry 1e12, not max|J| = 1e-3: the pivot 1e-3
