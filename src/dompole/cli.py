@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-import time
 
 import numpy as np
 

@@ -26,7 +26,7 @@ import scipy.linalg
 from scipy.sparse.csgraph import structural_rank
 
 from . import mmio
-from .sparsela import PIVOT_RTOL, SingularMatrixError, SparseMatrix, factorize, shifted
+from .sparsela import SingularMatrixError, SparseMatrix, _accurate_solve, factorize, shifted
 
 __all__ = [
     "DescriptorSystem",
@@ -48,6 +48,10 @@ __all__ = [
 
 # Largest order reduce_to_state_space densifies; it serves reference work only.
 DENSE_REDUCTION_LIMIT = 4000
+
+# The dense LU of J4 in reduce_to_state_space is refused as singular when a
+# pivot is at or below PIVOT_RTOL * max|J4|.
+PIVOT_RTOL = 1e-14
 
 
 class VanishingNormalizerError(ArithmeticError):
@@ -95,16 +99,18 @@ class DescriptorSystem:
     @cached_property
     def kappa(self):
         """``C_a^T J4^-1 B_a``, the limit of ``C^T (J - sE)^-1 B`` as |s| grows
-        (``d = D - kappa`` in the reduced model), from one sparse LU of J4: 0
-        unless B and C both have algebraic entries, or if J4 is singular."""
+        (``d = D - kappa`` in the reduced model), from one sparse LU of J4,
+        made again with partial pivoting if its solve is not backward stable:
+        0 unless B and C both have algebraic entries, or if J4 is singular."""
         n = self.ndyn
         if not (self.B[n:].any() and self.C[n:].any()):
             return 0j
         try:
-            fac = factorize(shifted(self.j4, 0, 0))
+            M = shifted(self.j4, 0, 0)
+            x = _accurate_solve(M, factorize(M), self.B[n:])
         except SingularMatrixError:
             return 0j
-        return complex(self.C[n:] @ fac.solve(self.B[n:]))
+        return complex(self.C[n:] @ x)
 
     @classmethod
     def from_dense_state(cls, A, b, c, d=0j):
@@ -200,8 +206,12 @@ def validate(sys):
     if rank < N:
         notes.append(f"structural rank of J is {rank} < {N}")
     if m > 0:
+        # a solve shows J4 singular to working precision unless its
+        # right-hand side misses the left null space, which a generic one
+        # does not
+        probe = np.random.default_rng(0).standard_normal(m)
         try:
-            factorize(shifted(sys.j4, 0, 0))
+            factorize(shifted(sys.j4, 0, 0)).solve(probe)
         except SingularMatrixError as exc:
             j4_ok = False
             notes.append(f"algebraic block singular: {exc}")
@@ -259,10 +269,11 @@ def reduce_to_state_space(sys):
 
 
 def eval_transfer(sys, s):
-    """Sample ``h(s) = C^T (sE - J)^-1 B + D`` through one sparse solve."""
+    """Sample ``h(s) = C^T (sE - J)^-1 B + D`` through one sparse solve,
+    made again with partial pivoting if it is not backward stable."""
     s = complex(s)
-    fac = factorize(shifted(sys.J, sys.ndyn, s))
-    x = fac.solve(sys.B)
+    M = shifted(sys.J, sys.ndyn, s)
+    x = _accurate_solve(M, factorize(M), sys.B)
     # (sE - J) = -(J - sE)
     return TransferSample(s, complex(-(sys.C @ x) + sys.D))
 

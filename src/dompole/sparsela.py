@@ -2,7 +2,7 @@
 
 A thin layer over scipy: it keeps only the checks scipy does not make
 (canonical complex CSC on the way in, full structural rank before LU, a
-relative pivot threshold after it).
+bound on each solution after it).
 All numeric work runs in complex double precision even for real inputs:
 the solver shifts are complex, and a single complex path avoids duplicated
 real/complex kernels.
@@ -30,17 +30,25 @@ factor entries per row and the feeder's 9.1, against 14.6 and 11.2 under
 the earlier COLAMD column order, whose partial pivoting swapped every row.
 Rows swap only where a diagonal entry falls below the threshold; that
 costs some fill (at most 12.5 and 10.2 per row) and lets the pivot growth
-``max|U| / max|A|`` exceed 1 (at most 46, on the feeder). Past
-``GROWTH_LIMIT`` the threshold has cost more than two of the sixteen
-digits, and ``factorize`` factors the same matrix again with partial
-pivoting (``diag_pivot_thresh=1``), whose multipliers are at most 1 in
-modulus; no LU of the benchmark models reaches the limit. ``relax=1``
+``max|U| / max|A|`` exceed 1 (at most 46, on the feeder). ``relax=1``
 turns off SuperLU's relaxed supernodes, which padded the grid from 14.6 to
 22.2 factor entries per row under COLAMD. In the symmetric order they pad
 neither benchmark model, but still add a median 15% to the factors of
 random unsymmetric patterns of order 20 to 199. ``panel_size=1`` factored
 both models faster than widths 4 and 10 (the default) under COLAMD, with
 the same factor entries.
+
+``factorize`` never reads the factors back, as scipy would copy L and U
+out to CSC for that (a fifth of a feeder column refresh); each LU is judged
+by its solves. ``Factorization.solve`` raises SingularMatrixError when x is
+not finite or ``||x|| eps max|A| > ||b||`` (infinity norms, ``eps`` the
+unit roundoff): A is singular to working precision. An answer that gets no
+later residual check (a transfer function sample, the feedthrough of J4)
+goes through ``_accurate_solve``: past a normwise backward error of
+``BACKWARD_RTOL`` the threshold has cost too many digits, and the same
+matrix is factored again with partial pivoting (``diag_pivot_thresh=1``),
+whose multipliers are at most 1 in modulus. The solver needs no such
+check, as it locks a column only on explicit residuals.
 """
 
 from __future__ import annotations
@@ -66,17 +74,14 @@ __all__ = [
     "dense_eig",
 ]
 
-# Pivots at or below PIVOT_RTOL * max|entry| are treated as singular instead of
-# being propagated as huge solution components (a shift sitting exactly on an
-# eigenvalue must surface as an error the caller can recover from).
-PIVOT_RTOL = 1e-14
-
 # SuperLU options for every factorization (see the module docstring)
 SUPERLU_OPTIONS = {"relax": 1, "panel_size": 1, "diag_pivot_thresh": 0.01}
 
-# An LU whose pivot growth max|U| / max|A| exceeds this is made again with
-# partial pivoting (see the module docstring)
-GROWTH_LIMIT = 100.0
+# A solve by _accurate_solve whose normwise backward error exceeds this is
+# made again from an LU with partial pivoting (see the module docstring)
+BACKWARD_RTOL = 1e-12
+
+_EPS = np.finfo(float).eps
 
 
 class SingularMatrixError(ArithmeticError):
@@ -221,21 +226,31 @@ class Factorization:
     """LU factors of ``A[cols][:, cols]`` for ``A = J - sE``, the ShiftedMatrix's ``csc``.
 
     ``solve`` takes and returns vectors in A's natural order.
-    ``max_abs`` is ``max|A|`` and ``pivot_growth`` is ``max|U| / max|A|``.
+    ``max_abs`` is ``max|A|``.
     """
 
-    __slots__ = ("lu", "cols", "max_abs", "pivot_growth")
+    __slots__ = ("lu", "cols", "max_abs")
 
-    def __init__(self, lu, cols, max_abs, pivot_growth):
+    def __init__(self, lu, cols, max_abs):
         self.lu = lu
         self.cols = cols
         self.max_abs = max_abs
-        self.pivot_growth = pivot_growth
 
     order = property(lambda self: self.cols.size)
 
+    @property
+    def pivot_growth(self):
+        """``max|U| / max|A|``; reading it makes scipy build ``lu.U``, which
+        no solve needs."""
+        return float(np.abs(self.lu.U.data).max(initial=0.0)) / self.max_abs
+
     def solve(self, rhs, transposed=False):
-        """Solve ``A x = rhs`` or ``A.T x = rhs`` using the stored factors."""
+        """Solve ``A x = rhs`` or ``A.T x = rhs`` using the stored factors.
+
+        Raises SingularMatrixError when x is not finite or ``||x|| eps
+        max|A| > ||rhs||``; the caller is expected to perturb the shift and
+        retry.
+        """
         rhs = np.asarray(rhs, dtype=np.complex128)
         if rhs.shape != (self.order,):
             raise ValueError(
@@ -243,37 +258,55 @@ class Factorization:
             )
         x = np.empty_like(rhs)
         x[self.cols] = self.lu.solve(rhs[self.cols], trans="T" if transposed else "N")
+        xnorm = float(np.abs(x).max(initial=0.0))
+        bnorm = float(np.abs(rhs).max(initial=0.0))
+        # written so that a NaN in x fails it too
+        if not xnorm * _EPS * self.max_abs <= bnorm:
+            raise SingularMatrixError(
+                f"solution norm {xnorm:.3e} above {bnorm / (_EPS * self.max_abs):.3e} "
+                "= ||rhs|| / (eps max|A|): the matrix is singular to working precision"
+            )
         return x
+
+
+def _lu(M, max_abs, diag_pivot_thresh):
+    """One SuperLU factorization of ``M.csc`` in its natural order."""
+    options = {**SUPERLU_OPTIONS, "diag_pivot_thresh": diag_pivot_thresh}
+    try:
+        lu = spla.splu(M.csc, permc_spec="NATURAL", **options)
+    except RuntimeError as exc:
+        raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
+    return Factorization(lu, M.cols, max_abs)
 
 
 def factorize(M):
     """Sparse LU of the ShiftedMatrix M from ``shifted``, with threshold pivoting.
 
-    An LU whose pivot growth exceeds ``GROWTH_LIMIT`` is made again with
-    partial pivoting. Raises SingularMatrixError when M has no nonzero entry
-    or a pivot at or below ``PIVOT_RTOL * max|entry|``; the caller is
-    expected to perturb the shift and retry.
+    Raises SingularMatrixError when M has no nonzero entry or SuperLU finds
+    it exactly singular; a matrix singular only to working precision is
+    caught by ``Factorization.solve``.
     """
     max_abs = float(np.abs(M.csc.data[M.diag]).max(initial=M.max_off))
     if max_abs == 0.0:
         raise SingularMatrixError("matrix has no nonzero entries")
-    for thresh in (SUPERLU_OPTIONS["diag_pivot_thresh"], 1.0):
-        options = {**SUPERLU_OPTIONS, "diag_pivot_thresh": thresh}
-        try:
-            lu = spla.splu(M.csc, permc_spec="NATURAL", **options)
-        except RuntimeError as exc:
-            raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
-        # scipy builds lu.U at its first read and keeps it
-        growth = float(np.abs(lu.U.data).max(initial=0.0)) / max_abs
-        if growth <= GROWTH_LIMIT:
-            break
-    min_pivot = float(np.abs(lu.U.diagonal()).min())
-    if min_pivot <= PIVOT_RTOL * max_abs:
-        raise SingularMatrixError(
-            f"pivot {min_pivot:.3e} below threshold {PIVOT_RTOL * max_abs:.3e}; "
-            "the shift likely coincides with an eigenvalue"
-        )
-    return Factorization(lu, M.cols, max_abs, growth)
+    return _lu(M, max_abs, SUPERLU_OPTIONS["diag_pivot_thresh"])
+
+
+def _accurate_solve(M, fac, rhs):
+    """x with ``A x = rhs`` for the ShiftedMatrix M and ``fac = factorize(M)``.
+
+    When the solve by ``fac`` has a normwise backward error
+    ``||A x - rhs|| / (max|A| ||x|| + ||rhs||)`` above ``BACKWARD_RTOL``, M
+    is factored again with partial pivoting and x is the solve by that LU.
+    """
+    rhs = np.asarray(rhs, dtype=np.complex128)
+    x = fac.solve(rhs)
+    # infinity norms do not see the order cols
+    residual = np.abs(M.csc @ x[fac.cols] - rhs[fac.cols]).max(initial=0.0)
+    scale = fac.max_abs * np.abs(x).max(initial=0.0) + np.abs(rhs).max(initial=0.0)
+    if residual <= BACKWARD_RTOL * scale:
+        return x
+    return _lu(M, fac.max_abs, 1.0).solve(rhs)
 
 
 def dense_eig(A, B):

@@ -106,6 +106,18 @@ class TestValidate:
         assert not rep.j4_nonsingular
         assert any("singular" in note for note in rep.notes)
 
+    def test_numerically_singular_algebraic_block_flagged(self):
+        # J4's second pivot is 1.4e-17, the rounding left of 0.1 - 0.3^2 / 0.9:
+        # SuperLU factors J4, and the one solve validate makes finds it
+        # singular to working precision
+        J = SparseMatrix.from_scipy([[-1.0, 1.0, 0.0], [1.0, 0.1, 0.3], [0.0, 0.3, 0.9]])
+        sys = DescriptorSystem(J=J, ndyn=1, B=np.ones(3), C=np.ones(3))
+        factorize(shifted(sys.j4, 0, 0))
+        rep = validate(sys)
+        assert not rep.j4_nonsingular
+        assert any("singular to working precision" in note for note in rep.notes)
+        assert sys.kappa == 0
+
 
 class TestReduce:
     def test_toy_reduction(self):

@@ -216,19 +216,24 @@ class TestFactorize:
             factorize(shifted(M, 0, 0))
 
     def test_tiny_pivot_is_singular(self):
-        M = SparseMatrix.from_scipy(np.diag([1.0, 1e-20]))
-        with pytest.raises(SingularMatrixError, match="threshold") as info:
-            factorize(shifted(M, 0, 0))
+        # SuperLU factors a pivot 1e-20 without complaint; the solve that
+        # divides by it shows the matrix singular to working precision
+        fac = factorize(shifted(SparseMatrix.from_scipy(np.diag([1.0, 1e-20])), 0, 0))
+        with pytest.raises(SingularMatrixError, match="singular to working precision") as info:
+            fac.solve(np.ones(2))
         # a numerically singular matrix is not refused as a structural one
         assert not isinstance(info.value, StructurallySingularError)
 
     def test_shifted_diagonal_sets_the_pivot_scale(self):
-        # max|M| is the shifted entry 1e12, not max|J| = 1e-3: the pivot 1e-3
-        # falls below the threshold 1e-2
+        # max|M| is the shifted entry 1e14, not max|J| = 1e-3: the solution
+        # 1e3 of the pivot 1e-3 passes ||rhs|| / (eps max|M|) = 45.04
         J = SparseMatrix.from_scipy(np.diag([0.0, 1e-3]))
-        with pytest.raises(SingularMatrixError, match="threshold 1.000e-02"):
-            factorize(shifted(J, 1, -1e12))
-        assert factorize(shifted(J, 1, -1.0)).max_abs == 1.0
+        fac = factorize(shifted(J, 1, -1e14))
+        with pytest.raises(SingularMatrixError, match=re.escape("above 4.504e+01")):
+            fac.solve(np.ones(2))
+        fac = factorize(shifted(J, 1, -1.0))
+        assert fac.max_abs == 1.0
+        assert_allclose(fac.solve(np.ones(2)), [1.0, 1e3])
 
     def test_reconstruction_50(self):
         rng = np.random.default_rng(7)
@@ -485,39 +490,88 @@ def arrowhead(leaves, d):
     return A
 
 
+def growth_chain(d):
+    """Unit entries and a diagonal d whose threshold LU grows like d^-4.
+
+    The minimum-degree order is 0, 2, 1, 3, 4, and each pivot d is at least
+    1% of the unit entries left in its column when d >= 0.01. But each
+    elimination divides the last column's entry in the next row of the chain
+    by d, so at d = 0.02 max|U| is 6.6e6, although cond(A) is 5.2.
+    """
+    A = np.array([[0, 0, 0, 0, -1], [0, 0, 1, 0, 0], [1, 0, 0, 0, 1],
+                  [0, -1, 1, 0, 0], [1, 1, 0, 1, 0]], dtype=float)
+    return A + d * np.eye(5)
+
+
+def recorded_splu(monkeypatch):
+    """The ``diag_pivot_thresh`` of each SuperLU call from now on."""
+    calls = []
+    splu = sparsela.spla.splu
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs.get("diag_pivot_thresh"))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(sparsela.spla, "splu", recorded)
+    return calls
+
+
+def backward_error(A, x, rhs):
+    """``||A x - rhs|| / (max|A| ||x|| + ||rhs||)`` in the infinity norm."""
+    scale = np.abs(A).max() * np.abs(x).max() + np.abs(rhs).max()
+    return np.abs(A @ x - rhs).max() / scale
+
+
 class TestPivotGrowth:
-    @staticmethod
-    def counted_factorize(monkeypatch, A):
-        calls = []
-        splu = sparsela.spla.splu
-
-        def recorded_splu(*args, **kwargs):
-            calls.append(kwargs.get("diag_pivot_thresh"))
-            return splu(*args, **kwargs)
-
-        monkeypatch.setattr(sparsela.spla, "splu", recorded_splu)
-        return factorize(shifted(SparseMatrix.from_scipy(A), 0, 0)), calls
-
     def test_growth_up_to_the_limit_keeps_the_diagonal(self, monkeypatch):
         # two leaves grow the last entry to 1 - 2 / 0.02 = -99
-        fac, calls = self.counted_factorize(monkeypatch, arrowhead(2, 0.02))
+        calls = recorded_splu(monkeypatch)
+        fac = factorize(shifted(SparseMatrix.from_scipy(arrowhead(2, 0.02)), 0, 0))
         assert calls == [0.01, 0.01]
         assert fac.pivot_growth == pytest.approx(99.0)
         assert_array_equal(fac.lu.perm_r, np.arange(3))
 
-    def test_growth_past_the_limit_refactors_with_partial_pivoting(self, monkeypatch):
-        # three leaves would grow it to -149: the ordering LU, the threshold
-        # LU and one with partial pivoting, in the same order
+    def test_growth_alone_keeps_the_threshold_lu(self, monkeypatch):
+        # three leaves grow it to -149, yet the solve is backward stable
         A = arrowhead(3, 0.02)
-        fac, calls = self.counted_factorize(monkeypatch, A)
+        sys = DescriptorSystem(SparseMatrix.from_scipy(A), 1, np.arange(1.0, 5.0), np.ones(4))
+        calls = recorded_splu(monkeypatch)
+        h = descriptor.eval_transfer(sys, 0.0).value
+        assert calls == [0.01, 0.01]
+        assert h == pytest.approx(-np.ones(4) @ np.linalg.solve(A, np.arange(1.0, 5.0)), rel=1e-14)
+
+    def test_backward_error_past_the_bound_refactors_with_partial_pivoting(self, monkeypatch):
+        # at s = 0, J - sE is J whatever ndyn is: the ordering LU, the
+        # threshold LU and one with partial pivoting, in the same order
+        A = growth_chain(0.02)
+        rhs = np.arange(1.0, 6.0) + 1j
+        M = shifted(SparseMatrix.from_scipy(A), 0, 0)
+        fac = factorize(M)
+        assert fac.pivot_growth > 1e6
+        assert backward_error(A, fac.solve(rhs), rhs) > 1e2 * sparsela.BACKWARD_RTOL
+        sys = DescriptorSystem(SparseMatrix.from_scipy(A), 1, rhs, np.ones(5))
+        calls = recorded_splu(monkeypatch)
+        h = descriptor.eval_transfer(sys, 0.0).value
         assert calls == [0.01, 0.01, 1.0]
-        assert fac.pivot_growth <= sparsela.GROWTH_LIMIT
-        assert (fac.lu.perm_r != np.arange(4)).any()
-        rhs = np.arange(1.0, 5.0) + 1j
-        for op, transposed in ((A, False), (A.T, True)):
-            x = fac.solve(rhs, transposed=transposed)
-            scale = np.abs(op).sum(axis=1).max() * np.linalg.norm(x, np.inf) + np.linalg.norm(rhs, np.inf)
-            assert np.linalg.norm(op @ x - rhs, np.inf) / scale <= 1e-12
+        x = sparsela._accurate_solve(M, fac, rhs)
+        assert backward_error(A, x, rhs) <= sparsela.BACKWARD_RTOL
+        assert h == pytest.approx(-np.ones(5) @ np.linalg.solve(A, rhs), rel=1e-13)
+
+    def test_kappa_refactors_with_partial_pivoting(self, monkeypatch):
+        # the chain is J4, under one dynamic state coupled to all of it
+        J = np.block([[np.full((1, 1), -1.0), np.full((1, 5), 0.5)],
+                      [np.full((5, 1), 0.5), growth_chain(0.02)]])
+        rhs = np.arange(1.0, 7.0)
+        sys = DescriptorSystem(SparseMatrix.from_scipy(J), 1, rhs, rhs[::-1], D=0.5)
+        calls = recorded_splu(monkeypatch)
+        kappa = sys.kappa
+        # J4's ordering LU, its threshold LU and one with partial pivoting
+        assert calls == [0.01, 0.01, 1.0]
+        want = sys.D - descriptor.reduce_to_state_space(sys).d
+        assert kappa == pytest.approx(want, rel=1e-10)
+        # the threshold LU alone misses it by 9.5e-11 relative
+        unchecked = complex(sys.C[1:] @ factorize(shifted(sys.j4, 0, 0)).solve(sys.B[1:]))
+        assert abs(unchecked - want) > 1e-11 * abs(want)
 
 
 class TestSolve:
