@@ -55,6 +55,7 @@ from .sparsela import (
     StructurallySingularError,
     dense_eig,
     factorize,
+    ordered,
     shifted,
 )
 
@@ -95,6 +96,7 @@ __all__ = [
     "match_shifts",
     "modal_reconstruct",
     "normalized_vectors",
+    "ordered",
     "read_matrix_market",
     "read_vector",
     "reduce_to_state_space",

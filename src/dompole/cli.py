@@ -182,9 +182,11 @@ def cmd_gen(args):
 def cmd_bench(args):
     if args.repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
+    methods = [m.strip().lower() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ValueError("empty method list")
     system = load_system(args.manifest)
     shifts, p = _resolve_shifts(args.shifts, args.p, complex(args.scale))
-    methods = [m.strip().lower() for m in args.methods.split(",") if m.strip()]
     lines = ["method,k,re,im,iterations,cpu_s,dominance"]
     summaries = []
     for method in methods:

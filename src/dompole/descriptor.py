@@ -26,7 +26,8 @@ import scipy.linalg
 from scipy.sparse.csgraph import structural_rank
 
 from . import mmio
-from .sparsela import SingularMatrixError, SparseMatrix, _accurate_solve, factorize, shifted
+from .sparsela import SingularMatrixError, SparseMatrix, factorize, ordered, shifted
+from .sparsela import _accurate_solve
 
 __all__ = [
     "DescriptorSystem",
@@ -64,7 +65,10 @@ class ManifestError(ValueError):
 
 @dataclass(frozen=True)
 class DescriptorSystem:
-    """Sparse (E, J, B, C, D) quintuple with ``ndyn`` dynamic variables."""
+    """Sparse (E, J, B, C, D) quintuple with ``ndyn`` dynamic variables.
+
+    It keeps the orders of ``J - sE`` and J4 from their first use, so J must
+    not be changed in place once the system has been shifted."""
 
     J: SparseMatrix
     ndyn: int
@@ -92,9 +96,14 @@ class DescriptorSystem:
         return self.J.to_scipy().shape[0]
 
     @cached_property
+    def ordered_j(self):
+        """``ordered(J, ndyn)``: J in the order that every ``J - sE`` is factored in."""
+        return ordered(self.J.to_scipy(), self.ndyn)
+
+    @cached_property
     def j4(self):
-        """The algebraic block ``J[n:, n:]``, built once so that it is ordered once."""
-        return SparseMatrix.from_scipy(self.J.to_scipy()[self.ndyn :, self.ndyn :])
+        """``ordered(J4, 0)``: the algebraic block ``J[n:, n:]`` in its own order."""
+        return ordered(self.J.to_scipy()[self.ndyn :, self.ndyn :], 0)
 
     @cached_property
     def kappa(self):
@@ -106,8 +115,7 @@ class DescriptorSystem:
         if not (self.B[n:].any() and self.C[n:].any()):
             return 0j
         try:
-            M = shifted(self.j4, 0, 0)
-            x = _accurate_solve(M, factorize(M), self.B[n:])
+            x = _accurate_solve(self.j4, factorize(self.j4), self.B[n:])
         except SingularMatrixError:
             return 0j
         return complex(self.C[n:] @ x)
@@ -211,7 +219,7 @@ def validate(sys):
         # does not
         probe = np.random.default_rng(0).standard_normal(m)
         try:
-            factorize(shifted(sys.j4, 0, 0)).solve(probe)
+            factorize(sys.j4).solve(probe)
         except SingularMatrixError as exc:
             j4_ok = False
             notes.append(f"algebraic block singular: {exc}")
@@ -272,7 +280,7 @@ def eval_transfer(sys, s):
     """Sample ``h(s) = C^T (sE - J)^-1 B + D`` through one sparse solve,
     made again with partial pivoting if it is not backward stable."""
     s = complex(s)
-    M = shifted(sys.J, sys.ndyn, s)
+    M = shifted(sys.ordered_j, s)
     x = _accurate_solve(M, factorize(M), sys.B)
     # (sE - J) = -(J - sE)
     return TransferSample(s, complex(-(sys.C @ x) + sys.D))
@@ -289,7 +297,7 @@ def normalized_vectors(sys, s, min_normalizer=0.0):
     zero), which signals a transmission zero near s.
     """
     s = complex(s)
-    fac = factorize(shifted(sys.J, sys.ndyn, s))
+    fac = factorize(shifted(sys.ordered_j, s))
     xraw = fac.solve(sys.B)
     nu = complex(sys.C @ xraw)
     if nu == 0 or abs(nu) <= min_normalizer:

@@ -7,19 +7,18 @@ All numeric work runs in complex double precision even for real inputs:
 the solver shifts are complex, and a single complex path avoids duplicated
 real/complex kernels.
 
-The pattern of ``J - sE`` does not depend on s. The first ``shifted(J,
-ndyn, s)`` call therefore keeps ``shifted(J, ndyn, 0)`` on J, its rows and
-columns in one symmetric order ``cols``: the minimum-degree order of the
-pattern of ``A + A^T``, from one SuperLU factorization of generic values
-in ``SymmetricMode``. Each call then makes ``(J - sE)[cols][:, cols]``,
-that is ``P (J - sE) P^T``, the matrix SuperLU factors, with one copy and
-one subtraction; a cancelled entry stays stored as a zero. A pattern whose
-``structural_rank`` is short raises StructurallySingularError (a
-SingularMatrixError that no shift can cure) there, before any SuperLU call,
-and nothing is cached. The result is a ``ShiftedMatrix``, the
-one input ``factorize`` takes; a SparseMatrix M itself is factored as
-``factorize(shifted(M, 0, 0))``. J must not be changed in place once it
-has been shifted.
+The pattern of ``J - sE`` does not depend on s. ``ordered(J, ndyn)`` makes
+``J - sE`` at s = 0 once, its rows and columns in one symmetric order
+``cols``: the minimum-degree order of the pattern of ``A + A^T``, from one
+SuperLU factorization of generic values in ``SymmetricMode``. It raises
+StructurallySingularError (a SingularMatrixError that no shift can cure)
+for a pattern whose ``structural_rank`` is short, before any SuperLU call.
+``shifted`` makes each ``(J - sE)[cols][:, cols]``, that is ``P (J - sE)
+P^T``, the matrix SuperLU factors, from that result with one copy and one
+subtraction; a cancelled entry stays stored as a zero. The module keeps no
+state: ``DescriptorSystem`` keeps the orders of its J and J4. A
+``ShiftedMatrix`` is the one input ``factorize`` takes; a matrix A itself
+is factored as ``factorize(ordered(A, 0))``.
 
 Every ``splu`` call, the ordering one and the one per shift, takes
 ``SUPERLU_OPTIONS``. Given ``P (J - sE) P^T`` in its natural order, SuperLU
@@ -69,6 +68,7 @@ __all__ = [
     "SparseMatrix",
     "ShiftedMatrix",
     "Factorization",
+    "ordered",
     "shifted",
     "factorize",
     "dense_eig",
@@ -89,7 +89,7 @@ class SingularMatrixError(ArithmeticError):
 
 
 class StructurallySingularError(SingularMatrixError):
-    """``J - sE`` is singular for every s, by its pattern; only ``shifted`` raises it."""
+    """``J - sE`` is singular for every s, by its pattern; only ``ordered`` raises it."""
 
 
 class EigenSolverError(RuntimeError):
@@ -104,15 +104,11 @@ class SparseMatrix:
     checks it; read the matrix itself with ``to_scipy``.
     """
 
-    # _transpose: CSR view of M.T over M's own arrays, built by the first
-    # matvec_t. _shifts: shifted(J, ndyn, 0) for the last ndyn passed to shifted.
-    __slots__ = ("_csc", "_transpose", "_shifts")
+    __slots__ = ("_csc",)
 
     def __init__(self, csc):
         """Wrap ``csc`` as is; it must already be canonical (see ``from_scipy``)."""
         self._csc = csc
-        self._transpose = None
-        self._shifts = None
 
     @classmethod
     def from_scipy(cls, m):
@@ -136,41 +132,33 @@ class SparseMatrix:
 
     def matvec_t(self, x):
         """Return ``M.T @ x`` (plain transpose, no conjugation)."""
-        if self._transpose is None:
-            self._transpose = self._csc.T
-        return self._transpose @ np.asarray(x, dtype=np.complex128)
-
-    def __repr__(self):
-        (nrows, ncols), nnz = self._csc.shape, self._csc.nnz
-        return f"SparseMatrix({nrows}x{ncols}, nnz={nnz})"
+        return self._csc.T @ np.asarray(x, dtype=np.complex128)
 
 
 @dataclass(frozen=True, eq=False)
 class ShiftedMatrix:
-    """``J - sE`` from ``shifted``: ``csc`` is ``(J - sE)[cols][:, cols]`` in scipy CSC.
+    """``J - sE`` from ``ordered`` or ``shifted``: ``csc`` is ``(J - sE)[cols][:, cols]``.
 
-    ``cols`` is the symmetric order cached for ``(J, ndyn)``, applied to rows
-    and columns alike. ``diag`` holds the data positions of E's ones in
-    ``csc`` and ``max_off`` the largest ``|J|`` entry off them.
+    ``cols`` is that symmetric order, of rows and columns alike; ``diag``
+    holds the data positions of E's ones in ``csc``.
     """
 
     csc: sp.csc_matrix
-    ndyn: int
     cols: np.ndarray
     diag: np.ndarray
-    max_off: float
 
 
-def _unshifted(J, ndyn):
-    """``shifted(J, ndyn, 0)``, the cache that every shift of ``(J, ndyn)`` copies.
+def ordered(J, ndyn):
+    """``J - sE`` at s = 0 as a ShiftedMatrix, whose order every shift keeps.
 
-    Its pattern is J's nonzero entries plus an explicit zero on each of E's
-    diagonal positions. Its order comes from one minimum-degree
-    factorization of generic values on that pattern, whose factors are
-    discarded. A structurally singular pattern raises
+    J is any scipy matrix or 2-D array, and E = diag(1,...,1,0,...,0) has
+    ``ndyn`` ones. The pattern is J's nonzero entries plus an explicit zero
+    on each of E's diagonal positions. Its order comes from one
+    minimum-degree factorization of generic values on that pattern, whose
+    factors are discarded. A structurally singular pattern raises
     StructurallySingularError before that factorization.
     """
-    coo = J.to_scipy().tocoo()
+    coo = sp.coo_matrix(J, dtype=np.complex128)
     N = coo.shape[0]
     nz = coo.data != 0
     dyn = np.arange(ndyn)
@@ -195,29 +183,21 @@ def _unshifted(J, ndyn):
     P = sp.csc_matrix((data, (perm[row], perm[col])), shape=(N, N))
     at = np.repeat(np.arange(N), np.diff(P.indptr))
     diag = np.flatnonzero((P.indices == at) & (cols[at] < ndyn))
-    max_off = float(np.abs(np.delete(P.data, diag)).max(initial=0.0))
-    return ShiftedMatrix(P, ndyn, cols, diag, max_off)
+    return ShiftedMatrix(P, cols, diag)
 
 
-def shifted(J, ndyn, s):
-    """``J - s*E`` as a ShiftedMatrix; E = diag(1,...,1,0,...,0) has ``ndyn`` ones.
+def shifted(base, s):
+    """``J - s*E`` as a ShiftedMatrix, for ``base = ordered(J, ndyn)``.
 
-    The pattern is the same for every s; the result shares its index arrays
-    with the cache on J. A shift that is not finite raises ValueError, and a
-    structurally singular pattern StructurallySingularError.
+    The result shares its index arrays and order with base. A shift that is
+    not finite raises ValueError.
     """
-    N = J.to_scipy().shape[0]
-    if not 0 <= ndyn <= N:
-        raise ValueError(f"ndyn {ndyn} out of range for order {N}")
     s = complex(s)
     if not cmath.isfinite(s):
         raise ValueError(f"shift {s!r} is not finite")
-    base = J._shifts
-    if base is None or base.ndyn != ndyn:
-        base = J._shifts = _unshifted(J, ndyn)
     data = base.csc.data.copy()
     data[base.diag] -= s
-    csc = sp.csc_matrix((data, base.csc.indices, base.csc.indptr), shape=(N, N))
+    csc = sp.csc_matrix((data, base.csc.indices, base.csc.indptr), shape=base.csc.shape)
     csc.has_canonical_format = True
     return replace(base, csc=csc)
 
@@ -280,13 +260,13 @@ def _lu(M, max_abs, diag_pivot_thresh):
 
 
 def factorize(M):
-    """Sparse LU of the ShiftedMatrix M from ``shifted``, with threshold pivoting.
+    """Sparse LU of the ShiftedMatrix M, with threshold pivoting.
 
     Raises SingularMatrixError when M has no nonzero entry or SuperLU finds
     it exactly singular; a matrix singular only to working precision is
     caught by ``Factorization.solve``.
     """
-    max_abs = float(np.abs(M.csc.data[M.diag]).max(initial=M.max_off))
+    max_abs = float(np.abs(M.csc.data).max(initial=0.0))
     if max_abs == 0.0:
         raise SingularMatrixError("matrix has no nonzero entries")
     return _lu(M, max_abs, SUPERLU_OPTIONS["diag_pivot_thresh"])

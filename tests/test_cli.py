@@ -338,6 +338,14 @@ class TestGenSpyBench:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: --repeats must be at least 1")
 
+    @pytest.mark.parametrize("methods", ["", " , "])
+    def test_bench_without_methods_rejected(self, toy_manifest, capsys, methods):
+        code = main(["bench", str(toy_manifest), "--methods", methods, "--shifts", " -0.5,-2.5"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: empty method list\n"
+        assert captured.out == ""
+
     def test_bench_single_method(self, toy_manifest, tmp_path):
         out = tmp_path / "bench.csv"
         main(["bench", str(toy_manifest), "--methods", "dpse", "--shifts",

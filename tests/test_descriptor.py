@@ -112,7 +112,7 @@ class TestValidate:
         # singular to working precision
         J = SparseMatrix.from_scipy([[-1.0, 1.0, 0.0], [1.0, 0.1, 0.3], [0.0, 0.3, 0.9]])
         sys = DescriptorSystem(J=J, ndyn=1, B=np.ones(3), C=np.ones(3))
-        factorize(shifted(sys.j4, 0, 0))
+        factorize(sys.j4)
         rep = validate(sys)
         assert not rep.j4_nonsingular
         assert any("singular to working precision" in note for note in rep.notes)
@@ -188,13 +188,13 @@ class TestResolvent:
         ss = reduce_to_state_space(sys)
         s = 0.3 + 1.7j
         x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        z = factorize(shifted(sys.J, 12, s)).solve(np.r_[x, np.zeros(8)])[:12]
+        z = factorize(shifted(sys.ordered_j, s)).solve(np.r_[x, np.zeros(8)])[:12]
         z_ref = np.linalg.solve(ss.A - s * np.eye(12), x)
         assert_allclose(z, z_ref, rtol=1e-10, atol=1e-12)
 
     def test_eigenvalue_shift_raises(self):
         with pytest.raises(SingularMatrixError):
-            factorize(shifted(two_state_system().J, 2, -3.0))
+            factorize(shifted(two_state_system().ordered_j, -3.0))
 
 
 class TestKappa:

@@ -14,7 +14,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from dompole.descriptor import DescriptorSystem, reduce_to_state_space  # noqa: E402
+from dompole.descriptor import (  # noqa: E402
+    DescriptorSystem,
+    normalized_vectors,
+    reduce_to_state_space,
+)
 from dompole.generator import build_system, sample_spectrum  # noqa: E402
 from dompole.oracle import full_spectrum, reference_F, residues  # noqa: E402
 from dompole.solver import (  # noqa: E402
@@ -28,7 +32,14 @@ from dompole.solver import (  # noqa: E402
     run,
 )
 from dompole import sparsela  # noqa: E402
-from dompole.sparsela import SingularMatrixError, SparseMatrix, factorize, shifted  # noqa: E402
+from dompole.sparsela import (  # noqa: E402
+    SingularMatrixError,
+    SparseMatrix,
+    StructurallySingularError,
+    factorize,
+    ordered,
+    shifted,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -223,16 +234,20 @@ def shifted_matrices(draw):
 def test_shifted_lu_matches_dense_algebra(case):
     dense, ndyn, s, singular = case
     n = dense.shape[0]
-    J = SparseMatrix.from_scipy(dense)
     if singular:
-        # refused before SuperLU, and nothing is cached
+        # refused before SuperLU, and a system caches nothing: it refuses again
         with mock.patch.object(sparsela.spla, "splu", side_effect=AssertionError("splu called")):
             with pytest.raises(SingularMatrixError, match="structurally singular"):
-                shifted(J, ndyn, s)
-        assert J._shifts is None
+                ordered(dense, ndyn)
+            if ndyn:
+                sys = DescriptorSystem(SparseMatrix.from_scipy(dense), ndyn, np.ones(n), np.ones(n))
+                for _ in range(2):
+                    with pytest.raises(StructurallySingularError):
+                        normalized_vectors(sys, s)
+                    assert "ordered_j" not in sys.__dict__
         return
     A = dense - s * np.diag((np.arange(n) < ndyn).astype(float))
-    M = shifted(J, ndyn, s)
+    M = shifted(ordered(dense, ndyn), s)
     fac = factorize(M)
     assert np.array_equal(M.csc.toarray(), A[np.ix_(fac.cols, fac.cols)])
     assert fac.pivot_growth == np.abs(fac.lu.U.data).max() / np.abs(A).max()

@@ -16,6 +16,7 @@ from dompole.sparsela import (
     StructurallySingularError,
     dense_eig,
     factorize,
+    ordered,
     shifted,
 )
 from dompole.solver import SolverConfig, match_shifts
@@ -34,8 +35,7 @@ def random_sparse(rng, n, density=0.3, complex_vals=False, diag_boost=0.0):
 
 
 def reconstruction_error(M, fac):
-    """``||Pr M - L U|| / ||M||`` for M in the factored order, a result of
-    ``shifted``."""
+    """``||Pr M - L U|| / ||M||`` for M in the factored order, a ShiftedMatrix."""
     n = M.csc.shape[0]
     Pr = sp.csc_matrix((np.ones(n), (fac.lu.perm_r, np.arange(n))), shape=(n, n))
     lhs = (Pr @ M.csc).toarray()
@@ -43,14 +43,13 @@ def reconstruction_error(M, fac):
     return np.linalg.norm(lhs - rhs) / np.linalg.norm(M.csc.toarray())
 
 
-def in_cached_order(J, dense):
-    """``dense[cols][:, cols]`` for the symmetric order ``shifted`` cached on J."""
-    cols = J._shifts.cols
-    return dense[np.ix_(cols, cols)]
+def in_order(M, dense):
+    """``dense[cols][:, cols]`` for the symmetric order of the ShiftedMatrix M."""
+    return dense[np.ix_(M.cols, M.cols)]
 
 
 def natural_order(M, cols):
-    """A result of ``shifted`` with its rows and columns back in the natural order."""
+    """A ShiftedMatrix's ``csc`` with its rows and columns back in the natural order."""
     back = np.argsort(cols)
     return M.csc[back][:, back]
 
@@ -87,40 +86,37 @@ class TestSparseMatrix:
         x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         assert_allclose(m.matvec(x), m.to_scipy().toarray() @ x, rtol=1e-13)
         assert_allclose(m.matvec_t(x), m.to_scipy().toarray().T @ x, rtol=1e-13)
-        # the cached transpose view gives scipy's own transposed product
+        # the transpose view gives scipy's own transposed product
         assert_array_equal(m.matvec_t(x), m.to_scipy().T @ x)
 
 
 class TestShifted:
     def test_diagonal_example(self):
-        J = SparseMatrix.from_scipy(np.diag([-1.0, 1.0]))
-        out = shifted(J, 1, 2.0).csc.toarray()
-        assert_array_equal(out, in_cached_order(J, np.diag([-3.0, 1.0])))
+        M = shifted(ordered(np.diag([-1.0, 1.0]), 1), 2.0)
+        assert_array_equal(M.csc.toarray(), in_order(M, np.diag([-3.0, 1.0])))
 
     def test_zero_shift_is_identity(self):
         dense = np.array([[-1.0, 2.0], [0.0, 1.0]])
-        J = SparseMatrix.from_scipy(dense)
-        assert_array_equal(shifted(J, 2, 0.0).csc.toarray(), in_cached_order(J, dense))
+        M = shifted(ordered(dense, 2), 0.0)
+        assert_array_equal(M.csc.toarray(), in_order(M, dense))
 
     def test_full_dynamic_block(self):
-        J = SparseMatrix.from_scipy(np.diag([-1.0, -3.0]))
-        out = shifted(J, 2, -0.5).csc.toarray()
-        assert_array_equal(out, in_cached_order(J, np.diag([-0.5, -2.5])))
+        M = shifted(ordered(np.diag([-1.0, -3.0]), 2), -0.5)
+        assert_array_equal(M.csc.toarray(), in_order(M, np.diag([-0.5, -2.5])))
 
     def test_inserts_missing_diagonal(self):
-        J = SparseMatrix.from_scipy([[0.0, 1.0], [1.0, 0.0]])
-        out = shifted(J, 2, 1.0).csc
-        assert out.nnz == 4
-        assert_array_equal(out.toarray(), in_cached_order(J, np.array([[-1.0, 1.0], [1.0, -1.0]])))
+        M = shifted(ordered(np.array([[0.0, 1.0], [1.0, 0.0]]), 2), 1.0)
+        assert M.csc.nnz == 4
+        assert_array_equal(M.csc.toarray(), in_order(M, np.array([[-1.0, 1.0], [1.0, -1.0]])))
 
     def test_cancelled_diagonal_stays_stored(self):
-        J = SparseMatrix.from_scipy(np.diag([-1.0, -3.0]))
-        out = shifted(J, 2, -1.0).csc
-        other = shifted(J, 2, 0.5).csc
+        base = ordered(np.diag([-1.0, -3.0]), 2)
+        M = shifted(base, -1.0)
+        out, other = M.csc, shifted(base, 0.5).csc
         assert out.nnz == 2
         assert_array_equal(out.indptr, other.indptr)
         assert_array_equal(out.indices, other.indices)
-        assert_array_equal(out.toarray(), in_cached_order(J, J.to_scipy().toarray() + np.eye(2)))
+        assert_array_equal(out.toarray(), in_order(M, np.diag([0.0, -2.0])))
 
     @pytest.mark.parametrize("ndyn", [0, 7, 30])
     def test_matches_dense_reference(self, ndyn):
@@ -129,11 +125,11 @@ class TestShifted:
         # permutation's entries make it structurally nonsingular
         dense = np.where(rng.random((30, 30)) < 0.1, rng.standard_normal((30, 30)), 0.0)
         dense[rng.permutation(30), np.arange(30)] += rng.uniform(1.0, 2.0, 30)
-        J = SparseMatrix.from_scipy(dense)
         s = 0.3 - 1.7j
         E = np.diag((np.arange(30) < ndyn).astype(float))
-        out = shifted(J, ndyn, s).csc
-        assert_array_equal(out.toarray(), in_cached_order(J, dense - s * E))
+        M = shifted(ordered(dense, ndyn), s)
+        out = M.csc
+        assert_array_equal(out.toarray(), in_order(M, dense - s * E))
         assert out.has_canonical_format
         # the flag is set, not checked: SuperLU rounds differently when the
         # row indices of a column are out of order
@@ -143,13 +139,13 @@ class TestShifted:
         assert_array_equal(canon.indices, out.indices)
 
     def test_result_is_no_sparse_matrix(self):
-        # its columns are permuted, so it offers no product; the same values
-        # in a SparseMatrix are factored as the matrix they are
+        # its columns are permuted, so it offers no product; its csc, ordered
+        # anew, is factored as the matrix it is
         rng = np.random.default_rng(6)
         J = random_sparse(rng, 12, density=0.2)
-        M = shifted(J, 5, 0.5 - 0.2j)
+        M = shifted(ordered(J.to_scipy(), 5), 0.5 - 0.2j)
         assert isinstance(M, ShiftedMatrix) and not hasattr(M, "matvec")
-        x = factorize(shifted(SparseMatrix.from_scipy(M.csc), 0, 0)).solve(np.ones(12))
+        x = factorize(ordered(M.csc, 0)).solve(np.ones(12))
         assert_allclose(M.csc @ x, np.ones(12), rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -166,59 +162,75 @@ class TestShifted:
     def test_structurally_singular_pattern_is_refused(self, monkeypatch, dense, ndyn):
         seen = []
         monkeypatch.setattr(sparsela.spla, "splu", lambda A, **kwargs: seen.append(A))
-        J = SparseMatrix.from_scipy(dense)
         with pytest.raises(StructurallySingularError, match="structurally singular"):
-            shifted(J, ndyn, 0.5 - 0.25j)
-        # SuperLU never sees a structurally singular matrix, and nothing is cached
+            ordered(dense, ndyn)
+        # SuperLU never sees a structurally singular matrix
         assert seen == []
-        assert J._shifts is None
 
-    def test_cache_follows_j_and_ndyn(self):
+    def test_structurally_singular_system_caches_nothing(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(sparsela.spla, "splu", lambda A, **kwargs: seen.append(A))
+        # column 2 is empty, and E's one at (0, 0) does not refill it
+        J = SparseMatrix.from_scipy([[1.0, 2.0, 0.0], [0.0, 3.0, 0.0], [4.0, 0.0, 0.0]])
+        sys = DescriptorSystem(J, 1, np.ones(3), np.ones(3))
+        for _ in range(2):
+            with pytest.raises(StructurallySingularError, match="structurally singular"):
+                descriptor.eval_transfer(sys, 0.5 - 0.25j)
+            assert "ordered_j" not in sys.__dict__
+        assert seen == []
+
+    def test_one_order_per_system(self, monkeypatch):
+        # two systems over one J, used in turn, keep one order each
         rng = np.random.default_rng(4)
         dense = np.where(rng.random((8, 8)) < 0.3, rng.standard_normal((8, 8)), 0.0)
         dense[rng.permutation(8), np.arange(8)] += rng.uniform(1.0, 2.0, 8)
         J = SparseMatrix.from_scipy(dense)
+        B, C = rng.standard_normal(8), rng.standard_normal(8)
+        systems = [DescriptorSystem(J, ndyn, B, C) for ndyn in (3, 2)]
         s = 0.4 + 0.9j
-        for ndyn in (3, 2, 3):
-            E = np.diag((np.arange(8) < ndyn).astype(float))
-            out = shifted(J, ndyn, s).csc.toarray()
-            assert_array_equal(out, in_cached_order(J, dense - s * E))
-        other = SparseMatrix.from_scipy(2.0 * dense)
-        out = shifted(other, 3, s).csc.toarray()
-        assert_array_equal(out, in_cached_order(other, 2.0 * dense - s * E))
+        specs = []
+        splu = spla.splu
 
-    def test_ndyn_out_of_range(self):
-        J = SparseMatrix.from_scipy(np.eye(2))
-        with pytest.raises(ValueError, match="out of range"):
-            shifted(J, 3, 1.0)
+        def recorded_splu(A, permc_spec=None, **kwargs):
+            specs.append(permc_spec)
+            return splu(A, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(sparsela.spla, "splu", recorded_splu)
+        values = [[descriptor.eval_transfer(sys, s).value for sys in systems] for _ in range(3)]
+        assert specs.count("MMD_AT_PLUS_A") == 2
+        assert values[1] == values[0] and values[2] == values[0]
+        for sys, h in zip(systems, values[0]):
+            E = np.diag((np.arange(8) < sys.ndyn).astype(float))
+            M = shifted(sys.ordered_j, s)
+            assert_array_equal(M.csc.toarray(), in_order(M, dense - s * E))
+            assert h == pytest.approx(C @ np.linalg.solve(s * E - dense, B), rel=1e-12)
 
     def test_nonfinite_shift_is_rejected(self):
-        J = SparseMatrix.from_scipy(np.eye(2))
+        base = ordered(np.eye(2), 1)
         with pytest.raises(ValueError, match=re.escape("shift (nan+0j) is not finite")):
-            shifted(J, 1, np.nan)
+            shifted(base, np.nan)
         with pytest.raises(ValueError, match=re.escape("shift (1-infj) is not finite")):
-            shifted(J, 1, complex(1.0, -np.inf))
-        sys = DescriptorSystem(J, 1, np.ones(2), np.ones(2))
+            shifted(base, complex(1.0, -np.inf))
+        sys = DescriptorSystem(SparseMatrix.from_scipy(np.eye(2)), 1, np.ones(2), np.ones(2))
         with pytest.raises(ValueError, match="is not finite"):
             descriptor.eval_transfer(sys, np.nan)
 
 
 class TestFactorize:
     def test_diagonal_factors(self):
-        fac = factorize(shifted(SparseMatrix.from_scipy(np.diag([-0.5, -2.5])), 0, 0))
+        fac = factorize(ordered(np.diag([-0.5, -2.5]), 0))
         assert_allclose(fac.lu.L.toarray(), np.eye(2))
         assert_allclose(np.sort(np.abs(fac.lu.U.diagonal())), [0.5, 2.5])
         assert fac.pivot_growth == pytest.approx(1.0)
 
     def test_zero_row_is_singular(self):
-        M = SparseMatrix.from_scipy([[1.0, 2.0], [0.0, 0.0]])
         with pytest.raises(SingularMatrixError, match="structurally singular"):
-            factorize(shifted(M, 0, 0))
+            factorize(ordered(np.array([[1.0, 2.0], [0.0, 0.0]]), 0))
 
     def test_tiny_pivot_is_singular(self):
         # SuperLU factors a pivot 1e-20 without complaint; the solve that
         # divides by it shows the matrix singular to working precision
-        fac = factorize(shifted(SparseMatrix.from_scipy(np.diag([1.0, 1e-20])), 0, 0))
+        fac = factorize(ordered(np.diag([1.0, 1e-20]), 0))
         with pytest.raises(SingularMatrixError, match="singular to working precision") as info:
             fac.solve(np.ones(2))
         # a numerically singular matrix is not refused as a structural one
@@ -227,30 +239,30 @@ class TestFactorize:
     def test_shifted_diagonal_sets_the_pivot_scale(self):
         # max|M| is the shifted entry 1e14, not max|J| = 1e-3: the solution
         # 1e3 of the pivot 1e-3 passes ||rhs|| / (eps max|M|) = 45.04
-        J = SparseMatrix.from_scipy(np.diag([0.0, 1e-3]))
-        fac = factorize(shifted(J, 1, -1e14))
+        base = ordered(np.diag([0.0, 1e-3]), 1)
+        fac = factorize(shifted(base, -1e14))
         with pytest.raises(SingularMatrixError, match=re.escape("above 4.504e+01")):
             fac.solve(np.ones(2))
-        fac = factorize(shifted(J, 1, -1.0))
+        fac = factorize(shifted(base, -1.0))
         assert fac.max_abs == 1.0
         assert_allclose(fac.solve(np.ones(2)), [1.0, 1e3])
 
     def test_reconstruction_50(self):
         rng = np.random.default_rng(7)
-        M = shifted(random_sparse(rng, 50, complex_vals=True), 0, 0)
+        M = ordered(random_sparse(rng, 50, complex_vals=True).to_scipy(), 0)
         assert reconstruction_error(M, factorize(M)) <= 1e-12
 
     @pytest.mark.parametrize("n", [50, 120, 300])
     def test_backward_error_property(self, n):
         rng = np.random.default_rng(n)
-        M = shifted(random_sparse(rng, n, density=0.1, complex_vals=True), 0, 0)
+        M = ordered(random_sparse(rng, n, density=0.1, complex_vals=True).to_scipy(), 0)
         assert reconstruction_error(M, factorize(M)) <= 1e-10
 
 
 def random_shifted(seed, n=40, ndyn=25):
     rng = np.random.default_rng(seed)
     J = random_sparse(rng, n, density=0.15, complex_vals=True)
-    M = shifted(J, ndyn, 0.7 - 1.3j)
+    M = shifted(ordered(J.to_scipy(), ndyn), 0.7 - 1.3j)
     rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return M, rhs
 
@@ -280,8 +292,8 @@ class TestCachedOrder:
         assert reconstruction_error(M, factorize(M)) <= 1e-12
 
     def test_cancelled_entry_keeps_the_order(self):
-        J = SparseMatrix.from_scipy([[-1.0, 2.0, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, 4.0]])
-        M = shifted(J, 2, -1.0)
+        J = np.array([[-1.0, 2.0, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, 4.0]])
+        M = shifted(ordered(J, 2), -1.0)
         assert M.csc.nnz == 7
         fac = factorize(M)
         assert reconstruction_error(M, fac) <= 1e-14
@@ -346,8 +358,8 @@ class TestCachedOrder:
         dompole.run(sys, SolverConfig(method="dpse", p=3), [-1 + 1j, -2, -3 + 2j])
         descriptor.eval_transfer(sys, 0.5j)
         assert descriptor.validate(sys).j4_nonsingular
-        plain = random_sparse(rng, 7)
-        facs += [factorize(shifted(plain, 0, 0)), factorize(shifted(plain, 0, 0))]
+        plain = ordered(random_sparse(rng, 7).to_scipy(), 0)
+        facs += [factorize(plain), factorize(shifted(plain, 0))]
         # J with ndyn = n, its algebraic block J4 (one order for run's kappa
         # and validate), and the plain matrix
         assert sorted(order for order, spec in specs if spec == "MMD_AT_PLUS_A") == [m, 7, n + m]
@@ -385,7 +397,7 @@ def mesh_system(seed, k=12, machines=24):
 def mesh_shifted(seed):
     """``J - sE`` of ``mesh_system(seed)`` at ``MESH_SHIFT``, and its right-hand side."""
     J, n, rhs = mesh_system(seed)
-    return shifted(J, n, MESH_SHIFT), rhs
+    return shifted(ordered(J.to_scipy(), n), MESH_SHIFT), rhs
 
 
 def saddle_system(seed, n=8, k=12, g=4):
@@ -418,7 +430,7 @@ class TestSaddlePoint:
         J, n = saddle_system(seed)
         N = J.to_scipy().shape[0]
         s = 0.3 - 0.8j
-        M = shifted(J, n, s)
+        M = shifted(ordered(J.to_scipy(), n), s)
         fac = factorize(M)
         assert (fac.lu.perm_r != np.arange(N)).any()
         A = J.to_scipy() - s * sp.diags((np.arange(N) < n).astype(float))
@@ -432,16 +444,17 @@ class TestSaddlePoint:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_shift_on_an_eigenvalue_is_singular(self, seed):
         J, n = saddle_system(seed)
+        base = ordered(J.to_scipy(), n)
         for k in range(1, n + 1):
             with pytest.raises(SingularMatrixError):
-                factorize(shifted(J, n, -float(k)))
+                factorize(shifted(base, -float(k)))
 
 
 class TestFill:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fewer_factor_entries_than_colamd(self, seed):
         J, n, _ = mesh_system(seed)
-        fac = factorize(shifted(J, n, MESH_SHIFT))
+        fac = factorize(shifted(ordered(J.to_scipy(), n), MESH_SHIFT))
         E = sp.diags((np.arange(J.to_scipy().shape[0]) < n).astype(float))
         A = (J.to_scipy() - MESH_SHIFT * E).tocsc()
         colamd = spla.splu(A, permc_spec="COLAMD", relax=1, panel_size=1)
@@ -526,7 +539,7 @@ class TestPivotGrowth:
     def test_growth_up_to_the_limit_keeps_the_diagonal(self, monkeypatch):
         # two leaves grow the last entry to 1 - 2 / 0.02 = -99
         calls = recorded_splu(monkeypatch)
-        fac = factorize(shifted(SparseMatrix.from_scipy(arrowhead(2, 0.02)), 0, 0))
+        fac = factorize(ordered(arrowhead(2, 0.02), 0))
         assert calls == [0.01, 0.01]
         assert fac.pivot_growth == pytest.approx(99.0)
         assert_array_equal(fac.lu.perm_r, np.arange(3))
@@ -545,7 +558,7 @@ class TestPivotGrowth:
         # threshold LU and one with partial pivoting, in the same order
         A = growth_chain(0.02)
         rhs = np.arange(1.0, 6.0) + 1j
-        M = shifted(SparseMatrix.from_scipy(A), 0, 0)
+        M = ordered(A, 0)
         fac = factorize(M)
         assert fac.pivot_growth > 1e6
         assert backward_error(A, fac.solve(rhs), rhs) > 1e2 * sparsela.BACKWARD_RTOL
@@ -570,17 +583,17 @@ class TestPivotGrowth:
         want = sys.D - descriptor.reduce_to_state_space(sys).d
         assert kappa == pytest.approx(want, rel=1e-10)
         # the threshold LU alone misses it by 9.5e-11 relative
-        unchecked = complex(sys.C[1:] @ factorize(shifted(sys.j4, 0, 0)).solve(sys.B[1:]))
+        unchecked = complex(sys.C[1:] @ factorize(sys.j4).solve(sys.B[1:]))
         assert abs(unchecked - want) > 1e-11 * abs(want)
 
 
 class TestSolve:
     def test_diagonal_solve(self):
-        fac = factorize(shifted(SparseMatrix.from_scipy(np.diag([-0.5, -2.5])), 0, 0))
+        fac = factorize(ordered(np.diag([-0.5, -2.5]), 0))
         assert_allclose(fac.solve(np.array([1.0, 1.0])), [-2.0, -0.4])
 
     def test_transposed_equals_plain_for_symmetric(self):
-        fac = factorize(shifted(SparseMatrix.from_scipy(np.diag([-0.5, -2.5])), 0, 0))
+        fac = factorize(ordered(np.diag([-0.5, -2.5]), 0))
         rhs = np.array([1.0, 2.0])
         assert_allclose(fac.solve(rhs, transposed=True), fac.solve(rhs))
 
@@ -588,16 +601,15 @@ class TestSolve:
         rng = np.random.default_rng(20)
         M = random_sparse(rng, 20, complex_vals=True)
         rhs = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        x = factorize(shifted(M, 0, 0)).solve(rhs)
+        x = factorize(ordered(M.to_scipy(), 0)).solve(rhs)
         assert np.linalg.norm(M.matvec(x) - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_transposed_matches_explicit_transpose(self):
         rng = np.random.default_rng(21)
         M = random_sparse(rng, 25, complex_vals=True)
         rhs = rng.standard_normal(25) + 1j * rng.standard_normal(25)
-        xt = factorize(shifted(M, 0, 0)).solve(rhs, transposed=True)
-        Mt = SparseMatrix.from_scipy(M.to_scipy().T)
-        xe = factorize(shifted(Mt, 0, 0)).solve(rhs)
+        xt = factorize(ordered(M.to_scipy(), 0)).solve(rhs, transposed=True)
+        xe = factorize(ordered(M.to_scipy().T, 0)).solve(rhs)
         assert_allclose(xt, xe, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 9, 10])
@@ -609,12 +621,12 @@ class TestSolve:
         scales = 10.0 ** rng.uniform(-3, 3, n)
         A = np.diag(scales) @ random_sparse(rng, n).to_scipy().toarray()
         rhs = rng.standard_normal(n)
-        x = factorize(shifted(SparseMatrix.from_scipy(A), 0, 0)).solve(rhs)
+        x = factorize(ordered(A, 0)).solve(rhs)
         scale = np.linalg.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(rhs, np.inf)
         assert np.linalg.norm(A @ x - rhs, np.inf) / scale <= 1e-12
 
     def test_dimension_mismatch(self):
-        fac = factorize(shifted(SparseMatrix.from_scipy(np.eye(3)), 0, 0))
+        fac = factorize(ordered(np.eye(3), 0))
         with pytest.raises(ValueError, match="length"):
             fac.solve(np.ones(2))
 
