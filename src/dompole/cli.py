@@ -63,6 +63,8 @@ def _parse_complex_list(text):
 
 def _resolve_shifts(text, p, scale):
     """Turn the --shifts flag into (shift array, effective p)."""
+    if p is not None and p < 1:
+        raise ValueError(f"--p must be at least 1, got {p}")
     if text in ("fan", "ring"):
         if p is None:
             raise ValueError(f"--p is required with the '{text}' pattern")
@@ -195,19 +197,16 @@ def cmd_bench(args):
         )
         reports = [run(system, config, initial_shifts=shifts) for _ in range(args.repeats)]
         base = reports[0]
-        # deterministic iterations; wall time is the minimum across repeats
-        times = {}
-        for rep in reports:
-            for pole in rep.poles:
-                key = (round(pole.eigenvalue.real, 9), round(pole.eigenvalue.imag, 9))
-                times[key] = min(times.get(key, float("inf")), pole.time_s)
-        rows = sorted(base.poles, key=lambda q: (q.iterations, q.eigenvalue.imag))
-        for k, pole in enumerate(rows, start=1):
-            key = (round(pole.eigenvalue.real, 9), round(pole.eigenvalue.imag, 9))
+        # repeats are identical but for wall time, so pole i of every repeat is
+        # pole i of the first; its time is the minimum across repeats
+        rows = [(pole, min(rep.poles[i].time_s for rep in reports))
+                for i, pole in enumerate(base.poles)]
+        rows.sort(key=lambda r: (r[0].iterations, r[0].eigenvalue.imag))
+        for k, (pole, time_s) in enumerate(rows, start=1):
             dom = "inf" if not np.isfinite(pole.dominance) else repr(pole.dominance)
             lines.append(
                 f"{method},{k},{pole.eigenvalue.real!r},{pole.eigenvalue.imag!r},"
-                f"{pole.iterations},{times[key]!r},{dom}"
+                f"{pole.iterations},{time_s!r},{dom}"
             )
         summaries.append(
             f"# {method}: converged {base.converged_count}/{p}, "

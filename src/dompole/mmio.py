@@ -4,8 +4,9 @@ Supports the subset used by descriptor-system data sets: ``matrix`` objects
 in ``coordinate`` or ``array`` format, ``real``/``integer``/``complex``
 fields, and ``general``/``symmetric`` symmetry. The data lines are parsed by
 one ``np.loadtxt`` call, and ``%`` starts a comment anywhere on the size line
-or a data line. Parse failures, indices out of range, non-finite values
-(``nan``, ``inf``) and a wrong entry count report the offending line number.
+or a data line. Parse failures, indices out of range or above a symmetric
+diagonal, non-finite values (``nan``, ``inf``) and a wrong entry count
+report the offending line number.
 """
 
 from __future__ import annotations
@@ -89,9 +90,10 @@ def _data_lines(body, lineno):
 def read_matrix_market(path):
     """Read a Matrix Market file into a SparseMatrix.
 
-    Symmetric storage is expanded to both triangles. Coordinate indices are
-    validated against the declared dimensions, and the declared entry count
-    must match the number of data lines exactly. Array files store no zeros.
+    Symmetric storage is the lower triangle, expanded to both; an entry above
+    it is an error. Coordinate indices are validated against the declared
+    dimensions, and the declared entry count must match the number of data
+    lines exactly. Array files store no zeros.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
@@ -149,6 +151,8 @@ def read_matrix_market(path):
         i, j = rec["i"] - 1, rec["j"] - 1
         inside = (0 <= i) & (i < nrows) & (0 <= j) & (j < ncols)
         ok &= inside
+        if symmetry == "symmetric":  # stored as its lower triangle only
+            ok &= i >= j
     bad = np.flatnonzero(~ok)
     if bad.size or n < len(lines):
         # the earliest fault in file order: a failed check, else the unparsed line
@@ -167,6 +171,8 @@ def read_matrix_market(path):
             message = f"cannot parse {field} value from '{value}'"
         elif coordinate and not inside[k]:
             message = f"index ({i[k] + 1}, {j[k] + 1}) outside {nrows}x{ncols}"
+        elif coordinate and symmetry == "symmetric" and i[k] < j[k]:
+            message = f"symmetric entry ({i[k] + 1}, {j[k] + 1}) above the diagonal"
         elif not finite[k]:
             message = f"non-finite value '{value}'"
         else:

@@ -93,12 +93,12 @@ _COND_LIMIT = 1.0 / _COLLISION_EPS
 # Base size of the growing kicks, and the cap on them for a vanishing normalizer.
 _PERTURBATION = 1e-6
 _MAX_NORMALIZER_KICKS = 5
-# First retry after a singular factorization moves just far enough off the
-# eigenvalue to clear the pivot threshold; one fixed-point sweep from there
-# moves the shift by O(nudge^2), and the residual floor it induces is about
-# nudge * |s| / |residue|, which must stay below usable tolerances even for
-# weakly observable poles. The coarse _PERTURBATION * |s| kick stays
-# as the second retry.
+# First retry after a singular shift (a solve with ||x|| eps max|A| > ||b||)
+# moves just far enough off the eigenvalue for the solves to pass; one
+# fixed-point sweep from there moves the shift by O(nudge^2), and the residual
+# floor it induces is about nudge * |s| / |residue|, which must stay below
+# usable tolerances even for weakly observable poles. The coarse
+# _PERTURBATION * |s| kick stays as the second retry.
 _SINGULAR_NUDGE = 1e-11
 # On a real system, an active shift within _CONJUGATE_RADIUS |lambda| of the
 # conjugate of a locked complex pole lambda locks there. A shift that comes
@@ -132,8 +132,8 @@ class SolverConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
             setattr(self, name, int(value))
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < 1:  # also refuses nan and inf
+            raise ValueError(f"tol must lie in (0, 1), got {self.tol!r}")
 
 
 @dataclass
@@ -144,14 +144,12 @@ class ShiftState:
     last computed at; converged columns are frozen and never recomputed, and
     their shift is the locked eigenvalue. ``final_residuals`` holds each
     column's last checked residual pair (its locking one once converged).
-    ``iter`` is the current sweep (0 before the first), ``cond`` is cond(B)
-    of the last sweep's active block (cond(W^T V) while no column is
-    locked), and ``events`` collects every intervention of the run, each
-    stamped with the sweep it happened in. ``trajectories`` holds the shift
-    tuple after each sweep (the first after the initial solves) and
-    ``residual_history`` the residual pairs of each check; ``t0`` is the
-    ``perf_counter`` start and ``lock_time`` each column's seconds from it
-    to its lock.
+    ``iter`` is the current sweep (0 before the first), and ``events``
+    collects every intervention of the run, each stamped with the sweep it
+    happened in. ``trajectories`` holds the shift tuple after each sweep
+    (the first after the initial solves) and ``residual_history`` the
+    residual pairs of each check; ``t0`` is the ``perf_counter`` start and
+    ``lock_time`` each column's seconds from it to its lock.
     """
 
     shifts: np.ndarray
@@ -164,7 +162,6 @@ class ShiftState:
     lock_time: np.ndarray
     ndyn: int
     iter: int = 0
-    cond: float = math.nan
     events: list = field(default_factory=list)
     trajectories: list = field(default_factory=list)
     residual_history: list = field(default_factory=list)
@@ -188,10 +185,6 @@ class ShiftState:
         )
 
     @property
-    def p(self):
-        return self.shifts.shape[0]
-
-    @property
     def all_converged(self):
         return bool(self.converged.all())
 
@@ -212,7 +205,7 @@ def init_shifts(pattern, p=None, scale=DEFAULT_FAN_SCALE):
     if isinstance(pattern, str):
         name = pattern.lower()
         if p is None or p < 1:
-            raise ValueError("p is required for named shift patterns")
+            raise ValueError(f"a named shift pattern needs p of at least 1, got {p!r}")
         if name == "fan":
             return np.arange(1, p + 1, dtype=np.complex128) * complex(scale)
         if name == "ring":
@@ -278,7 +271,7 @@ def refresh_columns(sys, state):
                 except VanishingNormalizerError:
                     kind = "small-normalizer"
             k = moves[kind] = moves.get(kind, 0) + 1
-            cap = {"collision": state.p + 4, "singular-shift": 2,
+            cap = {"collision": len(state.shifts) + 4, "singular-shift": 2,
                    "small-normalizer": _MAX_NORMALIZER_KICKS}[kind]
             if k > cap:
                 raise SolverError(
@@ -302,8 +295,7 @@ def _projection_parts(sys, state):
 
     ``B = Q (W^T V)[:, act]`` and ``q = Q w``, where the rows of Q span the
     complement of the locked columns of W^T V, from one complete QR; with no
-    locked column, B is W^T V and q is ``w = 1 - kappa vhat``. Records cond(B)
-    in ``state.cond``, from which ``ddpse_step`` chooses its update.
+    locked column, B is W^T V and q is ``w = 1 - kappa vhat``.
     """
     wtv = state.Y[: sys.ndyn].T @ state.X[: sys.ndyn]
     q = 1.0 - sys.kappa / state.normalizers
@@ -311,7 +303,6 @@ def _projection_parts(sys, state):
     if locked.any():
         Q = np.linalg.qr(wtv[:, locked], mode="complete")[0][:, locked.sum():].conj().T
         wtv, q = Q @ wtv[:, ~locked], Q @ q
-    state.cond = float(np.linalg.cond(wtv)) if wtv.size else 1.0  # 0-by-0: all locked
     return wtv, q
 
 
@@ -365,10 +356,11 @@ def dpse_step(sys, state):
 
 def ddpse_step(sys, state):
     """One diagonal sweep: ``s_j + vhat_j [B^-1 q]_j``, diag(F) on the active
-    columns without an eigensolve; locked columns keep their value. An
-    ill-conditioned B takes ``_fallback_step`` instead."""
+    columns without an eigensolve; locked columns keep their value. A B with
+    cond(B) above _COND_LIMIT takes ``_fallback_step`` instead."""
     parts = _projection_parts(sys, state)
-    if not state.cond <= _COND_LIMIT:  # a NaN cond is ill-conditioned too
+    cond = np.linalg.cond(parts[0]) if parts[0].size else 1.0  # 0-by-0: all locked
+    if not cond <= _COND_LIMIT:  # a NaN cond is ill-conditioned too
         return _fallback_step(parts, state)
     act = state.active_indices()
     new = state.shifts.copy()

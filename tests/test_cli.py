@@ -86,6 +86,21 @@ class TestPoles:
         assert main(["poles", str(toy_manifest), "--shifts", "fan"]) == 1
         assert "--p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["0", "-2"])
+    @pytest.mark.parametrize("shifts", ["fan", " -0.5,-2.5"])
+    def test_p_below_1_rejected(self, toy_manifest, capsys, p, shifts):
+        assert main(["poles", str(toy_manifest), "--p", p, "--shifts", shifts]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --p must be at least 1, got {p}\n"
+        assert captured.out == ""
+
+    def test_infinite_tol_rejected(self, toy_manifest, capsys):
+        # tol = inf would lock every column after one sweep, wherever it is
+        assert main(["poles", str(toy_manifest), "--shifts", " -0.5,-2.5", "--tol", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: tol must lie in (0, 1), got inf\n"
+        assert captured.out == ""
+
     def test_partial_convergence_exit_code(self, toy_manifest, tmp_path):
         out = tmp_path / "report.json"
         code = main(

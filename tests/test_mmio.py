@@ -121,6 +121,10 @@ LONG = CR + "1000 1 1000\n" + "".join(f"{k} 1 1.0\n" for k in range(1, 1001))
          "symmetric matrix must be square"),
         ("%%MatrixMarket matrix array real symmetric\n3 2\n1.0\n", 2,
          "symmetric matrix must be square"),
+        # a symmetric entry above the diagonal, whose mirror image would add
+        # to the entry stored below it
+        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 1.0\n2 1 5.0\n1 2 5.0\n",
+         5, "symmetric entry (1, 2) above the diagonal"),
         # two faults in one file: the earlier line is reported
         (CR + "2 2 2\n3 1 1.0\n1 1 nan\n", 3, "outside 2x2"),
         (CR + "2 2 2\n1 1 nan\n3 1 1.0\n", 3, "non-finite value 'nan'"),

@@ -93,6 +93,11 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer of at least 1"):
             SolverConfig(**{field: value})
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-5, 1.0, 1e300, np.inf, np.nan])
+    def test_tol_must_lie_between_0_and_1(self, tol):
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            SolverConfig(tol=tol)
+
     def test_numpy_integers_pass_as_int(self):
         config = SolverConfig(p=np.int64(3), max_iter=np.int32(7))
         assert (config.p, config.max_iter) == (3, 7)
@@ -144,8 +149,8 @@ class TestProjection:
     def test_collision_detection(self):
         sys = two_state()
         state = prepared_state(sys, [-0.5, -0.5 + 1e-12])
-        dpse_step(sys, state)  # the steps record cond
-        assert state.cond > 1e8
+        B, _ = solver._projection_parts(sys, state)
+        assert np.linalg.cond(B) > 1e8
 
 
 class TestDpseStep:
@@ -553,9 +558,8 @@ class TestFallback:
         step = solver.ddpse_step
 
         def recorded(sys, state):
-            out = step(sys, state)
-            cond[state.iter] = state.cond
-            return out
+            cond[state.iter] = np.linalg.cond(solver._projection_parts(sys, state)[0])
+            return step(sys, state)
 
         monkeypatch.setattr(solver, "ddpse_step", recorded)
         gen, s0 = far_shift_system()
@@ -584,6 +588,23 @@ def test_one_projection_per_sweep(method, monkeypatch):
     kind = "redundant-column" if method == "dpse" else "ill-conditioned-projection"
     assert any(e["kind"] == kind for e in report.events)
     assert len(built) == len(report.trajectories) - 1
+
+
+@pytest.mark.parametrize("method, per_sweep", [("dpse", 0), ("ddpse", 1)])
+def test_only_ddpse_takes_a_condition_number(method, per_sweep, monkeypatch):
+    # dpse's QZ needs no cond(B); ddpse takes one per sweep to choose its update
+    calls = []
+    cond = np.linalg.cond
+
+    def counted(*args):
+        calls.append(args)
+        return cond(*args)
+
+    gen, s0 = far_shift_system()  # the generator's oracle takes cond(P)
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    report = run(gen.system, SolverConfig(method=method, p=4), initial_shifts=s0)
+    assert report.converged_count == 4
+    assert len(calls) == per_sweep * (len(report.trajectories) - 1)
 
 
 @pytest.mark.parametrize("method", ["dpse", "ddpse"])
