@@ -106,6 +106,13 @@ class DescriptorSystem:
         return ordered(self.J.to_scipy()[self.ndyn :, self.ndyn :], 0)
 
     @cached_property
+    def is_real(self):
+        """Whether J, B and C are all real, so that the conjugate of each pole
+        is a pole with the conjugated vectors and residue."""
+        J = self.J.to_scipy()
+        return not (J.data.imag.any() or self.B.imag.any() or self.C.imag.any())
+
+    @cached_property
     def kappa(self):
         """``C_a^T J4^-1 B_a``, the limit of ``C^T (J - sE)^-1 B`` as |s| grows
         (``d = D - kappa`` in the reduced model), from one sparse LU of J4,

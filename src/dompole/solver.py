@@ -29,14 +29,14 @@ pencil sweep and emits an "ill-conditioned-projection" event. Any tuple of
 distinct eigenvalues is a fixed point of either map, and both converge
 quadratically near one.
 
-Converged columns freeze their vectors and lock at their two-sided Rayleigh
-quotient ``(y^T J x) / (y^T E x)``, DPA's Newton update, quadratically
-accurate in the residual; ``check_convergence`` reads it off the ``J X``
-product that gives the right residuals. With vhat_j = 0, column j of G is
-``lambda_j W^T V e_j``, so both steps work on the active block only: the
-pencil ``(B S_A + q vhat_A^T, B)`` with ``B = Q (W^T V)[:, act]`` and
-``q = Q w``, the rows of Q spanning the complement of the locked columns of
-W^T V. A locked value leaves the pencil once and enters no later sweep.
+Residuals come from the resolvent identity ``(J - tE) x_j = B vhat_j +
+(s_j - t) E x_j``. A column that passes there is checked against J itself
+and locks at its two-sided Rayleigh quotient ``(y^T J x) / (y^T E x)``,
+DPA's Newton update, quadratically accurate in the residual. With vhat_j =
+0, column j of G is ``lambda_j W^T V e_j``, so both steps work on the
+active block only: the pencil ``(B S_A + q vhat_A^T, B)`` with ``B = Q
+(W^T V)[:, act]`` and ``q = Q w``, the rows of Q spanning the complement of
+the locked columns of W^T V; a locked value enters no later sweep.
 
 On a real system (J, B and C real), a locked complex pole lambda also gives
 conj(lambda): ``(J - conj(s) E)^-1 B = conj((J - s E)^-1 B)``, so its
@@ -254,11 +254,15 @@ def refresh_columns(sys, state):
     cures, raises StructurallySingularError on the first try.
     """
     act = state.active_indices()
+    # a column gets its own collision test only if this screen flags it or a shift has moved
+    z, (later, earlier) = state.shifts[act], np.tril_indices(act.size, -1)
+    screen = (np.abs(z[:, None] - state.shifts[state.converged]) <= _COLLISION_EPS).any(axis=1)
+    screen[later[np.abs(z[later] - z[earlier]) <= _COLLISION_EPS]] = True
     for idx, j in enumerate(act):
         s = requested = complex(state.shifts[j])
         moves = {}
         while True:
-            if _nearest_taken(state, s, act[:idx]) <= _COLLISION_EPS:
+            if screen[idx] and _nearest_taken(state, s, act[:idx]) <= _COLLISION_EPS:
                 kind = "collision"
             else:
                 try:
@@ -284,6 +288,7 @@ def refresh_columns(sys, state):
             else:
                 step = _PERTURBATION * k
             s += step * (1.0 + 1.0j)
+            screen[idx:] = True
         state.shifts[j] = s
         state.X[:, j] = x
         state.Y[:, j] = y
@@ -315,8 +320,6 @@ def match_shifts(old, candidates):
     if old.shape != cand.shape:
         raise ValueError("old and candidate tuples must have equal length")
     m = old.shape[0]
-    if m == 0:
-        return cand.copy()
     dist = np.abs(old[:, None] - cand[None, :])
     out = np.empty(m, dtype=np.complex128)
     taken_old = np.zeros(m, dtype=bool)
@@ -326,8 +329,7 @@ def match_shifts(old, candidates):
         if taken_old[i] or taken_new[k]:
             continue
         out[i] = cand[k]
-        taken_old[i] = True
-        taken_new[k] = True
+        taken_old[i] = taken_new[k] = True
         if taken_old.all():
             break
     return out
@@ -376,31 +378,42 @@ def _fallback_step(parts, state):
     return _pencil_sweep(*parts, state)
 
 
+def _relative(R, V, n, shift):
+    """``||R e_j + shift_j E V e_j|| / ||V e_j||`` for each column j; R is overwritten."""
+    R[:n] += shift * V[:n]
+    return np.linalg.norm(R, axis=0) / np.linalg.norm(V, axis=0)
+
+
 def check_convergence(sys, state, new_shifts, tol):
-    """Relative residuals of the active columns' vectors against the new shifts.
+    """Relative residuals ``||(J - t_j E) x_j|| / ||x_j||`` and ``||(J^T - t_j
+    E) y_j|| / ||y_j||`` of the active columns against the new shifts t.
 
-        right_j = ||(J - s_j E) X e_j|| / ||X e_j||
-        left_j  = ||(J^T - s_j E) Y e_j|| / ||Y e_j||
-
-    using the vectors from the previous sweep, so convergence costs no extra
-    solve, and one ``J X`` and one ``J^T Y`` product over the active block.
-    Stores them in ``state.final_residuals`` (locked columns keep theirs),
-    appends a copy of it to ``state.residual_history``, and returns the
-    active columns whose residuals are both at or below tol, with their
-    two-sided Rayleigh quotients ``(y^T J x) / (y^T E x)``.
+    They use the vectors of the previous sweep, so convergence costs no extra
+    solve. Only ``refresh_columns`` writes active columns, so each is the
+    normalized resolvent solve at its shift s_j, and ``(J - t_j E) x_j = B
+    vhat_j + (s_j - t_j) E x_j`` (likewise C, y_j) gives both residuals in
+    O(N). Pairs both at or below tol are taken again from one ``J X`` and one
+    ``J^T Y`` product over their columns alone. Stores the residuals in
+    ``state.final_residuals`` (locked columns keep theirs), a copy in
+    ``state.residual_history``, and returns the columns that pass both, with
+    their two-sided Rayleigh quotients ``(y^T J x) / (y^T E x)``.
     """
     act = state.active_indices()
-    n, s = sys.ndyn, new_shifts[act]
-    X, Y = state.X[:, act], state.Y[:, act]
-    JX, JtY = sys.J.matvec(X), sys.J.matvec_t(Y)
-    yjx = np.einsum("ij,ij->j", Y, JX)
-    JX[:n] -= s * X[:n]
-    JtY[:n] -= s * Y[:n]
-    res = state.final_residuals
-    res[act, 0] = np.linalg.norm(JX, axis=0) / np.linalg.norm(X, axis=0)
-    res[act, 1] = np.linalg.norm(JtY, axis=0) / np.linalg.norm(Y, axis=0)
+    n, vhat, res = sys.ndyn, 1.0 / state.normalizers[act], state.final_residuals
+    X, Y, t = state.X[:, act], state.Y[:, act], new_shifts[act]
+    res[act, 0] = _relative(np.multiply.outer(sys.B, vhat), X, n, state.shifts[act] - t)
+    res[act, 1] = _relative(np.multiply.outer(sys.C, vhat), Y, n, state.shifts[act] - t)
+    ok, yjx = (res[act] <= tol).all(axis=1), np.zeros(act.size, dtype=np.complex128)
+    if ok.any():
+        # each y^T J x is summed over the whole active block, for numpy sums a
+        # lone column of over 8192 rows in another order than a block's
+        JX = np.zeros_like(X)
+        JX[:, ok], JtY = sys.J.matvec(X[:, ok]), sys.J.matvec_t(Y[:, ok])
+        yjx = np.einsum("ij,ij->j", Y, JX)
+        res[act[ok], 0] = _relative(JX[:, ok], X[:, ok], n, -t[ok])
+        res[act[ok], 1] = _relative(JtY, Y[:, ok], n, -t[ok])
+        ok[ok] = (res[act[ok]] <= tol).all(axis=1)
     state.residual_history.append(res.copy())
-    ok = (res[act] <= tol).all(axis=1)
     return act[ok], yjx[ok] / np.einsum("ij,ij->j", Y[:n, ok], X[:n, ok])
 
 
@@ -513,14 +526,10 @@ class RunReport:
         Duplicates are reported, not suppressed: shifts started in one
         half-plane are free to converge in the other.
         """
-        pairs = []
-        vals = [p.eigenvalue for p in self.poles]
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                tol = _DUPLICATE_RTOL * max(1.0, abs(vals[i]))
-                if abs(vals[i] - vals[j]) <= tol or abs(vals[i] - vals[j].conjugate()) <= tol:
-                    pairs.append((i, j))
-        return pairs
+        z = np.array([p.eigenvalue for p in self.poles], dtype=np.complex128)
+        tol = _DUPLICATE_RTOL * np.maximum(1.0, np.abs(z))[:, None]
+        near = (np.abs(z[:, None] - z) <= tol) | (np.abs(z[:, None] - z.conj()) <= tol)
+        return [(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(near, 1)))]
 
     def to_dict(self):
         return {
@@ -598,7 +607,6 @@ def run(sys, config, initial_shifts=None):
             f"p = {config.p} exceeds the {sys.ndyn} dynamic states of the system"
         )
     step = dpse_step if config.method == "dpse" else ddpse_step
-    real = not (sys.J.to_scipy().data.imag.any() or sys.B.imag.any() or sys.C.imag.any())
 
     state = ShiftState.start(sys, shifts)
     refresh_columns(sys, state)
@@ -620,7 +628,7 @@ def run(sys, config, initial_shifts=None):
         act = state.active_indices()
         state.shifts[act] = new_shifts[act]
         _break_two_cycles(state)
-        if real:
+        if sys.is_real:
             _lock_conjugates(state)
         state.trajectories.append(state.shifts.copy())
         if state.all_converged:

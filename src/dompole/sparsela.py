@@ -53,7 +53,8 @@ check, as it locks a column only on explicit residuals.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -189,17 +190,18 @@ def ordered(J, ndyn):
 def shifted(base, s):
     """``J - s*E`` as a ShiftedMatrix, for ``base = ordered(J, ndyn)``.
 
-    The result shares its index arrays and order with base. A shift that is
-    not finite raises ValueError.
+    The result shares its index arrays, canonical-format flag and order with
+    base, which ``ordered`` checked, so scipy's constructor does not check
+    them again; its data is its own. A shift that is not finite raises
+    ValueError.
     """
     s = complex(s)
     if not cmath.isfinite(s):
         raise ValueError(f"shift {s!r} is not finite")
-    data = base.csc.data.copy()
-    data[base.diag] -= s
-    csc = sp.csc_matrix((data, base.csc.indices, base.csc.indptr), shape=base.csc.shape)
-    csc.has_canonical_format = True
-    return replace(base, csc=csc)
+    csc = copy.copy(base.csc)
+    csc.data = base.csc.data.copy()
+    csc.data[base.diag] -= s
+    return ShiftedMatrix(csc, base.cols, base.diag)
 
 
 class Factorization:
@@ -234,18 +236,20 @@ class Factorization:
         rhs = np.asarray(rhs, dtype=np.complex128)
         if rhs.shape != (self.order,):
             raise ValueError(
-                f"right-hand side has length {rhs.shape}, expected ({self.order},)"
+                f"right-hand side has shape {rhs.shape}, expected ({self.order},)"
             )
-        x = np.empty_like(rhs)
-        x[self.cols] = self.lu.solve(rhs[self.cols], trans="T" if transposed else "N")
-        xnorm = float(np.abs(x).max(initial=0.0))
+        xp = self.lu.solve(rhs[self.cols], trans="T" if transposed else "N")
+        # infinity norms do not see the order cols, so x is tested before
+        # it is scattered back; written so that a NaN in x fails it too
+        xnorm = float(np.abs(xp).max(initial=0.0))
         bnorm = float(np.abs(rhs).max(initial=0.0))
-        # written so that a NaN in x fails it too
         if not xnorm * _EPS * self.max_abs <= bnorm:
             raise SingularMatrixError(
                 f"solution norm {xnorm:.3e} above {bnorm / (_EPS * self.max_abs):.3e} "
                 "= ||rhs|| / (eps max|A|): the matrix is singular to working precision"
             )
+        x = np.empty_like(rhs)
+        x[self.cols] = xp
         return x
 
 

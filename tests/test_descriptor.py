@@ -217,6 +217,27 @@ class TestKappa:
         assert DescriptorSystem(J, 2, np.ones(3), np.ones(3)).kappa == 0
 
 
+class TestIsReal:
+    @pytest.mark.parametrize("part", ["", "J", "B", "C"])
+    def test_any_complex_part_makes_it_complex(self, part):
+        toy = toy_system()
+        J, B, C = toy.J.to_scipy(), toy.B, toy.C
+        if part == "J":
+            J = J + sp.diags([0.0, 1e-300j])
+        elif part == "B":
+            B = B + [0.0, 1e-300j]
+        elif part == "C":
+            C = C - [1e-300j, 0.0]
+        sys = DescriptorSystem(SparseMatrix.from_scipy(J), 1, B, C)
+        assert sys.is_real == (part == "")
+
+    def test_cached_on_the_system(self, monkeypatch):
+        sys = toy_system()
+        assert sys.is_real
+        monkeypatch.setattr(SparseMatrix, "to_scipy", lambda self: pytest.fail("J read again"))
+        assert sys.is_real
+
+
 class TestNormalizedVectors:
     def test_worked_first_shift(self):
         x, y, nu = normalized_vectors(two_state_system(), -0.5)

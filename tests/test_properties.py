@@ -24,6 +24,8 @@ from dompole.oracle import full_spectrum, reference_F, residues  # noqa: E402
 from dompole.solver import (  # noqa: E402
     ShiftState,
     SolverConfig,
+    SolverError,
+    check_convergence,
     ddpse_step,
     deflate,
     dpse_step,
@@ -307,3 +309,36 @@ def test_run_on_free_systems_reports_true_poles_or_unconverged_columns(case, dat
     for pole in report.poles:
         k = int(np.argmin(np.abs(table.eigenvalues - pole.eigenvalue)))
         assert abs(table.residues[k] - pole.residue) <= 1e-3 * abs(table.residues[k])
+
+
+@PROPERTY
+@given(case=free_systems(), data=st.data())
+def test_identity_residuals_equal_the_explicit_ones(case, data):
+    # each active column is the normalized resolvent solve at its shift s, so
+    # B vhat + (s - t) E x is (J - tE) x; at tol 0 no column is taken again
+    # from J products, unless its identity residual is exactly 0
+    system, _ = case
+    n, Jd = system.ndyn, system.J.to_scipy().toarray()
+    p = data.draw(st.integers(1, min(3, n)), label="p")
+
+    def draw_tuple(label):
+        parts = st.lists(st.floats(-3, 3), min_size=2 * p, max_size=2 * p)
+        z = np.array(data.draw(parts, label=label))
+        return z[:p] + 1j * z[p:]
+
+    state = ShiftState.start(system, draw_tuple("shifts"))
+    try:
+        refresh_columns(system, state)
+    except SolverError:
+        assume(False)
+    new = draw_tuple("new")
+    check_convergence(system, state, new, 0.0)
+    E = (np.arange(system.order) < n)[:, None]
+    explicit = [
+        np.linalg.norm(M @ V - new * (E * V), axis=0) / np.linalg.norm(V, axis=0)
+        for M, V in ((Jd, state.X), (Jd.T, state.Y))
+    ]
+    explicit = np.array(explicit).T
+    big = explicit >= 1e-9
+    got = state.final_residuals
+    assert (np.abs(got - explicit)[big] <= 1e-9 * explicit[big]).all()

@@ -216,14 +216,15 @@ class TestMatchShifts:
 
 class TestCheckConvergence:
     def test_exact_eigenpair_has_zero_residual(self):
-        sys = two_state()
-        state = ShiftState.start(sys, np.array([-1.0 + 0j]))
-        state.X[:, 0] = [1.0, 0.0]
-        state.Y[:, 0] = [1.0, 0.0]
+        # B = C = e_1: the resolvent vectors at -0.5 are e_1 itself, and the
+        # identity's B vhat + (s - t) E x is 0 at t = -1, as is (J + E) e_1
+        sys = DescriptorSystem.from_dense_state(np.diag([-1.0, -3.0]), [1, 0], [1, 0], 0)
+        state = prepared_state(sys, [-0.5])
+        assert state.X[:, 0].tolist() == state.Y[:, 0].tolist() == [1.0, 0.0]
         cols, lams = check_convergence(sys, state, np.array([-1.0 + 0j]), 1e-5)
         assert list(cols) == [0]
-        assert_allclose(lams, [-1.0], atol=1e-15)
-        assert_allclose(state.final_residuals[0], [0.0, 0.0], atol=1e-15)
+        assert lams.tolist() == [-1.0]
+        assert state.final_residuals[0].tolist() == [0.0, 0.0]
         assert len(state.residual_history) == 1
 
     def test_worked_residual_value(self):
@@ -232,6 +233,39 @@ class TestCheckConvergence:
         cols, lams = check_convergence(sys, state, np.array([-1.0, -3.0]), 1e-5)
         assert not cols.size and not lams.size
         assert state.final_residuals[0, 0] == pytest.approx(2.0 / np.sqrt(26.0), abs=1e-12)
+
+    def test_column_failing_only_the_explicit_check_stays_active(self, monkeypatch):
+        # a large algebraic component in column 0 raises ||x|| and ||y|| but
+        # leaves E x and E y, so its identity residuals fall below tol while
+        # the explicit ones, which see J's algebraic columns, rise above it
+        widths = []
+        for name in ("matvec", "matvec_t"):
+            def counted(self, x, _orig=getattr(SparseMatrix, name)):
+                widths.append(x.shape[1])
+                return _orig(self, x)
+
+            monkeypatch.setattr(SparseMatrix, name, counted)
+        sys, _ = feedthrough_system()
+        n, Jd = sys.ndyn, sys.J.to_scipy().toarray()
+        state = prepared_state(sys, [-0.5 + 0.6j, -1.5 - 0.3j])
+        state.X[n:, 0] += 1e8
+        state.Y[n:, 0] += 1e8
+        new = state.shifts.copy()  # identity residuals ||B vhat|| / ||x||, ||C vhat|| / ||y||
+        vhat = 1.0 / state.normalizers[0]
+        identity = [np.linalg.norm(sys.B * vhat) / np.linalg.norm(state.X[:, 0]),
+                    np.linalg.norm(sys.C * vhat) / np.linalg.norm(state.Y[:, 0])]
+        assert max(identity) <= 1e-5
+        cols, lams = check_convergence(sys, state, new, 1e-5)
+        assert not cols.size and not lams.size
+        assert widths == [1, 1]  # one product each way, over column 0 alone
+        x, y = state.X[:, 0], state.Y[:, 0]
+        rx, ry = Jd @ x, Jd.T @ y
+        rx[:n] -= new[0] * x[:n]
+        ry[:n] -= new[0] * y[:n]
+        explicit = [np.linalg.norm(rx) / np.linalg.norm(x), np.linalg.norm(ry) / np.linalg.norm(y)]
+        assert min(explicit) > 1e-5
+        assert_allclose(state.final_residuals[0], explicit, rtol=1e-12)
+        assert (state.final_residuals[1] > 1e-5).all()
 
     def test_blocked_check_matches_a_column_loop(self):
         rng = np.random.default_rng(14)
@@ -500,8 +534,29 @@ class TestRun:
         )
         assert report.conjugate_duplicates() == [(0, 1)]
 
-    def test_one_product_each_way_per_check(self, monkeypatch):
-        # the residuals and the lock quotients share one J X and one J^T Y
+    def test_conjugate_duplicates_follow_the_pairwise_rule(self):
+        # equal, or equal up to conjugation, to 1e-6 relative (absolute below
+        # magnitude 1), taken relative to the first of each pair
+        rng = np.random.default_rng(8)
+        base = rng.uniform(-3, 3, 5) + 1j * rng.uniform(-3, 3, 5)
+        vals = np.r_[base, base[0].conjugate() + 1e-6 * abs(base[0]) * 0.9,
+                     base[1] * (1 + 2e-6), base[2] + 5e-7j, 0.3e-6, -0.5e-6, 0.0]
+        report = run(two_state(), SolverConfig(p=2), [-0.5, -2.5])
+        pole = report.poles[0]
+        report.poles = [PoleResult(complex(v), pole.right_vector, pole.left_vector, pole.residue,
+                                   pole.dominance, pole.damping_ratio, 1, (0.0, 0.0))
+                        for v in vals]
+        want = [
+            (i, j) for i in range(len(vals)) for j in range(i + 1, len(vals))
+            if min(abs(vals[i] - vals[j]), abs(vals[i] - vals[j].conjugate()))
+            <= 1e-6 * max(1.0, abs(vals[i]))
+        ]
+        assert report.conjugate_duplicates() == want
+        assert (0, 5) in want and (2, 7) in want and (1, 6) not in want and (8, 9) in want
+
+    def test_products_only_in_checks_where_a_column_passes(self, monkeypatch):
+        # the identity gives every residual; one J X and one J^T Y, over the
+        # passing columns alone, confirm them and give the lock quotients
         calls = {"matvec": 0, "matvec_t": 0}
         for name in calls:
             def counted(self, x, _orig=getattr(SparseMatrix, name), _name=name):
@@ -509,11 +564,20 @@ class TestRun:
                 return _orig(self, x)
 
             monkeypatch.setattr(SparseMatrix, name, counted)
+        made, check = [], solver.check_convergence
+
+        def recorded(*args):
+            before = calls["matvec"]
+            out = check(*args)
+            made.append((out[0].size > 0, calls["matvec"] - before))
+            return out
+
+        monkeypatch.setattr(solver, "check_convergence", recorded)
         gen, s0 = far_shift_system()
         report = run(gen.system, SolverConfig(p=4), initial_shifts=s0)
-        checks = len(report.residual_history)  # one row per check_convergence call
-        assert report.converged_count == 4 and checks > 1
-        assert calls == {"matvec": checks, "matvec_t": checks}
+        assert report.converged_count == 4 and len(made) == len(report.residual_history)
+        assert all(products == int(passed) for passed, products in made)
+        assert 0 < calls["matvec"] == calls["matvec_t"] < len(made)
 
     def test_report_dict_is_json_ready(self):
         import json
@@ -685,15 +749,35 @@ class TestColumnRecovery:
         assert state.shifts[1] == s2 + 1e-6 * (1 + 1j)
 
 
+def test_collision_screen_spares_unflagged_columns(monkeypatch):
+    # column 2 repeats column 0's shift: the screen flags it, and once it has
+    # moved, column 3 is tested too; columns 0 and 1 never are
+    tested, nearest = [], solver._nearest_taken
+
+    def recorded(state, z, earlier=()):
+        tested.append(len(earlier))
+        return nearest(state, z, earlier)
+
+    monkeypatch.setattr(solver, "_nearest_taken", recorded)
+    sys = DescriptorSystem.from_dense_state(np.diag([-1.0, -2.0, -3.0, -4.0]), np.ones(4), np.ones(4))
+    state = prepared_state(sys, [-0.5, -1.5, -0.5, -3.5])
+    assert tested == [2, 2, 3]
+    kinds = [(e["kind"], e["column"], e["shift_re"]) for e in state.events]
+    assert kinds == [("collision", 2, -0.5)]
+    assert state.shifts[2] == -0.5 + 1e-6 * (1 + 1j)
+
+
 class TestMoveCaps:
     """Each kind of unusable shift is moved at most its cap times per column,
     each move recorded at the shift it leaves; one more raises SolverError."""
 
     @staticmethod
-    def exhaust(monkeypatch, name, fake):
+    def exhaust(monkeypatch, name, fake, lock=None):
         monkeypatch.setattr(solver, name, fake)
         sys = two_state()
         state = ShiftState.start(sys, np.array([-0.5, -2.5]))
+        if lock is not None:
+            deflate(state, 1, lock)
         with pytest.raises(SolverError) as info:
             refresh_columns(sys, state)
         assert str(info.value).startswith("column 0: ")
@@ -711,7 +795,9 @@ class TestMoveCaps:
         return shifts
 
     def test_collision(self, monkeypatch):
-        kinds, shifts = self.exhaust(monkeypatch, "_nearest_taken", lambda *args: 0.0)
+        # column 1 is locked at column 0's shift, and a collision radius of 1
+        # keeps every kick of column 0 within reach of it
+        kinds, shifts = self.exhaust(monkeypatch, "_COLLISION_EPS", 1.0, lock=-0.5)
         assert kinds == ["collision"] * 6  # p + 4
         assert shifts == self.growing_kicks(6)
 

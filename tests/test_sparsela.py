@@ -205,6 +205,16 @@ class TestShifted:
             assert_array_equal(M.csc.toarray(), in_order(M, dense - s * E))
             assert h == pytest.approx(C @ np.linalg.solve(s * E - dense, B), rel=1e-12)
 
+    def test_result_owns_its_values_only(self):
+        base = ordered(np.array([[-1.0, 2.0, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, 4.0]]), 2)
+        before = base.csc.toarray()
+        M = shifted(base, 0.7 - 0.2j)
+        assert M.csc.indices is base.csc.indices and M.csc.indptr is base.csc.indptr
+        assert not np.shares_memory(M.csc.data, base.csc.data)
+        assert M.cols is base.cols and M.diag is base.diag
+        assert_array_equal(base.csc.toarray(), before)
+        assert_array_equal(shifted(base, 0.0).csc.toarray(), before)
+
     def test_nonfinite_shift_is_rejected(self):
         base = ordered(np.eye(2), 1)
         with pytest.raises(ValueError, match=re.escape("shift (nan+0j) is not finite")):
@@ -625,10 +635,12 @@ class TestSolve:
         scale = np.linalg.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(rhs, np.inf)
         assert np.linalg.norm(A @ x - rhs, np.inf) / scale <= 1e-12
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("shape", [(2,), (3, 1), (1, 3)])
+    def test_dimension_mismatch(self, shape):
         fac = factorize(ordered(np.eye(3), 0))
-        with pytest.raises(ValueError, match="length"):
-            fac.solve(np.ones(2))
+        message = f"right-hand side has shape {shape}, expected (3,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fac.solve(np.ones(shape))
 
 
 class TestDenseEig:
