@@ -379,7 +379,7 @@ def _fallback_step(parts, state):
 
 
 def _relative(R, V, n, shift):
-    """``||R e_j + shift_j E V e_j|| / ||V e_j||`` for each column j; R is overwritten."""
+    """``||R e_j|| / ||V e_j||`` for each column j, once ``R[:n] += shift * V[:n]``."""
     R[:n] += shift * V[:n]
     return np.linalg.norm(R, axis=0) / np.linalg.norm(V, axis=0)
 
@@ -391,22 +391,22 @@ def check_convergence(sys, state, new_shifts, tol):
     They use the vectors of the previous sweep, so convergence costs no extra
     solve. Only ``refresh_columns`` writes active columns, so each is the
     normalized resolvent solve at its shift s_j, and ``(J - t_j E) x_j = B
-    vhat_j + (s_j - t_j) E x_j`` (likewise C, y_j) gives both residuals in
-    O(N). Pairs both at or below tol are taken again from one ``J X`` and one
-    ``J^T Y`` product over their columns alone. Stores the residuals in
-    ``state.final_residuals`` (locked columns keep theirs), a copy in
-    ``state.residual_history``, and returns the columns that pass both, with
-    their two-sided Rayleigh quotients ``(y^T J x) / (y^T E x)``.
+    vhat_j + (s_j - t_j) E x_j`` (likewise C, y_j), whose rows below n enter
+    by their norm |vhat_j| ||B_a||. Pairs both at or below tol are taken again
+    from one ``J X`` and one ``J^T Y`` product over their columns alone. It
+    stores the residuals in ``state.final_residuals`` (locked columns keep
+    theirs), a copy in ``state.residual_history``, and returns the columns
+    that pass both, with their two-sided quotients ``(y^T J x) / (y^T E x)``.
     """
     act = state.active_indices()
     n, vhat, res = sys.ndyn, 1.0 / state.normalizers[act], state.final_residuals
     X, Y, t = state.X[:, act], state.Y[:, act], new_shifts[act]
-    res[act, 0] = _relative(np.multiply.outer(sys.B, vhat), X, n, state.shifts[act] - t)
-    res[act, 1] = _relative(np.multiply.outer(sys.C, vhat), Y, n, state.shifts[act] - t)
+    B, C = (np.r_[F[:n], np.linalg.norm(F[n:])] for F in (sys.B, sys.C))
+    res[act, 0] = _relative(np.multiply.outer(B, vhat), X, n, state.shifts[act] - t)
+    res[act, 1] = _relative(np.multiply.outer(C, vhat), Y, n, state.shifts[act] - t)
     ok, yjx = (res[act] <= tol).all(axis=1), np.zeros(act.size, dtype=np.complex128)
     if ok.any():
-        # each y^T J x is summed over the whole active block, for numpy sums a
-        # lone column of over 8192 rows in another order than a block's
+        # y^T J x over the whole block: numpy sums one column of > 8192 rows in another order
         JX = np.zeros_like(X)
         JX[:, ok], JtY = sys.J.matvec(X[:, ok]), sys.J.matvec_t(Y[:, ok])
         yjx = np.einsum("ij,ij->j", Y, JX)
