@@ -53,6 +53,7 @@ from .sparsela import (
     SingularMatrixError,
     SparseMatrix,
     StructurallySingularError,
+    condense,
     dense_eig,
     factorize,
     ordered,
@@ -81,6 +82,7 @@ __all__ = [
     "RunReport",
     "build_system",
     "check_convergence",
+    "condense",
     "ddpse_step",
     "deflate",
     "dense_eig",

@@ -229,6 +229,15 @@ def cmd_spy(args):
     print(f"j4_nonsingular = {str(report.j4_nonsingular).lower()}")
     for note in report.notes:
         print(f"note = {note}")
+    try:
+        base = system.ordered_j
+    except StructurallySingularError:
+        pass  # the notes name the structural rank
+    else:
+        # the shift-invariant set I and the Schur complement each shift factors
+        print(f"shift_invariant = {base.schur.ni}")
+        print(f"schur_order = {base.csc.shape[0]}")
+        print(f"schur_nnz = {base.csc.nnz}")
     if args.coords:
         J = system.J.to_scipy()
         cols = np.repeat(np.arange(J.shape[1]), np.diff(J.indptr))

@@ -26,7 +26,7 @@ import scipy.linalg
 from scipy.sparse.csgraph import structural_rank
 
 from . import mmio
-from .sparsela import SingularMatrixError, SparseMatrix, factorize, ordered, shifted
+from .sparsela import SingularMatrixError, SparseMatrix, condense, factorize, ordered, shifted
 from .sparsela import _accurate_solve
 
 __all__ = [
@@ -67,8 +67,9 @@ class ManifestError(ValueError):
 class DescriptorSystem:
     """Sparse (E, J, B, C, D) quintuple with ``ndyn`` dynamic variables.
 
-    It keeps the orders of ``J - sE`` and J4 from their first use, so J must
-    not be changed in place once the system has been shifted."""
+    It keeps the orders of ``J - sE`` and J4, and B and C condensed, from
+    their first use, so J, B and C must not be changed in place once the
+    system has been shifted."""
 
     J: SparseMatrix
     ndyn: int
@@ -97,8 +98,15 @@ class DescriptorSystem:
 
     @cached_property
     def ordered_j(self):
-        """``ordered(J, ndyn)``: J in the order that every ``J - sE`` is factored in."""
+        """``ordered(J, ndyn)``: ``J - sE`` at s = 0 in its order, condensed onto the
+        part that a shift moves, which is all that each shift factors."""
         return ordered(self.J.to_scipy(), self.ndyn)
+
+    @cached_property
+    def condensed(self):
+        """B and C condensed against ``ordered_j`` for the solves with ``J - sE``
+        and its transpose at every shift (see ``sparsela.condense``)."""
+        return condense(self.ordered_j, self.B), condense(self.ordered_j, self.C, transposed=True)
 
     @cached_property
     def j4(self):
@@ -288,7 +296,7 @@ def eval_transfer(sys, s):
     made again with partial pivoting if it is not backward stable."""
     s = complex(s)
     M = shifted(sys.ordered_j, s)
-    x = _accurate_solve(M, factorize(M), sys.B)
+    x = _accurate_solve(M, factorize(M), sys.condensed[0])
     # (sE - J) = -(J - sE)
     return TransferSample(s, complex(-(sys.C @ x) + sys.D))
 
@@ -299,19 +307,21 @@ def normalized_vectors(sys, s, min_normalizer=0.0):
         xcol = (J - sE)^-1 B / nu,   ycol = (J^T - sE)^-1 C / nu,
         nu   = C^T (J - sE)^-1 B.
 
-    One factorization serves both solves because E is diagonal. Raises
+    One factorization serves both solves because E is diagonal; B and C come
+    condensed, so each solve makes one solve with K11 and one with S(s). Raises
     VanishingNormalizerError when ``|nu| <= min_normalizer`` (or nu is exactly
     zero), which signals a transmission zero near s.
     """
     s = complex(s)
     fac = factorize(shifted(sys.ordered_j, s))
-    xraw = fac.solve(sys.B)
+    b, c = sys.condensed
+    xraw = fac.solve(b)
     nu = complex(sys.C @ xraw)
     if nu == 0 or abs(nu) <= min_normalizer:
         raise VanishingNormalizerError(
             f"normalizer {nu!r} at shift {s!r} is below {min_normalizer:g}"
         )
-    yraw = fac.solve(sys.C, transposed=True)
+    yraw = fac.solve(c, transposed=True)
     return xraw / nu, yraw / nu, nu
 
 

@@ -308,6 +308,10 @@ class TestGenSpyBench:
         assert "order = 20" in out
         assert "ndyn = 12" in out
         assert "nnz_J4" in out
+        # I and the Schur complement of J - sE, which add up to the order
+        fields = dict(line.split(" = ") for line in out.splitlines())
+        assert int(fields["shift_invariant"]) + int(fields["schur_order"]) == 20
+        assert int(fields["schur_nnz"]) > 0
         header, rows = read_csv(tmp_path / "coords.csv")
         assert header == ["row", "col"]
         assert len(rows) > 0

@@ -16,6 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from dompole.descriptor import (  # noqa: E402
     DescriptorSystem,
+    eval_transfer,
     normalized_vectors,
     reduce_to_state_space,
 )
@@ -253,8 +254,17 @@ def test_shifted_lu_matches_dense_algebra(case):
     A = dense - s * np.diag((np.arange(n) < ndyn).astype(float))
     M = shifted(ordered(dense, ndyn), s)
     fac = factorize(M)
-    assert np.array_equal(M.csc.toarray(), A[np.ix_(fac.cols, fac.cols)])
-    assert fac.pivot_growth == np.abs(fac.lu.U.data).max() / np.abs(A).max()
+    assert np.array_equal(M.whole.toarray(), A[np.ix_(fac.cols, fac.cols)])
+    # max|A| from the entries no shift moves and from E's ones, bit for bit
+    assert fac.max_abs == np.abs(A).max()
+    ni = M.schur.ni
+    if ni == 0:
+        assert np.array_equal(M.csc.toarray(), A[np.ix_(fac.cols, fac.cols)])
+        assert fac.pivot_growth == np.abs(fac.lu.U.data).max() / np.abs(A).max()
+    else:
+        K = A[np.ix_(fac.cols, fac.cols)]
+        S = K[ni:, ni:] - K[ni:, :ni] @ np.linalg.solve(K[:ni, :ni], K[:ni, ni:])
+        assert np.abs(M.csc.toarray() - S).max() <= 1e-12 * np.abs(K).max()
     rng = np.random.default_rng(n)
     rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     for op, transposed in ((A, False), (A.T, True)):
@@ -285,6 +295,49 @@ def free_systems(draw):
         SparseMatrix.from_scipy(dense), ndyn, rng.standard_normal(n), rng.standard_normal(n), 0.0
     )
     return system, reduce_to_state_space(system)
+
+
+def test_condensed_solves_match_dense_solves():
+    # normalized_vectors, eval_transfer and a transposed solve through the
+    # condensed J - sE against dense solves of J - sE, on drawn systems with
+    # and without a shift-invariant set I and with every state dynamic
+    seen = set()
+
+    # derandomized, the first 60 examples draw no system with ndyn < N and
+    # an empty I; the last assert checks that all three kinds are drawn
+    @settings(PROPERTY, max_examples=150)
+    @given(case=free_systems(), data=st.data())
+    def check(case, data):
+        system, _ = case
+        if data.draw(st.booleans(), label="all dynamic"):
+            system = DescriptorSystem(system.J, system.order, system.B, system.C, 0.5)
+        n, N = system.ndyn, system.order
+        s = complex(data.draw(st.floats(-3, 3), label="re"), data.draw(st.floats(-3, 3), label="im"))
+        A = system.J.to_scipy().toarray() - s * np.diag((np.arange(N) < n).astype(float))
+        assume(np.linalg.cond(A) < 1e4)
+        x, y = np.linalg.solve(A, system.B), np.linalg.solve(A.T, system.C)
+        nu = system.C @ x
+        assume(abs(nu) > 1e-3 * np.abs(system.C).sum() * np.abs(x).max())
+        base = system.ordered_j
+        ni = base.schur.ni
+        seen.add((ni > 0, n == N))
+        # every node depends on a shift when every state is dynamic
+        assert ni < N and (ni == 0 or n < N)
+        assert base.diag.size == n
+
+        def close(got, want):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+        xcol, ycol, got_nu = normalized_vectors(system, s)
+        close(np.array([got_nu]), np.array([nu]))
+        close(xcol, x / nu)
+        close(ycol, y / nu)
+        close(np.array([eval_transfer(system, s).value]), np.array([system.D - nu]))
+        rhs = np.random.default_rng(N).standard_normal(N) + 1j
+        close(factorize(shifted(base, s)).solve(rhs, transposed=True), np.linalg.solve(A.T, rhs))
+
+    check()
+    assert seen == {(True, False), (False, False), (False, True)}
 
 
 @PROPERTY

@@ -35,7 +35,8 @@ def random_sparse(rng, n, density=0.3, complex_vals=False, diag_boost=0.0):
 
 
 def reconstruction_error(M, fac):
-    """``||Pr M - L U|| / ||M||`` for M in the factored order, a ShiftedMatrix."""
+    """``||Pr S - L U|| / ||S||`` for S = M.csc, the Schur complement that
+    ``factorize`` factors (the whole matrix when I is empty)."""
     n = M.csc.shape[0]
     Pr = sp.csc_matrix((np.ones(n), (fac.lu.perm_r, np.arange(n))), shape=(n, n))
     lhs = (Pr @ M.csc).toarray()
@@ -48,10 +49,16 @@ def in_order(M, dense):
     return dense[np.ix_(M.cols, M.cols)]
 
 
-def natural_order(M, cols):
-    """A ShiftedMatrix's ``csc`` with its rows and columns back in the natural order."""
-    back = np.argsort(cols)
-    return M.csc[back][:, back]
+def natural_order(M):
+    """A ShiftedMatrix's whole ``J - sE`` with its rows and columns back in the natural order."""
+    back = np.argsort(M.cols)
+    return M.whole[back][:, back]
+
+
+def dense_schur(M, dense):
+    """The Schur complement of the I block of ``dense[cols][:, cols]``, by dense algebra."""
+    A, ni = in_order(M, dense), M.schur.ni
+    return A[ni:, ni:] - A[ni:, :ni] @ np.linalg.solve(A[:ni, :ni], A[:ni, ni:])
 
 
 class TestSparseMatrix:
@@ -93,7 +100,10 @@ class TestSparseMatrix:
 class TestShifted:
     def test_diagonal_example(self):
         M = shifted(ordered(np.diag([-1.0, 1.0]), 1), 2.0)
-        assert_array_equal(M.csc.toarray(), in_order(M, np.diag([-3.0, 1.0])))
+        assert_array_equal(M.whole.toarray(), in_order(M, np.diag([-3.0, 1.0])))
+        # the algebraic state meets no shifted entry, so only the dynamic one is factored
+        assert M.schur.ni == 1
+        assert_array_equal(M.csc.toarray(), [[-3.0]])
 
     def test_zero_shift_is_identity(self):
         dense = np.array([[-1.0, 2.0], [0.0, 1.0]])
@@ -128,8 +138,9 @@ class TestShifted:
         s = 0.3 - 1.7j
         E = np.diag((np.arange(30) < ndyn).astype(float))
         M = shifted(ordered(dense, ndyn), s)
+        assert_array_equal(M.whole.toarray(), in_order(M, dense - s * E))
+        assert_allclose(M.csc.toarray(), dense_schur(M, dense - s * E), rtol=1e-12, atol=1e-12)
         out = M.csc
-        assert_array_equal(out.toarray(), in_order(M, dense - s * E))
         assert out.has_canonical_format
         # the flag is set, not checked: SuperLU rounds differently when the
         # row indices of a column are out of order
@@ -145,8 +156,9 @@ class TestShifted:
         J = random_sparse(rng, 12, density=0.2)
         M = shifted(ordered(J.to_scipy(), 5), 0.5 - 0.2j)
         assert isinstance(M, ShiftedMatrix) and not hasattr(M, "matvec")
-        x = factorize(ordered(M.csc, 0)).solve(np.ones(12))
-        assert_allclose(M.csc @ x, np.ones(12), rtol=1e-12)
+        n = M.csc.shape[0]
+        x = factorize(ordered(M.csc, 0)).solve(np.ones(n))
+        assert_allclose(M.csc @ x, np.ones(n), rtol=1e-12)
 
     @pytest.mark.parametrize(
         "dense, ndyn",
@@ -202,7 +214,7 @@ class TestShifted:
         for sys, h in zip(systems, values[0]):
             E = np.diag((np.arange(8) < sys.ndyn).astype(float))
             M = shifted(sys.ordered_j, s)
-            assert_array_equal(M.csc.toarray(), in_order(M, dense - s * E))
+            assert_array_equal(M.whole.toarray(), in_order(M, dense - s * E))
             assert h == pytest.approx(C @ np.linalg.solve(s * E - dense, B), rel=1e-12)
 
     def test_result_owns_its_values_only(self):
@@ -211,7 +223,7 @@ class TestShifted:
         M = shifted(base, 0.7 - 0.2j)
         assert M.csc.indices is base.csc.indices and M.csc.indptr is base.csc.indptr
         assert not np.shares_memory(M.csc.data, base.csc.data)
-        assert M.cols is base.cols and M.diag is base.diag
+        assert M.cols is base.cols and M.diag is base.diag and M.schur is base.schur
         assert_array_equal(base.csc.toarray(), before)
         assert_array_equal(shifted(base, 0.0).csc.toarray(), before)
 
@@ -279,22 +291,24 @@ def random_shifted(seed, n=40, ndyn=25):
 
 class TestCachedOrder:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_solves_equal_a_fresh_symmetric_lu(self, seed):
+    def test_order_splits_a_fresh_symmetric_order(self, seed):
         M, rhs = random_shifted(seed)
         fac = factorize(M)
-        cols = fac.cols
-        A = natural_order(M, cols)
-        # a fresh symmetric factorization of A takes the same order and pivots
+        cols, ni = fac.cols, M.schur.ni
+        assert ni > 0
+        A = natural_order(M)
+        # a fresh symmetric factorization of A takes the same order, split in
+        # two: I's nodes first, then D's, each in that order
         fresh = spla.splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True},
                           **sparsela.SUPERLU_OPTIONS)
-        assert_array_equal(fresh.perm_c, np.argsort(cols))
-        assert_array_equal(fresh.perm_r[cols], fac.lu.perm_r)
-        # and the solves are those of an LU of A[cols][:, cols], put back in order
-        lu = spla.splu(A[cols][:, cols], permc_spec="NATURAL", **sparsela.SUPERLU_OPTIONS)
-        for trans, transposed in (("N", False), ("T", True)):
-            x = np.empty_like(rhs)
-            x[cols] = lu.solve(rhs[cols], trans=trans)
-            assert_array_equal(fac.solve(rhs, transposed=transposed), x)
+        md = np.argsort(fresh.perm_c)
+        first = np.isin(md, cols[:ni])
+        assert_array_equal(np.r_[md[first], md[~first]], cols)
+        # the shifted entries all lie in D
+        assert (cols[:ni] >= 25).all()
+        # and the condensed solves are backward stable solves with A
+        for op, transposed in ((A, False), (A.T, True)):
+            assert backward_error(op.toarray(), fac.solve(rhs, transposed=transposed), rhs) <= 1e-14
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reconstruction(self, seed):
@@ -304,11 +318,11 @@ class TestCachedOrder:
     def test_cancelled_entry_keeps_the_order(self):
         J = np.array([[-1.0, 2.0, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, 4.0]])
         M = shifted(ordered(J, 2), -1.0)
-        assert M.csc.nnz == 7
+        assert M.whole.nnz == 7
         fac = factorize(M)
         assert reconstruction_error(M, fac) <= 1e-14
-        # M is J - sE with its rows and columns in the order cols
-        assert_allclose(M.csc @ fac.solve(np.ones(3))[fac.cols], np.ones(3), rtol=1e-14)
+        # M.whole is J - sE with its rows and columns in the order cols
+        assert_allclose(M.whole @ fac.solve(np.ones(3))[fac.cols], np.ones(3), rtol=1e-14)
 
     def test_one_splu_per_factorization_plus_one_ordering(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -338,10 +352,15 @@ class TestCachedOrder:
         for _ in range(2):
             dompole.run(sys, SolverConfig(method="dpse", p=3), [-1 + 1j, -2, -3 + 2j])
         assert counts["factorize"] > 6
-        # one ordering for J - sE and one for J4, whose one LU gives
-        # kappa = C_a^T J4^-1 B_a to both runs
-        assert counts["splu"] == counts["factorize"] + 2
+        ni = sys.ordered_j.schur.ni
+        assert ni > 0
+        # for J - sE one ordering, one LU that S0 is read from and one of
+        # K11; one ordering for J4, whose one LU gives kappa = C_a^T J4^-1 B_a
+        # to both runs; and each shift factors only S(s), of order n + m - ni
+        assert counts["splu"] == counts["factorize"] + 4
         assert orders.count(m) == 2
+        assert orders.count(ni) == 1 and orders.count(n + m) == 2
+        assert orders.count(n + m - ni) == counts["factorize"] - 1
 
     def test_one_symmetric_ordering_per_matrix_and_ndyn(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -373,14 +392,15 @@ class TestCachedOrder:
         # J with ndyn = n, its algebraic block J4 (one order for run's kappa
         # and validate), and the plain matrix
         assert sorted(order for order, spec in specs if spec == "MMD_AT_PLUS_A") == [m, 7, n + m]
-        assert len(specs) == len(facs) + 3
+        # J's condensation adds one LU of J - sE, which S0 is read from, and one of K11
+        assert sys.ordered_j.schur.ni > 0
+        assert len(specs) == len(facs) + 5
         assert all(spec in ("MMD_AT_PLUS_A", "NATURAL") for _, spec in specs)
         shared = {"relax": 1, "panel_size": 1, "diag_pivot_thresh": 0.01}
-        for _, spec, kw in options:
-            if spec == "MMD_AT_PLUS_A":
-                assert kw == {**shared, "options": {"SymmetricMode": True}}
-            else:
-                assert kw == shared
+        symmetric = {**shared, "options": {"SymmetricMode": True}}
+        assert [(order, spec) for order, spec, kw in options if kw == symmetric] == [
+            (n + m, "MMD_AT_PLUS_A"), (n + m, "NATURAL"), (m, "MMD_AT_PLUS_A"), (7, "MMD_AT_PLUS_A")]
+        assert all(kw == shared for _, _, kw in options if kw != symmetric)
 
 
 MESH_SHIFT = 0.3 + 2.1j
@@ -442,7 +462,9 @@ class TestSaddlePoint:
         s = 0.3 - 0.8j
         M = shifted(ordered(J.to_scipy(), n), s)
         fac = factorize(M)
-        assert (fac.lu.perm_r != np.arange(N)).any()
+        # rows swap in K11's LU when the saddle point lies in I, else in S's
+        lu = fac.lu if M.schur.k11 is None else M.schur.k11
+        assert (lu.perm_r != np.arange(lu.shape[0])).any()
         A = J.to_scipy() - s * sp.diags((np.arange(N) < n).astype(float))
         rng = np.random.default_rng(seed)
         rhs = rng.standard_normal(N) + 1j * rng.standard_normal(N)
@@ -468,7 +490,8 @@ class TestFill:
         E = sp.diags((np.arange(J.to_scipy().shape[0]) < n).astype(float))
         A = (J.to_scipy() - MESH_SHIFT * E).tocsc()
         colamd = spla.splu(A, permc_spec="COLAMD", relax=1, panel_size=1)
-        assert fac.lu.nnz < colamd.nnz
+        # K11's factors, made once, and S(s)'s together
+        assert fac.schur.k11.nnz + fac.lu.nnz < colamd.nnz
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fewer_factor_entries_than_relaxed_supernodes(self, seed):
@@ -486,14 +509,15 @@ class TestFill:
         # is J - sE's diagonal only if rows are permuted like the columns
         M, _ = mesh_shifted(seed)
         fac = factorize(M)
-        assert_array_equal(fac.lu.perm_r, np.arange(M.csc.shape[0]))
+        for lu in (fac.lu, M.schur.k11):
+            assert_array_equal(lu.perm_r, np.arange(lu.shape[0]))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("transposed", [False, True])
     def test_backward_error(self, seed, transposed):
         M, rhs = mesh_shifted(seed)
         fac = factorize(M)
-        A = natural_order(M, fac.cols)
+        A = natural_order(M)
         A = A.T if transposed else A
         x = fac.solve(rhs, transposed=transposed)
         scale = spla.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(rhs, np.inf)
@@ -560,7 +584,9 @@ class TestPivotGrowth:
         sys = DescriptorSystem(SparseMatrix.from_scipy(A), 1, np.arange(1.0, 5.0), np.ones(4))
         calls = recorded_splu(monkeypatch)
         h = descriptor.eval_transfer(sys, 0.0).value
-        assert calls == [0.01, 0.01]
+        # the ordering, the LU that S0 is read from, K11's and S(0)'s
+        assert sys.ordered_j.schur.ni > 0
+        assert calls == [0.01, 0.01, 0.01, 0.01]
         assert h == pytest.approx(-np.ones(4) @ np.linalg.solve(A, np.arange(1.0, 5.0)), rel=1e-14)
 
     def test_backward_error_past_the_bound_refactors_with_partial_pivoting(self, monkeypatch):
@@ -579,6 +605,27 @@ class TestPivotGrowth:
         x = sparsela._accurate_solve(M, fac, rhs)
         assert backward_error(A, x, rhs) <= sparsela.BACKWARD_RTOL
         assert h == pytest.approx(-np.ones(5) @ np.linalg.solve(A, rhs), rel=1e-13)
+
+    def test_growth_in_k11_refactors_the_whole_matrix(self, monkeypatch):
+        # the chain is K11: the one dynamic state couples only to its last
+        # node, so the growth is in the LU that every shift shares
+        J = np.zeros((6, 6))
+        J[0, 0] = -1.0
+        J[0, 5] = J[5, 0] = 1.0
+        J[1:, 1:] = growth_chain(0.02)
+        rhs = np.arange(1.0, 7.0) + 1j
+        sys = DescriptorSystem(SparseMatrix.from_scipy(J), 1, rhs, np.ones(6))
+        calls = recorded_splu(monkeypatch)
+        h = descriptor.eval_transfer(sys, 0.5).value
+        assert sys.ordered_j.schur.ni == 4
+        # the ordering, the LU that S0 is read from, K11's and S's, and then
+        # the whole matrix's with partial pivoting
+        assert calls == [0.01, 0.01, 0.01, 0.01, 1.0]
+        A = J - 0.5 * np.diag([1.0, 0, 0, 0, 0, 0])
+        M = shifted(sys.ordered_j, 0.5)
+        assert backward_error(A, factorize(M).solve(rhs), rhs) > 10 * sparsela.BACKWARD_RTOL
+        assert backward_error(A, sparsela._accurate_solve(M, factorize(M), rhs), rhs) <= sparsela.BACKWARD_RTOL
+        assert h == pytest.approx(-np.ones(6) @ np.linalg.solve(A, rhs), rel=1e-13)
 
     def test_kappa_refactors_with_partial_pivoting(self, monkeypatch):
         # the chain is J4, under one dynamic state coupled to all of it
@@ -641,6 +688,107 @@ class TestSolve:
         message = f"right-hand side has shape {shape}, expected (3,)"
         with pytest.raises(ValueError, match=re.escape(message)):
             fac.solve(np.ones(shape))
+
+
+def pair_system(a11):
+    """A dynamic hub, node 0, coupled to a pair 1, 2 whose block is
+    ``[[a11, 1], [1, 1]]`` and to a clique 3..7. A minimum-degree order
+    takes the pair first, and no shifted entry reaches it, so the pair is I;
+    at ``a11 = 1`` that K11 is singular, although J is not."""
+    A = np.zeros((8, 8))
+    A[0, 0] = -1.0
+    A[1:3, 1:3] = [[a11, 1.0], [1.0, 1.0]]
+    A[0, 1:3] = [1.0, 0.5]
+    A[1:3, 0] = [0.5, 2.0]
+    A[3:, 3:] = 0.5 + 4.5 * np.eye(5)
+    A[0, 3:] = A[3:, 0] = 1.0
+    return A
+
+
+def hub_first(A):
+    """A with its last row and column moved to the front."""
+    p = np.r_[A.shape[0] - 1, np.arange(A.shape[0] - 1)]
+    return A[np.ix_(p, p)]
+
+
+def assert_solves(base, dense, ndyn, shifts, rhs, rtol=1e-12):
+    """Direct and transposed solves of ``J - sE`` at each shift against dense ones."""
+    E = np.diag((np.arange(dense.shape[0]) < ndyn).astype(float))
+    for s in shifts:
+        fac = factorize(shifted(base, s))
+        A = dense - s * E
+        for op, transposed in ((A, False), (A.T, True)):
+            want = np.linalg.solve(op, rhs)
+            assert_allclose(fac.solve(rhs, transposed=transposed), want,
+                            rtol=rtol, atol=rtol * np.abs(want).max())
+
+
+class TestCondensation:
+    def test_pole_at_the_origin(self):
+        # a zero row makes J singular, a pole at s = 0; S0 is read off an LU
+        # at another shift, so J still condenses and solves at s != 0
+        J, n, rhs = mesh_system(0)
+        dense = J.to_scipy().toarray()
+        dense[0] = 0.0
+        base = ordered(dense, n)
+        assert base.schur.ni > 0
+        assert_solves(base, dense, n, [MESH_SHIFT, -0.5, 1e-3j], rhs)
+        with pytest.raises(SingularMatrixError):
+            factorize(shifted(base, 0.0)).solve(rhs)
+        sys = DescriptorSystem(SparseMatrix.from_scipy(dense), n, rhs.real, rhs.imag)
+        E = np.diag((np.arange(dense.shape[0]) < n).astype(float))
+        h = descriptor.eval_transfer(sys, -0.5).value
+        assert h == pytest.approx(rhs.imag @ np.linalg.solve(-0.5 * E - dense, rhs.real), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "dense, healthy, lus",
+        # the ordering and K11's, which meets an exactly zero pivot
+        [(pair_system(1.0), pair_system(2.0), 2),
+         # the leaves' pivots 0.005 fall below 1% of the hub's entries: the
+         # ordering, K11's, and the LU that S0 would be read from
+         (hub_first(arrowhead(3, 0.005)), hub_first(arrowhead(3, 0.5)), 3)],
+        ids=["singular-k11", "cross-partition-pivot"],
+    )
+    def test_falls_back_to_the_whole_matrix(self, monkeypatch, dense, healthy, lus):
+        assert ordered(healthy, 1).schur.ni > 0
+        calls = recorded_splu(monkeypatch)
+        base = ordered(dense, 1)
+        assert calls == [0.01] * lus
+        # no K11 is kept
+        assert base.schur.ni == 0 and base.schur.k11 is None
+        assert_array_equal(base.csc.toarray(), in_order(base, dense))
+        rhs = np.arange(1.0, dense.shape[0] + 1) + 0.5j
+        assert_solves(base, dense, 1, [0.3 - 0.7j, 2.0], rhs)
+
+    def test_condensed_right_hand_side_keeps_its_direction(self):
+        J, n, rhs = mesh_system(2)
+        base = ordered(J.to_scipy(), n)
+        fac = factorize(shifted(base, MESH_SHIFT))
+        c = sparsela.condense(base, rhs, transposed=True)
+        assert c.norm == np.abs(rhs).max()
+        assert_array_equal(fac.solve(c, transposed=True), fac.solve(rhs, transposed=True))
+        with pytest.raises(ValueError, match="condensed for transposed=True"):
+            fac.solve(c)
+
+    def test_one_splu_of_the_schur_order_per_shift(self, monkeypatch):
+        J, n, rhs = mesh_system(1)
+        sys = DescriptorSystem(J, n, rhs.real, rhs.imag)
+        descriptor.normalized_vectors(sys, MESH_SHIFT)
+        nd = sys.ordered_j.csc.shape[0]
+        assert nd < sys.order
+        orders = []
+        splu = spla.splu
+
+        def recorded(A, **kwargs):
+            orders.append(A.shape)
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(sparsela.spla, "splu", recorded)
+        shifts = [0.1 + 1.0j, -0.4 + 2.5j, -1.0, 0.2 - 0.3j]
+        for s in shifts:
+            descriptor.normalized_vectors(sys, s)
+            descriptor.eval_transfer(sys, s)
+        assert orders == [(nd, nd)] * (2 * len(shifts))
 
 
 class TestDenseEig:
