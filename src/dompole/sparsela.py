@@ -326,29 +326,18 @@ def ordered(J, ndyn):
     # with no shifted entry nothing moves with s, and nothing is condensed
     dep = _dependent(lu, ndyn) if ndyn else np.ones(N, dtype=bool)
     md = np.argsort(lu.perm_c)
+    del lu  # before the factorizations of the condensation
     cols = np.r_[md[~dep], md[dep]].astype(np.int32)
-    ni = N - int(np.count_nonzero(dep))
-    a, adiag = _in_order(J, ndyn, cols)
-    k11 = None
-    if ni:
-        # K11's factors are kept, so they are made while the ordering's LU
-        # still holds its memory: SuperLU's spare capacity then stays on
-        # pages nothing has touched, and out of the resident set
-        try:
-            k11 = spla.splu(a[:ni, :ni], permc_spec="NATURAL", **SUPERLU_OPTIONS)
-        except RuntimeError:  # an exactly zero pivot
-            pass
-    del lu
-    return _condensed(J, ndyn, cols, a, adiag, k11)
+    return _condensed(J, ndyn, cols, *_in_order(J, ndyn, cols), N - int(np.count_nonzero(dep)))
 
 
-def _condensed(J, ndyn, cols, a, adiag, k11=None):
+def _condensed(J, ndyn, cols, a, adiag, ni=0):
     """``ordered``'s result for ``a, adiag = _in_order(J, ndyn, cols)``:
-    condensed onto the rows and columns after K11's, or whole when there is
-    no K11 or the LU that S0 is read from pivots across the partition."""
-    if k11 is None:
+    condensed onto the rows and columns after the first ni, or whole when ni
+    is 0, K11 is singular or the LU that S0 is read from pivots across the
+    partition."""
+    if not ni:
         return ShiftedMatrix(a, adiag, 0j, Schur(J, ndyn, cols, a, adiag))
-    ni = k11.shape[0]
     N = a.shape[0]
     try:
         # SymmetricMode keeps SuperLU from postordering the columns
@@ -379,6 +368,13 @@ def _condensed(J, ndyn, cols, a, adiag, k11=None):
         shape=(nd, nd),
     )
     del k22, prod
+    # K11's factors are kept, so they are made last, once the LU above is
+    # freed: SuperLU's spare capacity for them then stays on pages that
+    # nothing has touched, out of the resident set
+    try:
+        k11 = spla.splu(a[:ni, :ni], permc_spec="NATURAL", **SUPERLU_OPTIONS)
+    except RuntimeError:  # an exactly zero pivot
+        return _condensed(J, ndyn, cols, a, adiag)
     schur = Schur(J, ndyn, cols, a, adiag, ni, k11, u_max)
     return ShiftedMatrix(s0, _diagonal(s0, cols[ni:] < ndyn), 0j, schur)
 

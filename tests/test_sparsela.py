@@ -741,20 +741,19 @@ class TestCondensation:
         assert h == pytest.approx(rhs.imag @ np.linalg.solve(-0.5 * E - dense, rhs.real), rel=1e-12)
 
     @pytest.mark.parametrize(
-        "dense, healthy, lus",
-        # the ordering and K11's, which meets an exactly zero pivot
-        [(pair_system(1.0), pair_system(2.0), 2),
-         # the leaves' pivots 0.005 fall below 1% of the hub's entries: the
-         # ordering, K11's, and the LU that S0 would be read from
-         (hub_first(arrowhead(3, 0.005)), hub_first(arrowhead(3, 0.5)), 3)],
+        "dense, healthy",
+        [(pair_system(1.0), pair_system(2.0)),
+         # the leaves' pivots 0.005 fall below 1% of the hub's entries
+         (hub_first(arrowhead(3, 0.005)), hub_first(arrowhead(3, 0.5)))],
         ids=["singular-k11", "cross-partition-pivot"],
     )
-    def test_falls_back_to_the_whole_matrix(self, monkeypatch, dense, healthy, lus):
+    def test_falls_back_to_the_whole_matrix(self, monkeypatch, dense, healthy):
         assert ordered(healthy, 1).schur.ni > 0
         calls = recorded_splu(monkeypatch)
         base = ordered(dense, 1)
-        assert calls == [0.01] * lus
-        # no K11 is kept
+        # the ordering and the LU that S0 would be read from, which pivots a
+        # row of D into I; K11 is not factored
+        assert calls == [0.01, 0.01]
         assert base.schur.ni == 0 and base.schur.k11 is None
         assert_array_equal(base.csc.toarray(), in_order(base, dense))
         rhs = np.arange(1.0, dense.shape[0] + 1) + 0.5j
