@@ -24,8 +24,10 @@ it. ``ordered(J, ndyn)`` does the work all shifts share, once:
   fill.
 - With ``K = J - sE`` in that order and ``K11 = K[I, I]``, it factors K11
   and builds ``S0 = K22 - K21 K11^-1 K12``, the Schur complement at s = 0,
-  from the factors of one LU of K whose I rows and columns hold no
-  shifted entry. The shifts only move E's ones in it: ``S(s) = S0 - s E_D``.
+  from the factors of one LU of K, whose I rows and columns hold no
+  shifted entry. That LU is taken at a fixed shift away from 0, where J
+  itself may be singular. The shifts only move E's ones in S0:
+  ``S(s) = S0 - s E_D``.
 
 On the benchmark's 9,800-order grid, I holds 7,435 nodes; S0 has order
 2,365 and its LU a quarter of the whole matrix's factor entries. I is
@@ -48,18 +50,18 @@ Every ``splu`` call takes ``SUPERLU_OPTIONS``. Given ``S(s)``, K11 or
 ``P (J - sE) P^T`` in its natural order, SuperLU prefers each diagonal
 entry as the pivot, and ``diag_pivot_thresh=0.01`` keeps it while it is at
 least 1% of the largest entry left in its column. Over the benchmark's pole
-hunts, the median LU of the whole grid stores 12.1 factor entries per row
-and the feeder's 9.1, against 14.6 and 11.2 under the earlier COLAMD column
-order, whose partial pivoting swapped every row. Rows swap only where a
-diagonal entry falls below the threshold; that costs some fill (at most
-12.5 and 10.2 per row) and lets the pivot growth ``max|U| / max|A|``
-exceed 1 (at most 46, on the feeder). ``relax=1`` turns off SuperLU's
-relaxed supernodes, which padded the grid from 14.6 to 22.2 factor entries
-per row under COLAMD. In the symmetric order they pad neither benchmark
-model, but still add a median 15% to the factors of random unsymmetric
-patterns of order 20 to 199. ``panel_size=1`` factored both models faster
-than widths 4 and 10 (the default) under COLAMD, with the same factor
-entries.
+hunts before the condensation, the median LU of the whole grid stored 12.1
+factor entries per row and the feeder's 9.1, against 14.6 and 11.2 under
+the earlier COLAMD column order, whose partial pivoting swapped every row.
+Rows swap only where a diagonal entry falls below the threshold; that costs
+some fill (at most 12.5 and 10.2 per row) and lets the pivot growth
+``max|U| / max|A|`` exceed 1 (at most 46, on the feeder). ``relax=1`` turns
+off SuperLU's relaxed supernodes, which padded the grid from 14.6 to 22.2
+factor entries per row under COLAMD. In the symmetric order they pad
+neither benchmark model, but still add a median 15% to the factors of
+random unsymmetric patterns of order 20 to 199. ``panel_size=1`` factored
+both models faster than widths 4 and 10 (the default) under COLAMD, with
+the same factor entries.
 
 ``factorize`` never reads the factors back, as scipy would copy L and U
 out to CSC for that (a fifth of a feeder column refresh); each LU is judged
@@ -254,10 +256,8 @@ def _in_order(J, ndyn, cols):
     at = np.empty(N, dtype=np.int64)
     at[cols] = np.arange(N)
     # J's value plus an explicit zero is J's value, and stays stored either way
-    a = sp.csc_matrix(
-        (np.r_[coo.data[nz], np.zeros(ndyn)], (at[np.r_[coo.row[nz], dyn]], at[np.r_[coo.col[nz], dyn]])),
-        shape=(N, N),
-    )
+    row, col = at[np.r_[coo.row[nz], dyn]], at[np.r_[coo.col[nz], dyn]]
+    a = sp.csc_matrix((np.r_[coo.data[nz], np.zeros(ndyn)], (row, col)), shape=(N, N))
     return a, _diagonal(a, cols < ndyn)
 
 
@@ -326,18 +326,29 @@ def ordered(J, ndyn):
     # with no shifted entry nothing moves with s, and nothing is condensed
     dep = _dependent(lu, ndyn) if ndyn else np.ones(N, dtype=bool)
     md = np.argsort(lu.perm_c)
-    del lu  # before the factorizations of the condensation
     cols = np.r_[md[~dep], md[dep]].astype(np.int32)
-    return _condensed(J, ndyn, cols, *_in_order(J, ndyn, cols), N - int(np.count_nonzero(dep)))
+    ni = N - int(np.count_nonzero(dep))
+    a, adiag = _in_order(J, ndyn, cols)
+    k11 = None
+    if ni:
+        # K11's factors are kept, so they are made while the ordering's LU
+        # still holds its memory: SuperLU's spare capacity for them is then
+        # mapped afresh, and stays out of the resident set
+        try:
+            k11 = spla.splu(a[:ni, :ni], permc_spec="NATURAL", **SUPERLU_OPTIONS)
+        except RuntimeError:  # an exactly zero pivot
+            pass
+    del lu  # before the LU that S0 is read from
+    return _condensed(J, ndyn, cols, a, adiag, k11)
 
 
-def _condensed(J, ndyn, cols, a, adiag, ni=0):
+def _condensed(J, ndyn, cols, a, adiag, k11=None):
     """``ordered``'s result for ``a, adiag = _in_order(J, ndyn, cols)``:
-    condensed onto the rows and columns after the first ni, or whole when ni
-    is 0, K11 is singular or the LU that S0 is read from pivots across the
-    partition."""
-    if not ni:
+    condensed onto the rows and columns after K11's, or whole when there is
+    no K11 or the LU that S0 is read from pivots across the partition."""
+    if k11 is None:
         return ShiftedMatrix(a, adiag, 0j, Schur(J, ndyn, cols, a, adiag))
+    ni = k11.shape[0]
     N = a.shape[0]
     try:
         # SymmetricMode keeps SuperLU from postordering the columns
@@ -368,13 +379,6 @@ def _condensed(J, ndyn, cols, a, adiag, ni=0):
         shape=(nd, nd),
     )
     del k22, prod
-    # K11's factors are kept, so they are made last, once the LU above is
-    # freed: SuperLU's spare capacity for them then stays on pages that
-    # nothing has touched, out of the resident set
-    try:
-        k11 = spla.splu(a[:ni, :ni], permc_spec="NATURAL", **SUPERLU_OPTIONS)
-    except RuntimeError:  # an exactly zero pivot
-        return _condensed(J, ndyn, cols, a, adiag)
     schur = Schur(J, ndyn, cols, a, adiag, ni, k11, u_max)
     return ShiftedMatrix(s0, _diagonal(s0, cols[ni:] < ndyn), 0j, schur)
 

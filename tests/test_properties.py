@@ -312,7 +312,8 @@ def test_condensed_solves_match_dense_solves():
         if data.draw(st.booleans(), label="all dynamic"):
             system = DescriptorSystem(system.J, system.order, system.B, system.C, 0.5)
         n, N = system.ndyn, system.order
-        s = complex(data.draw(st.floats(-3, 3), label="re"), data.draw(st.floats(-3, 3), label="im"))
+        re, im = (data.draw(st.floats(-3, 3), label=label) for label in ("re", "im"))
+        s = complex(re, im)
         A = system.J.to_scipy().toarray() - s * np.diag((np.arange(N) < n).astype(float))
         assume(np.linalg.cond(A) < 1e4)
         x, y = np.linalg.solve(A, system.B), np.linalg.solve(A.T, system.C)

@@ -399,7 +399,9 @@ class TestCachedOrder:
         shared = {"relax": 1, "panel_size": 1, "diag_pivot_thresh": 0.01}
         symmetric = {**shared, "options": {"SymmetricMode": True}}
         assert [(order, spec) for order, spec, kw in options if kw == symmetric] == [
-            (n + m, "MMD_AT_PLUS_A"), (n + m, "NATURAL"), (m, "MMD_AT_PLUS_A"), (7, "MMD_AT_PLUS_A")]
+            (n + m, "MMD_AT_PLUS_A"), (n + m, "NATURAL"),
+            (m, "MMD_AT_PLUS_A"), (7, "MMD_AT_PLUS_A"),
+        ]
         assert all(kw == shared for _, _, kw in options if kw != symmetric)
 
 
@@ -624,7 +626,8 @@ class TestPivotGrowth:
         A = J - 0.5 * np.diag([1.0, 0, 0, 0, 0, 0])
         M = shifted(sys.ordered_j, 0.5)
         assert backward_error(A, factorize(M).solve(rhs), rhs) > 10 * sparsela.BACKWARD_RTOL
-        assert backward_error(A, sparsela._accurate_solve(M, factorize(M), rhs), rhs) <= sparsela.BACKWARD_RTOL
+        x = sparsela._accurate_solve(M, factorize(M), rhs)
+        assert backward_error(A, x, rhs) <= sparsela.BACKWARD_RTOL
         assert h == pytest.approx(-np.ones(6) @ np.linalg.solve(A, rhs), rel=1e-13)
 
     def test_kappa_refactors_with_partial_pivoting(self, monkeypatch):
@@ -741,19 +744,20 @@ class TestCondensation:
         assert h == pytest.approx(rhs.imag @ np.linalg.solve(-0.5 * E - dense, rhs.real), rel=1e-12)
 
     @pytest.mark.parametrize(
-        "dense, healthy",
-        [(pair_system(1.0), pair_system(2.0)),
-         # the leaves' pivots 0.005 fall below 1% of the hub's entries
-         (hub_first(arrowhead(3, 0.005)), hub_first(arrowhead(3, 0.5)))],
+        "dense, healthy, lus",
+        # the ordering and K11's, which meets an exactly zero pivot
+        [(pair_system(1.0), pair_system(2.0), 2),
+         # the leaves' pivots 0.005 fall below 1% of the hub's entries: the
+         # ordering, K11's, and the LU that S0 would be read from
+         (hub_first(arrowhead(3, 0.005)), hub_first(arrowhead(3, 0.5)), 3)],
         ids=["singular-k11", "cross-partition-pivot"],
     )
-    def test_falls_back_to_the_whole_matrix(self, monkeypatch, dense, healthy):
+    def test_falls_back_to_the_whole_matrix(self, monkeypatch, dense, healthy, lus):
         assert ordered(healthy, 1).schur.ni > 0
         calls = recorded_splu(monkeypatch)
         base = ordered(dense, 1)
-        # the ordering and the LU that S0 would be read from, which pivots a
-        # row of D into I; K11 is not factored
-        assert calls == [0.01, 0.01]
+        assert calls == [0.01] * lus
+        # no K11 is kept
         assert base.schur.ni == 0 and base.schur.k11 is None
         assert_array_equal(base.csc.toarray(), in_order(base, dense))
         rhs = np.arange(1.0, dense.shape[0] + 1) + 0.5j
