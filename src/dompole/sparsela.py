@@ -189,10 +189,11 @@ class Schur:
 
     __slots__ = ("J", "ndyn", "cols", "ni", "k11", "k12", "k21", "const_max", "dyn", "u_max")
 
-    def __init__(self, J, ndyn, cols, a, adiag, ni=0, k11=None, u_max=0.0):
+    def __init__(self, J, ndyn, cols, a, adiag, k11=None, u_max=0.0):
         """For ``a, adiag = _in_order(J, ndyn, cols)``, which is not kept."""
         self.J, self.ndyn, self.cols = J, ndyn, cols
-        self.ni, self.k11, self.u_max = ni, k11, u_max
+        self.k11, self.u_max = k11, u_max
+        self.ni = ni = 0 if k11 is None else k11.shape[0]
         self.k12 = a[:ni, ni:]
         self.k21 = a[ni:, :ni]
         const = np.ones(a.nnz, dtype=bool)
@@ -379,7 +380,7 @@ def _condensed(J, ndyn, cols, a, adiag, k11=None):
         shape=(nd, nd),
     )
     del k22, prod
-    schur = Schur(J, ndyn, cols, a, adiag, ni, k11, u_max)
+    schur = Schur(J, ndyn, cols, a, adiag, k11, u_max)
     return ShiftedMatrix(s0, _diagonal(s0, cols[ni:] < ndyn), 0j, schur)
 
 
