@@ -53,7 +53,6 @@ from .sparsela import (
     SingularMatrixError,
     SparseMatrix,
     StructurallySingularError,
-    condense,
     dense_eig,
     factorize,
     ordered,
@@ -82,7 +81,6 @@ __all__ = [
     "RunReport",
     "build_system",
     "check_convergence",
-    "condense",
     "ddpse_step",
     "deflate",
     "dense_eig",

@@ -26,8 +26,8 @@ import scipy.linalg
 from scipy.sparse.csgraph import structural_rank
 
 from . import mmio
-from .sparsela import SingularMatrixError, SparseMatrix, condense, factorize, ordered, shifted
-from .sparsela import _accurate_solve
+from .sparsela import SingularMatrixError, SparseMatrix, factorize, ordered, shifted
+from .sparsela import _accurate_solve, _condense
 
 __all__ = [
     "DescriptorSystem",
@@ -105,8 +105,8 @@ class DescriptorSystem:
     @cached_property
     def condensed(self):
         """B and C condensed against ``ordered_j`` for the solves with ``J - sE``
-        and its transpose at every shift (see ``sparsela.condense``)."""
-        return condense(self.ordered_j, self.B), condense(self.ordered_j, self.C, transposed=True)
+        and its transpose at every shift (see ``sparsela._condense``)."""
+        return _condense(self.ordered_j, self.B), _condense(self.ordered_j, self.C, transposed=True)
 
     @cached_property
     def j4(self):

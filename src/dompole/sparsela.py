@@ -39,7 +39,7 @@ singular or that one LU pivots across the partition. ``ordered`` returns
 copy and one subtraction, a cancelled entry staying stored as a zero, and
 ``factorize`` factors only that. ``Factorization.solve`` then takes
 ``x_D = S^-1 (b_D - K21 K11^-1 b_I)`` and ``x_I = K11^-1 (b_I - K12
-x_D)``, and the transpose alike. ``condense`` makes the parts of a
+x_D)``, and the transpose alike. ``_condense`` makes the parts of a
 right-hand side that do not depend on s (``K11^-1 b_I``, the first bracket
 and ``||b||``) once, for a b that many shifts solve with. The module keeps
 no state: ``DescriptorSystem`` keeps the orders of its J and J4 and its B
@@ -96,13 +96,10 @@ __all__ = [
     "StructurallySingularError",
     "EigenSolverError",
     "SparseMatrix",
-    "Schur",
     "ShiftedMatrix",
-    "Condensed",
     "Factorization",
     "ordered",
     "shifted",
-    "condense",
     "factorize",
     "dense_eig",
 ]
@@ -173,7 +170,7 @@ class SparseMatrix:
         return self._csc.T @ np.asarray(x, dtype=np.complex128)
 
 
-class Schur:
+class _Schur:
     """The part of ``J - sE`` that every shift shares, in the order ``cols``.
 
     ``cols`` puts the shift-invariant set I (the first ``ni``) before D.
@@ -183,8 +180,7 @@ class Schur:
     sE)[cols][:, cols]`` (None when I is empty), and ``k12``, ``k21`` are
     ``K[I, D]`` and ``K[D, I]``. ``const_max`` is the largest |entry| of K
     that no shift moves, ``dyn`` holds J's entries at E's ones, and
-    ``u_max`` is the largest |entry| in the I rows of K's U, which no shift
-    moves either.
+    ``u_max`` is the largest |entry| of k11's U factor.
     """
 
     __slots__ = ("J", "ndyn", "cols", "ni", "k11", "k12", "k21", "const_max", "dyn", "u_max")
@@ -215,24 +211,13 @@ class ShiftedMatrix:
     ``csc`` is ``S(s) = S0 - s E_D``, the matrix SuperLU factors: the whole
     ``(J - sE)[cols][:, cols]`` when I is empty. ``diag`` holds the data
     positions of E's ones in ``csc``, ``s`` is the shift and ``schur`` what
-    every shift of the system shares.
+    every shift of the system shares, the order ``schur.cols`` included.
     """
 
     csc: sp.csc_matrix
     diag: np.ndarray
     s: complex
-    schur: Schur
-
-    @property
-    def cols(self):
-        """The symmetric order of rows and columns, I first."""
-        return self.schur.cols
-
-    @property
-    def whole(self):
-        """The whole ``(J - sE)[cols][:, cols]``, made anew on each read."""
-        sc = self.schur
-        return _shift(*_in_order(sc.J, sc.ndyn, sc.cols), self.s)
+    schur: _Schur
 
 
 def _shift(csc, diag, s):
@@ -348,7 +333,7 @@ def _condensed(J, ndyn, cols, a, adiag, k11=None):
     condensed onto the rows and columns after K11's, or whole when there is
     no K11 or the LU that S0 is read from pivots across the partition."""
     if k11 is None:
-        return ShiftedMatrix(a, adiag, 0j, Schur(J, ndyn, cols, a, adiag))
+        return ShiftedMatrix(a, adiag, 0j, _Schur(J, ndyn, cols, a, adiag))
     ni = k11.shape[0]
     N = a.shape[0]
     try:
@@ -364,10 +349,7 @@ def _condensed(J, ndyn, cols, a, adiag, k11=None):
     # so K21 K11^-1 K12 = P2^T L21 U12: row p2[i] of L21 U12 is row i
     back = np.argsort(lu.perm_r[ni:] - ni)
     # scipy copies each factor out whole; one at a time, to hold the peak
-    U = lu.U
-    u_max = float(np.abs(U[:ni].data).max(initial=0.0))
-    u12 = U[:ni, ni:]
-    del U
+    u12 = lu.U[:ni, ni:]
     l21 = lu.L[ni:, :ni]
     del lu
     prod = (l21 @ u12).tocoo()
@@ -380,7 +362,9 @@ def _condensed(J, ndyn, cols, a, adiag, k11=None):
         shape=(nd, nd),
     )
     del k22, prod
-    schur = Schur(J, ndyn, cols, a, adiag, k11, u_max)
+    # read once: the pivot growth of every shift's solves takes K11's part from it
+    u_max = float(np.abs(k11.U.data).max(initial=0.0))
+    schur = _Schur(J, ndyn, cols, a, adiag, k11, u_max)
     return ShiftedMatrix(s0, _diagonal(s0, cols[ni:] < ndyn), 0j, schur)
 
 
@@ -398,7 +382,14 @@ def shifted(base, s):
     return ShiftedMatrix(_shift(base.csc, base.diag, s), base.diag, s, base.schur)
 
 
-class Condensed(NamedTuple):
+def _whole(M):
+    """The ShiftedMatrix M's ``J - sE`` uncondensed, with I empty: its ``csc``
+    is the whole ``(J - sE)[cols][:, cols]``, made anew."""
+    sc = M.schur
+    return shifted(_condensed(sc.J, sc.ndyn, sc.cols, *_in_order(sc.J, sc.ndyn, sc.cols)), M.s)
+
+
+class _Condensed(NamedTuple):
     """A right-hand side b of ``(J - sE) x = b``, or of the transpose when
     ``transposed``, with the parts that no shift moves: ``norm = ||b||``
     (infinity norm), ``z = K11^-1 b_I`` and ``g = b_D - K21 z`` (``K11^-T``
@@ -411,7 +402,7 @@ class Condensed(NamedTuple):
     transposed: bool
 
 
-def condense(M, b, transposed=False):
+def _condense(M, b, transposed=False):
     """b condensed for the solves of every shift of M's system, for M a
     ShiftedMatrix or Factorization of it. A b of any shape but ``(N,)``
     raises ValueError."""
@@ -423,7 +414,7 @@ def condense(M, b, transposed=False):
     bp = b[sc.cols]
     z = sc.k11_solve(bp[: sc.ni], transposed)
     off = sc.k12.T if transposed else sc.k21
-    return Condensed(b, float(np.abs(b).max(initial=0.0)), z, bp[sc.ni :] - off @ z, transposed)
+    return _Condensed(b, float(np.abs(b).max(initial=0.0)), z, bp[sc.ni :] - off @ z, transposed)
 
 
 class Factorization:
@@ -441,25 +432,23 @@ class Factorization:
         self.schur = schur
         self.max_abs = max_abs
 
-    cols = property(lambda self: self.schur.cols)
-
     @property
     def pivot_growth(self):
-        """``max|U| / max|A|`` over the whole matrix's U: its I rows, which
-        ``schur`` keeps, and S's; reading it makes scipy build ``lu.U``,
-        which no solve needs."""
+        """``max|U| / max|A|`` over the U factors that the solves use: K11's,
+        whose largest entry ``schur`` keeps, and S(s)'s. Reading it makes
+        scipy build ``lu.U``, which no solve needs."""
         return max(self.schur.u_max, float(np.abs(self.lu.U.data).max(initial=0.0))) / self.max_abs
 
     def solve(self, rhs, transposed=False):
         """Solve ``A x = rhs`` or ``A.T x = rhs`` using the stored factors.
 
-        rhs is a vector or the ``Condensed`` one, which must have been made
+        rhs is a vector or the ``_Condensed`` one, which must have been made
         for the same direction. Raises SingularMatrixError when x is not
         finite or ``||x|| eps max|A| > ||rhs||``; the caller is expected to
         perturb the shift and retry.
         """
-        if not isinstance(rhs, Condensed):
-            rhs = condense(self, rhs, transposed)
+        if not isinstance(rhs, _Condensed):
+            rhs = _condense(self, rhs, transposed)
         elif rhs.transposed != transposed:
             raise ValueError(f"right-hand side condensed for transposed={rhs.transposed}")
         sc = self.schur
@@ -507,13 +496,13 @@ def factorize(M):
 def _accurate_solve(M, fac, rhs):
     """x with ``A x = rhs`` for the ShiftedMatrix M and ``fac = factorize(M)``.
 
-    rhs is a vector or the ``Condensed`` one. When the solve by ``fac`` has
+    rhs is a vector or the ``_Condensed`` one. When the solve by ``fac`` has
     a normwise backward error ``||A x - rhs|| / (max|A| ||x|| + ||rhs||)``
     above ``BACKWARD_RTOL``, the whole of A, K11 included, is factored again
     with partial pivoting and x is the solve by that LU.
     """
-    if not isinstance(rhs, Condensed):
-        rhs = condense(M, rhs)
+    if not isinstance(rhs, _Condensed):
+        rhs = _condense(M, rhs)
     x = fac.solve(rhs)
     sc = M.schur
     residual = sc.J @ x - rhs.b
@@ -521,8 +510,7 @@ def _accurate_solve(M, fac, rhs):
     scale = fac.max_abs * np.abs(x).max(initial=0.0) + rhs.norm
     if np.abs(residual).max(initial=0.0) <= BACKWARD_RTOL * scale:
         return x
-    whole = shifted(_condensed(sc.J, sc.ndyn, sc.cols, *_in_order(sc.J, sc.ndyn, sc.cols)), M.s)
-    return _lu(whole, fac.max_abs, 1.0).solve(rhs.b)
+    return _lu(_whole(M), fac.max_abs, 1.0).solve(rhs.b)
 
 
 def dense_eig(A, B):

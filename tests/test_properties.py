@@ -254,17 +254,25 @@ def test_shifted_lu_matches_dense_algebra(case):
     A = dense - s * np.diag((np.arange(n) < ndyn).astype(float))
     M = shifted(ordered(dense, ndyn), s)
     fac = factorize(M)
-    assert np.array_equal(M.whole.toarray(), A[np.ix_(fac.cols, fac.cols)])
+    cols, ni = M.schur.cols, M.schur.ni
+    K = A[np.ix_(cols, cols)]
+    assert np.array_equal(sparsela._whole(M).csc.toarray(), K)
     # max|A| from the entries no shift moves and from E's ones, bit for bit
     assert fac.max_abs == np.abs(A).max()
-    ni = M.schur.ni
+    u_max = np.abs(fac.lu.U.data).max()
     if ni == 0:
-        assert np.array_equal(M.csc.toarray(), A[np.ix_(fac.cols, fac.cols)])
-        assert fac.pivot_growth == np.abs(fac.lu.U.data).max() / np.abs(A).max()
+        assert np.array_equal(M.csc.toarray(), K)
     else:
-        K = A[np.ix_(fac.cols, fac.cols)]
         S = K[ni:, ni:] - K[ni:, :ni] @ np.linalg.solve(K[:ni, :ni], K[:ni, ni:])
         assert np.abs(M.csc.toarray() - S).max() <= 1e-12 * np.abs(K).max()
+        # the growth takes K11's part from the factors its solves use: Pr K11 = L U
+        k11 = M.schur.k11
+        L, U = k11.L.toarray(), k11.U.toarray()
+        assert np.array_equal(k11.perm_c, np.arange(ni))
+        err = np.abs(L @ U - K[:ni, :ni][np.argsort(k11.perm_r)]).max()
+        assert err <= 1e-12 * (np.abs(L) @ np.abs(U)).max()
+        u_max = max(u_max, np.abs(U).max())
+    assert fac.pivot_growth == u_max / np.abs(A).max()
     rng = np.random.default_rng(n)
     rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     for op, transposed in ((A, False), (A.T, True)):

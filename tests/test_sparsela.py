@@ -46,13 +46,14 @@ def reconstruction_error(M, fac):
 
 def in_order(M, dense):
     """``dense[cols][:, cols]`` for the symmetric order of the ShiftedMatrix M."""
-    return dense[np.ix_(M.cols, M.cols)]
+    cols = M.schur.cols
+    return dense[np.ix_(cols, cols)]
 
 
 def natural_order(M):
     """A ShiftedMatrix's whole ``J - sE`` with its rows and columns back in the natural order."""
-    back = np.argsort(M.cols)
-    return M.whole[back][:, back]
+    back = np.argsort(M.schur.cols)
+    return sparsela._whole(M).csc[back][:, back]
 
 
 def dense_schur(M, dense):
@@ -100,7 +101,7 @@ class TestSparseMatrix:
 class TestShifted:
     def test_diagonal_example(self):
         M = shifted(ordered(np.diag([-1.0, 1.0]), 1), 2.0)
-        assert_array_equal(M.whole.toarray(), in_order(M, np.diag([-3.0, 1.0])))
+        assert_array_equal(sparsela._whole(M).csc.toarray(), in_order(M, np.diag([-3.0, 1.0])))
         # the algebraic state meets no shifted entry, so only the dynamic one is factored
         assert M.schur.ni == 1
         assert_array_equal(M.csc.toarray(), [[-3.0]])
@@ -138,7 +139,7 @@ class TestShifted:
         s = 0.3 - 1.7j
         E = np.diag((np.arange(30) < ndyn).astype(float))
         M = shifted(ordered(dense, ndyn), s)
-        assert_array_equal(M.whole.toarray(), in_order(M, dense - s * E))
+        assert_array_equal(sparsela._whole(M).csc.toarray(), in_order(M, dense - s * E))
         assert_allclose(M.csc.toarray(), dense_schur(M, dense - s * E), rtol=1e-12, atol=1e-12)
         out = M.csc
         assert out.has_canonical_format
@@ -214,7 +215,7 @@ class TestShifted:
         for sys, h in zip(systems, values[0]):
             E = np.diag((np.arange(8) < sys.ndyn).astype(float))
             M = shifted(sys.ordered_j, s)
-            assert_array_equal(M.whole.toarray(), in_order(M, dense - s * E))
+            assert_array_equal(sparsela._whole(M).csc.toarray(), in_order(M, dense - s * E))
             assert h == pytest.approx(C @ np.linalg.solve(s * E - dense, B), rel=1e-12)
 
     def test_result_owns_its_values_only(self):
@@ -223,7 +224,7 @@ class TestShifted:
         M = shifted(base, 0.7 - 0.2j)
         assert M.csc.indices is base.csc.indices and M.csc.indptr is base.csc.indptr
         assert not np.shares_memory(M.csc.data, base.csc.data)
-        assert M.cols is base.cols and M.diag is base.diag and M.schur is base.schur
+        assert M.diag is base.diag and M.schur is base.schur
         assert_array_equal(base.csc.toarray(), before)
         assert_array_equal(shifted(base, 0.0).csc.toarray(), before)
 
@@ -294,7 +295,7 @@ class TestCachedOrder:
     def test_order_splits_a_fresh_symmetric_order(self, seed):
         M, rhs = random_shifted(seed)
         fac = factorize(M)
-        cols, ni = fac.cols, M.schur.ni
+        cols, ni = M.schur.cols, M.schur.ni
         assert ni > 0
         A = natural_order(M)
         # a fresh symmetric factorization of A takes the same order, split in
@@ -318,11 +319,12 @@ class TestCachedOrder:
     def test_cancelled_entry_keeps_the_order(self):
         J = np.array([[-1.0, 2.0, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, 4.0]])
         M = shifted(ordered(J, 2), -1.0)
-        assert M.whole.nnz == 7
+        whole, cols = sparsela._whole(M).csc, M.schur.cols
+        assert whole.nnz == 7
         fac = factorize(M)
         assert reconstruction_error(M, fac) <= 1e-14
-        # M.whole is J - sE with its rows and columns in the order cols
-        assert_allclose(M.whole @ fac.solve(np.ones(3))[fac.cols], np.ones(3), rtol=1e-14)
+        # the whole matrix is J - sE with its rows and columns in the order cols
+        assert_allclose(whole @ fac.solve(np.ones(3))[cols], np.ones(3), rtol=1e-14)
 
     def test_one_splu_per_factorization_plus_one_ordering(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -630,6 +632,20 @@ class TestPivotGrowth:
         assert backward_error(A, x, rhs) <= sparsela.BACKWARD_RTOL
         assert h == pytest.approx(-np.ones(6) @ np.linalg.solve(A, rhs), rel=1e-13)
 
+    def test_growth_in_k11_counts_in_the_pivot_growth(self):
+        # the chain is all of I and the dynamic state alone is D: the growth
+        # lies in K11's factors, which every shift's solves use, not in S's
+        J = np.zeros((6, 6))
+        J[0, 0] = -1.0
+        J[1:, 1:] = growth_chain(0.02)
+        M = shifted(ordered(J, 1), 0.5)
+        assert M.schur.ni == 5
+        fac = factorize(M)
+        assert_array_equal(fac.lu.U.toarray(), [[-1.5]])
+        u11 = np.abs(M.schur.k11.U.data).max()
+        assert u11 > 6e6
+        assert fac.pivot_growth == u11 / 1.5
+
     def test_kappa_refactors_with_partial_pivoting(self, monkeypatch):
         # the chain is J4, under one dynamic state coupled to all of it
         J = np.block([[np.full((1, 1), -1.0), np.full((1, 5), 0.5)],
@@ -767,7 +783,7 @@ class TestCondensation:
         J, n, rhs = mesh_system(2)
         base = ordered(J.to_scipy(), n)
         fac = factorize(shifted(base, MESH_SHIFT))
-        c = sparsela.condense(base, rhs, transposed=True)
+        c = sparsela._condense(base, rhs, transposed=True)
         assert c.norm == np.abs(rhs).max()
         assert_array_equal(fac.solve(c, transposed=True), fac.solve(rhs, transposed=True))
         with pytest.raises(ValueError, match="condensed for transposed=True"):
