@@ -179,16 +179,15 @@ class _Schur:
     ``k11`` is the SuperLU object of ``K11 = K[I, I]`` for ``K = (J -
     sE)[cols][:, cols]`` (None when I is empty), and ``k12``, ``k21`` are
     ``K[I, D]`` and ``K[D, I]``. ``const_max`` is the largest |entry| of K
-    that no shift moves, ``dyn`` holds J's entries at E's ones, and
-    ``u_max`` is the largest |entry| of k11's U factor.
+    that no shift moves, and ``dyn`` holds J's entries at E's ones.
     """
 
-    __slots__ = ("J", "ndyn", "cols", "ni", "k11", "k12", "k21", "const_max", "dyn", "u_max")
+    __slots__ = ("J", "ndyn", "cols", "ni", "k11", "k12", "k21", "const_max", "dyn", "_u_max")
 
-    def __init__(self, J, ndyn, cols, a, adiag, k11=None, u_max=0.0):
+    def __init__(self, J, ndyn, cols, a, adiag, k11=None):
         """For ``a, adiag = _in_order(J, ndyn, cols)``, which is not kept."""
         self.J, self.ndyn, self.cols = J, ndyn, cols
-        self.k11, self.u_max = k11, u_max
+        self.k11, self._u_max = k11, None
         self.ni = ni = 0 if k11 is None else k11.shape[0]
         self.k12 = a[:ni, ni:]
         self.k21 = a[ni:, :ni]
@@ -196,6 +195,15 @@ class _Schur:
         const[adiag] = False
         self.const_max = float(np.abs(a.data[const]).max(initial=0.0))
         self.dyn = a.data[adiag]
+
+    @property
+    def u_max(self):
+        """The largest |entry| of k11's U factor, 0 when I is empty. It is
+        read on first use, as scipy copies U out to read it, which no solve
+        needs."""
+        if self._u_max is None:
+            self._u_max = 0.0 if self.k11 is None else float(np.abs(self.k11.U.data).max())
+        return self._u_max
 
     def k11_solve(self, v, transposed):
         """``K11^-1 v``, or ``K11^-T v``; v itself when I is empty."""
@@ -362,9 +370,7 @@ def _condensed(J, ndyn, cols, a, adiag, k11=None):
         shape=(nd, nd),
     )
     del k22, prod
-    # read once: the pivot growth of every shift's solves takes K11's part from it
-    u_max = float(np.abs(k11.U.data).max(initial=0.0))
-    schur = _Schur(J, ndyn, cols, a, adiag, k11, u_max)
+    schur = _Schur(J, ndyn, cols, a, adiag, k11)
     return ShiftedMatrix(s0, _diagonal(s0, cols[ni:] < ndyn), 0j, schur)
 
 
@@ -435,8 +441,8 @@ class Factorization:
     @property
     def pivot_growth(self):
         """``max|U| / max|A|`` over the U factors that the solves use: K11's,
-        whose largest entry ``schur`` keeps, and S(s)'s. Reading it makes
-        scipy build ``lu.U``, which no solve needs."""
+        whose largest entry ``schur.u_max`` reads once, and S(s)'s. Reading
+        it makes scipy build ``lu.U``, which no solve needs."""
         return max(self.schur.u_max, float(np.abs(self.lu.U.data).max(initial=0.0))) / self.max_abs
 
     def solve(self, rhs, transposed=False):
