@@ -15,6 +15,7 @@ from .descriptor import (
     StateSpaceSystem,
     VanishingNormalizerError,
     eval_transfer,
+    lifted_vectors,
     load_manifest,
     load_system,
     normalized_vectors,
@@ -91,6 +92,7 @@ __all__ = [
     "factorize",
     "full_spectrum",
     "init_shifts",
+    "lifted_vectors",
     "load_manifest",
     "load_system",
     "match_shifts",

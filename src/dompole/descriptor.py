@@ -27,7 +27,7 @@ from scipy.sparse.csgraph import structural_rank
 
 from . import mmio
 from .sparsela import SingularMatrixError, SparseMatrix, factorize, ordered, shifted
-from .sparsela import _accurate_solve, _condense
+from .sparsela import _accurate_solve
 
 __all__ = [
     "DescriptorSystem",
@@ -42,6 +42,7 @@ __all__ = [
     "reduce_to_state_space",
     "eval_transfer",
     "normalized_vectors",
+    "lifted_vectors",
     "load_manifest",
     "save_manifest",
     "load_system",
@@ -104,9 +105,13 @@ class DescriptorSystem:
 
     @cached_property
     def condensed(self):
-        """B and C condensed against ``ordered_j`` for the solves with ``J - sE``
-        and its transpose at every shift (see ``sparsela._condense``)."""
-        return _condense(self.ordered_j, self.B), _condense(self.ordered_j, self.C, transposed=True)
+        """``(g_B, g_C, d0)``: B and C condensed onto D (``_Schur.condense``) and
+        ``d0 = C_I^T K11^-1 B_I``, so that ``C^T (J - sE)^-1 B = d0 + g_C^T
+        S(s)^-1 g_B`` at every shift."""
+        sc = self.ordered_j.schur
+        gb, zb = sc.condense(self.B)
+        gc, _ = sc.condense(self.C, transposed=True)
+        return gb, gc, complex(self.C[sc.cols[: sc.ni]] @ zb)
 
     @cached_property
     def j4(self):
@@ -292,37 +297,47 @@ def reduce_to_state_space(sys):
 
 
 def eval_transfer(sys, s):
-    """Sample ``h(s) = C^T (sE - J)^-1 B + D`` through one sparse solve,
-    made again with partial pivoting if it is not backward stable."""
+    """Sample ``h(s) = C^T (sE - J)^-1 B + D = -(d0 + g_C^T S(s)^-1 g_B) + D``
+    through one solve with S(s), made again with partial pivoting if it is
+    not backward stable."""
     s = complex(s)
     M = shifted(sys.ordered_j, s)
-    x = _accurate_solve(M, factorize(M), sys.condensed[0])
-    # (sE - J) = -(J - sE)
-    return TransferSample(s, complex(-(sys.C @ x) + sys.D))
+    gb, gc, d0 = sys.condensed
+    x = _accurate_solve(M, factorize(M), gb)
+    return TransferSample(s, complex(-(d0 + gc @ x) + sys.D))
 
 
 def normalized_vectors(sys, s, min_normalizer=0.0):
-    """Normalized right/left resolvent directions at shift s.
+    """The D rows of the normalized right/left resolvent directions at shift s,
 
         xcol = (J - sE)^-1 B / nu,   ycol = (J^T - sE)^-1 C / nu,
-        nu   = C^T (J - sE)^-1 B.
+        nu   = C^T (J - sE)^-1 B = d0 + g_C^T S(s)^-1 g_B,
 
-    One factorization serves both solves because E is diagonal; B and C come
-    condensed, so each solve makes one solve with K11 and one with S(s). Raises
-    VanishingNormalizerError when ``|nu| <= min_normalizer`` (or nu is exactly
-    zero), which signals a transmission zero near s.
+    in D's natural order, E's ones first: ``S(s)^-1 g_B / nu`` and ``S(s)^-T
+    g_C / nu``, from one LU of S(s) and no K11 solve (``lifted_vectors`` makes
+    all N rows). Raises VanishingNormalizerError when ``|nu| <=
+    min_normalizer`` (or nu is exactly zero): a transmission zero near s.
     """
     s = complex(s)
     fac = factorize(shifted(sys.ordered_j, s))
-    b, c = sys.condensed
-    xraw = fac.solve(b)
-    nu = complex(sys.C @ xraw)
+    gb, gc, d0 = sys.condensed
+    xraw = fac.solve(gb)
+    nu = complex(d0 + gc @ xraw)
     if nu == 0 or abs(nu) <= min_normalizer:
         raise VanishingNormalizerError(
             f"normalizer {nu!r} at shift {s!r} is below {min_normalizer:g}"
         )
-    yraw = fac.solve(c, transposed=True)
+    yraw = fac.solve(gc, transposed=True)
     return xraw / nu, yraw / nu, nu
+
+
+def lifted_vectors(sys, V, nu, transposed=False):
+    """All N rows of ``normalized_vectors``' columns (or a block of them) from
+    their D rows V and normalizers nu: ``x_I = K11^-1 (B_I / nu - K12 x_D)``,
+    or C and the transposes when transposed, one K11 solve per column."""
+    sc = sys.ordered_j.schur
+    b = (sys.C if transposed else sys.B)[sc.cols[: sc.ni]]
+    return sc.lift(V, np.multiply.outer(b, 1.0 / np.asarray(nu)), transposed)
 
 
 # ---------------------------------------------------------------------------

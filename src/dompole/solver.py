@@ -6,9 +6,12 @@ active shift s_j, the two systems ``(J - s_j E) x = B`` and
 by ``nu_j = C^T (J - s_j E)^-1 B``, and collects the columns into blocks
 X and Y; ``refresh_columns`` moves a shift that collides, sits on an
 eigenvalue or on a transmission zero, and refuses a structurally singular
-J - sE outright. Writing W, V for the dynamic-row blocks of Y, X, the
-normalization gives ``W^T b = w = 1 - kappa vhat``, so the projected pencil
-assembles without ever touching the state matrix:
+J - sE outright. The iteration runs on the condensed system: X and Y hold
+only the rows of the set D that the shifts reach, ``S(s)^-1 g_B / nu`` and
+``S(s)^-T g_C / nu`` (see ``descriptor.normalized_vectors``), whose first
+``ndyn`` rows are E's ones. Writing W, V for those dynamic-row blocks of Y,
+X, the normalization gives ``W^T b = w = 1 - kappa vhat``, so the projected
+pencil assembles without ever touching the state matrix:
 
     G = W^T A V = (W^T V) S + w vhat^T,   F = (W^T V)^-1 G,
     S = diag(shifts),   vhat_j = 1 / nu_j,   kappa = C_a^T J4^-1 B_a.
@@ -29,9 +32,10 @@ pencil sweep and emits an "ill-conditioned-projection" event. Any tuple of
 distinct eigenvalues is a fixed point of either map, and both converge
 quadratically near one.
 
-Residuals come from the resolvent identity ``(J - tE) x_j = B vhat_j +
-(s_j - t) E x_j``. A column that passes there is checked against J itself
-and locks at its two-sided Rayleigh quotient ``(y^T J x) / (y^T E x)``,
+Residuals come from the resolvent identity of the condensed system,
+``S(t) x_j = g_B vhat_j + (s_j - t) E_D x_j``. A column that passes there
+is lifted to all N rows (``descriptor.lifted_vectors``), checked against J
+itself and locks at its two-sided Rayleigh quotient ``(y^T J x) / (y^T E x)``,
 DPA's Newton update, quadratically accurate in the residual. With vhat_j =
 0, column j of G is ``lambda_j W^T V e_j``, so both steps work on the
 active block only: the pencil ``(B S_A + q vhat_A^T, B)`` with ``B = Q
@@ -57,7 +61,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .descriptor import VanishingNormalizerError, normalized_vectors
+from .descriptor import VanishingNormalizerError, lifted_vectors, normalized_vectors
 from .sparsela import SingularMatrixError, StructurallySingularError, dense_eig
 
 __all__ = [
@@ -140,14 +144,19 @@ class SolverConfig:
 class ShiftState:
     """The one record of a run: the shift tuple, vector blocks, and bookkeeping.
 
-    X and Y hold the normalized right/left columns for the shifts they were
-    last computed at; converged columns are frozen and never recomputed, and
-    their shift is the locked eigenvalue. ``final_residuals`` holds each
-    column's last checked residual pair (its locking one once converged).
-    ``iter`` is the current sweep (0 before the first), and ``events``
-    collects every intervention of the run, each stamped with the sweep it
-    happened in. ``trajectories`` holds the shift tuple after each sweep
-    (the first after the initial solves) and ``residual_history`` the
+    X and Y hold the D rows of the normalized right/left columns for the
+    shifts they were last computed at, in D's natural order, so that E's
+    ones come first and ``X[:ndyn]`` is V; with I empty they are the whole
+    columns. Converged columns are frozen and never recomputed, and their
+    shift is the locked eigenvalue. ``lifted[0, j]`` and ``lifted[1, j]``
+    hold the whole N-row x and y of column j once it passed a check, which
+    it reports when locked; they are made at the start, like X and Y, so
+    that no vector made during the run outlives it. ``final_residuals``
+    holds each column's last checked residual pair (its locking one once
+    converged). ``iter`` is the current sweep (0 before the first), and
+    ``events`` collects every intervention of the run, each stamped with the
+    sweep it happened in. ``trajectories`` holds the shift tuple after each
+    sweep (the first after the initial solves) and ``residual_history`` the
     residual pairs of each check; ``t0`` is the ``perf_counter`` start and
     ``lock_time`` each column's seconds from it to its lock.
     """
@@ -160,6 +169,7 @@ class ShiftState:
     iterations: np.ndarray
     final_residuals: np.ndarray
     lock_time: np.ndarray
+    lifted: np.ndarray
     ndyn: int
     iter: int = 0
     events: list = field(default_factory=list)
@@ -171,16 +181,17 @@ class ShiftState:
     def start(cls, sys, shifts):
         shifts = np.asarray(shifts, dtype=np.complex128).copy()
         p = shifts.shape[0]
-        N = sys.order
+        nd = sys.ordered_j.csc.shape[0]
         return cls(
             shifts=shifts,
-            X=np.zeros((N, p), dtype=np.complex128),
-            Y=np.zeros((N, p), dtype=np.complex128),
+            X=np.zeros((nd, p), dtype=np.complex128),
+            Y=np.zeros((nd, p), dtype=np.complex128),
             normalizers=np.ones(p, dtype=np.complex128),
             converged=np.zeros(p, dtype=bool),
             iterations=np.zeros(p, dtype=np.int64),
             final_residuals=np.full((p, 2), np.nan),
             lock_time=np.zeros(p),
+            lifted=np.empty((2, p, sys.order), dtype=np.complex128),
             ndyn=sys.ndyn,
         )
 
@@ -390,31 +401,39 @@ def check_convergence(sys, state, new_shifts, tol):
 
     They use the vectors of the previous sweep, so convergence costs no extra
     solve. Only ``refresh_columns`` writes active columns, so each is the
-    normalized resolvent solve at its shift s_j, and ``(J - t_j E) x_j = B
-    vhat_j + (s_j - t_j) E x_j`` (likewise C, y_j), whose rows below n enter
-    by their norm |vhat_j| ||B_a||. Pairs both at or below tol are taken again
-    from one ``J X`` and one ``J^T Y`` product over their columns alone. It
-    stores the residuals in ``state.final_residuals`` (locked columns keep
-    theirs), a copy in ``state.residual_history``, and returns the columns
-    that pass both, with their two-sided quotients ``(y^T J x) / (y^T E x)``.
+    normalized resolvent solve at its shift s_j, and on D's rows ``S(t_j)
+    x_j = g_B vhat_j + (s_j - t_j) E x_j`` (likewise g_C, y_j), whose rows
+    below n enter by their norm |vhat_j| ||g_B[n:]||. Pairs both at or below
+    tol are lifted to all N rows once, into ``state.lifted``, and taken
+    again from one ``J X`` and one ``J^T Y`` product over those columns
+    alone. It stores the residuals in ``state.final_residuals`` (locked
+    columns keep theirs), a copy in ``state.residual_history``, and returns
+    the columns that pass both, with their two-sided quotients ``(y^T J x)
+    / (y^T E x)``.
     """
     act = state.active_indices()
     n, vhat, res = sys.ndyn, 1.0 / state.normalizers[act], state.final_residuals
     X, Y, t = state.X[:, act], state.Y[:, act], new_shifts[act]
-    B, C = (np.r_[F[:n], np.linalg.norm(F[n:])] for F in (sys.B, sys.C))
+    gb, gc, _ = sys.condensed
+    B, C = (np.r_[g[:n], np.linalg.norm(g[n:])] for g in (gb, gc))
     res[act, 0] = _relative(np.multiply.outer(B, vhat), X, n, state.shifts[act] - t)
     res[act, 1] = _relative(np.multiply.outer(C, vhat), Y, n, state.shifts[act] - t)
-    ok, yjx = (res[act] <= tol).all(axis=1), np.zeros(act.size, dtype=np.complex128)
+    ok = (res[act] <= tol).all(axis=1)
+    lam = np.zeros(0, dtype=np.complex128)
     if ok.any():
-        # y^T J x over the whole block: numpy sums one column of > 8192 rows in another order
-        JX = np.zeros_like(X)
-        JX[:, ok], JtY = sys.J.matvec(X[:, ok]), sys.J.matvec_t(Y[:, ok])
-        yjx = np.einsum("ij,ij->j", Y, JX)
-        res[act[ok], 0] = _relative(JX[:, ok], X[:, ok], n, -t[ok])
-        res[act[ok], 1] = _relative(JtY, Y[:, ok], n, -t[ok])
-        ok[ok] = (res[act[ok]] <= tol).all(axis=1)
+        cols, nu = act[ok], state.normalizers[act[ok]]
+        x, y = lifted_vectors(sys, X[:, ok], nu), lifted_vectors(sys, Y[:, ok], nu, True)
+        JX = sys.J.matvec(x)
+        yjx = np.einsum("ij,ij->j", y, JX)
+        res[cols, 0] = _relative(JX, x, n, -t[ok])
+        res[cols, 1] = _relative(sys.J.matvec_t(y), y, n, -t[ok])
+        passed = (res[cols] <= tol).all(axis=1)
+        state.lifted[0, cols[passed]] = x[:, passed].T
+        state.lifted[1, cols[passed]] = y[:, passed].T
+        lam = (yjx / np.einsum("ij,ij->j", y[:n], x[:n]))[passed]
+        ok[ok] = passed
     state.residual_history.append(res.copy())
-    return act[ok], yjx[ok] / np.einsum("ij,ij->j", Y[:n, ok], X[:n, ok])
+    return act[ok], lam
 
 
 def deflate(state, j, eigenvalue):
@@ -588,6 +607,7 @@ def _lock_conjugates(state):
             continue
         state.X[:, j] = state.X[:, k].conj()
         state.Y[:, j] = state.Y[:, k].conj()
+        state.lifted[:, j] = state.lifted[:, k].conj()
         state.normalizers[j] = state.normalizers[k].conj()
         deflate(state, j, z)
         state.final_residuals[j] = state.final_residuals[k]
@@ -642,8 +662,8 @@ def run(sys, config, initial_shifts=None):
         poles.append(
             PoleResult(
                 eigenvalue=lam,
-                right_vector=state.X[:, j].copy(),
-                left_vector=state.Y[:, j].copy(),
+                right_vector=state.lifted[0, j].copy(),
+                left_vector=state.lifted[1, j].copy(),
                 residue=residue,
                 dominance=dominance(residue, lam),
                 damping_ratio=damping_ratio(lam),

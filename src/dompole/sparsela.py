@@ -31,20 +31,19 @@ it. ``ordered(J, ndyn)`` does the work all shifts share, once:
 
 On the benchmark's 9,800-order grid, I holds 7,435 nodes; S0 has order
 2,365 and its LU a quarter of the whole matrix's factor entries. I is
-empty, and the whole matrix is factored for each shift, when ``ndyn = 0``
-(nothing moves), when every node depends on a shift, or when K11 is
-singular or that one LU pivots across the partition. ``ordered`` returns
-``J - sE`` at s = 0 as a ``ShiftedMatrix``, whose ``csc`` is S0 and whose
-``schur`` keeps the rest; ``shifted`` makes each ``S(s)`` from it with one
-copy and one subtraction, a cancelled entry staying stored as a zero, and
-``factorize`` factors only that. ``Factorization.solve`` then takes
-``x_D = S^-1 (b_D - K21 K11^-1 b_I)`` and ``x_I = K11^-1 (b_I - K12
-x_D)``, and the transpose alike. ``_condense`` makes the parts of a
-right-hand side that do not depend on s (``K11^-1 b_I``, the first bracket
-and ``||b||``) once, for a b that many shifts solve with. The module keeps
-no state: ``DescriptorSystem`` keeps the orders of its J and J4 and its B
-and C condensed. A matrix A itself is factored as
-``factorize(ordered(A, 0))``.
+empty, and the whole matrix is factored for each shift, when ``ndyn = 0``,
+when every node depends on a shift, or when K11 is singular, that one LU
+pivots across the partition or either LU fails a probe of its backward
+stability. ``ordered`` returns ``J - sE`` at s = 0 as a ``ShiftedMatrix``,
+whose ``csc`` is S0 and whose ``schur`` keeps the rest; ``shifted`` makes
+each ``S(s)`` from it with one copy and one subtraction, a cancelled entry
+staying stored as a zero, and ``factorize`` factors only that, with which
+``Factorization.solve`` solves in D's natural order, E's ones first.
+``_Schur.condense`` makes ``g = b_D - K21 K11^-1 b_I`` once per b, so that
+``x_D = S(s)^-1 g`` at every shift, and ``_Schur.lift`` the rest of x,
+``x_I = K11^-1 (b_I - K12 x_D)``; the transpose alike. The module keeps no
+state: ``DescriptorSystem`` keeps the orders of its J and J4 and its B and
+C condensed. A matrix A itself is factored as ``factorize(ordered(A, 0))``.
 
 Every ``splu`` call takes ``SUPERLU_OPTIONS``. Given ``S(s)``, K11 or
 ``P (J - sE) P^T`` in its natural order, SuperLU prefers each diagonal
@@ -67,15 +66,15 @@ the same factor entries.
 out to CSC for that (a fifth of a feeder column refresh); each LU is judged
 by its solves. ``Factorization.solve`` raises SingularMatrixError when x is
 not finite or ``||x|| eps max|A| > ||b||`` (infinity norms, ``eps`` the
-unit roundoff, A the whole ``J - sE``): A is singular to working
+unit roundoff, A the whole ``J - sE``): S(s) is singular to working
 precision. ``max|A|`` is the larger of the largest entry no shift moves
 and the largest ``|J_ii - s|`` over E's ones. An answer that gets no later
 residual check (a transfer function sample, the feedthrough of J4) goes
 through ``_accurate_solve``: past a normwise backward error of
-``BACKWARD_RTOL`` the threshold has cost too many digits, and the whole
-matrix is factored again with partial pivoting (``diag_pivot_thresh=1``),
-whose multipliers are at most 1 in modulus. The solver needs no such
-check, as it locks a column only on explicit residuals.
+``BACKWARD_RTOL`` on S(s) the threshold has cost too many digits, and S(s)
+is factored again with partial pivoting (``diag_pivot_thresh=1``), whose
+multipliers are at most 1 in modulus. The solver needs no such check, as
+it locks a column only on explicit residuals.
 """
 
 from __future__ import annotations
@@ -83,7 +82,6 @@ from __future__ import annotations
 import cmath
 import copy
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -108,7 +106,8 @@ __all__ = [
 SUPERLU_OPTIONS = {"relax": 1, "panel_size": 1, "diag_pivot_thresh": 0.01}
 
 # A solve by _accurate_solve whose normwise backward error exceeds this is
-# made again from an LU with partial pivoting (see the module docstring)
+# made again from an LU with partial pivoting; J - sE is not condensed when
+# a probe solve by K11's LU or the one S0 is read from exceeds it
 BACKWARD_RTOL = 1e-12
 
 # The shift of the one LU that S0 is read from. Its I rows and columns do
@@ -174,23 +173,25 @@ class _Schur:
     """The part of ``J - sE`` that every shift shares, in the order ``cols``.
 
     ``cols`` puts the shift-invariant set I (the first ``ni``) before D.
-    ``J`` is the matrix that ``ordered`` was given, as a CSC matrix that
-    shares J's arrays where J is one, and ``ndyn`` the count of E's ones.
-    ``k11`` is the SuperLU object of ``K11 = K[I, I]`` for ``K = (J -
-    sE)[cols][:, cols]`` (None when I is empty), and ``k12``, ``k21`` are
-    ``K[I, D]`` and ``K[D, I]``. ``const_max`` is the largest |entry| of K
-    that no shift moves, and ``dyn`` holds J's entries at E's ones.
+    ``dnodes`` are D's nodes in natural order, the order of every vector
+    that a solve takes or returns, and ``ds[k]`` is the place in it of D's
+    k-th node in ``cols``, the order of S(s). ``k11`` is the SuperLU object
+    of ``K11 = K[I, I]`` for ``K = (J - sE)[cols][:, cols]`` (None when I is
+    empty), and ``k12``, ``k21`` are ``K[I, D]`` and ``K[D, I]`` with D in
+    natural order. ``const_max`` is the largest |entry| of K that no shift
+    moves, and ``dyn`` holds J's entries at E's ones.
     """
 
-    __slots__ = ("J", "ndyn", "cols", "ni", "k11", "k12", "k21", "const_max", "dyn", "_u_max")
+    __slots__ = ("cols", "ni", "dnodes", "ds", "k11", "k12", "k21", "const_max", "dyn", "_u_max")
 
-    def __init__(self, J, ndyn, cols, a, adiag, k11=None):
+    def __init__(self, cols, a, adiag, k11=None):
         """For ``a, adiag = _in_order(J, ndyn, cols)``, which is not kept."""
-        self.J, self.ndyn, self.cols = J, ndyn, cols
-        self.k11, self._u_max = k11, None
+        self.cols, self.k11, self._u_max = cols, k11, None
         self.ni = ni = 0 if k11 is None else k11.shape[0]
-        self.k12 = a[:ni, ni:]
-        self.k21 = a[ni:, :ni]
+        dn = np.argsort(cols[ni:])
+        self.dnodes, self.ds = cols[ni:][dn], np.argsort(dn)
+        self.k12 = a[:ni, ni:][:, dn]
+        self.k21 = a[ni:, :ni][dn]
         const = np.ones(a.nnz, dtype=bool)
         const[adiag] = False
         self.const_max = float(np.abs(a.data[const]).max(initial=0.0))
@@ -205,11 +206,29 @@ class _Schur:
             self._u_max = 0.0 if self.k11 is None else float(np.abs(self.k11.U.data).max())
         return self._u_max
 
-    def k11_solve(self, v, transposed):
-        """``K11^-1 v``, or ``K11^-T v``; v itself when I is empty."""
-        if self.k11 is None:
-            return v
-        return self.k11.solve(v, trans="T" if transposed else "N")
+    def condense(self, b, transposed=False):
+        """``(g, z)`` for b of ``(J - sE) x = b`` in natural order: ``z = K11^-1
+        b_I`` in K11's order and ``g = b_D - K21 z`` in D's, so that ``x_D =
+        S(s)^-1 g`` at every shift; ``K11^-T`` and ``K12^T`` for the
+        transpose. A b of any shape but ``(N,)`` raises ValueError."""
+        b = np.asarray(b, dtype=np.complex128)
+        N = self.cols.size
+        if b.shape != (N,):
+            raise ValueError(f"right-hand side has shape {b.shape}, expected ({N},)")
+        off, trans = (self.k12.T, "T") if transposed else (self.k21, "N")
+        z = self.k11.solve(b[self.cols[: self.ni]], trans=trans) if self.ni else b[:0]
+        return b[self.dnodes] - off @ z, z
+
+    def lift(self, xd, bi, transposed=False):
+        """The whole x in natural order from its D rows xd, for b whose I rows
+        in K11's order are bi: ``x_I = K11^-1 (bi - K12 xd)``, or ``K11^-T (bi
+        - K21^T xd)``. xd and bi may be blocks of columns, one K11 solve."""
+        x = np.empty((self.cols.size,) + xd.shape[1:], dtype=np.complex128)
+        x[self.dnodes] = xd
+        if self.ni:
+            off, trans = (self.k21.T, "T") if transposed else (self.k12, "N")
+            x[self.cols[: self.ni]] = self.k11.solve(bi - off @ xd, trans=trans)
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,26 +352,34 @@ def ordered(J, ndyn):
         except RuntimeError:  # an exactly zero pivot
             pass
     del lu  # before the LU that S0 is read from
-    return _condensed(J, ndyn, cols, a, adiag, k11)
+    return _condensed(ndyn, cols, a, adiag, k11)
 
 
-def _condensed(J, ndyn, cols, a, adiag, k11=None):
+def _condensed(ndyn, cols, a, adiag, k11=None):
     """``ordered``'s result for ``a, adiag = _in_order(J, ndyn, cols)``:
     condensed onto the rows and columns after K11's, or whole when there is
-    no K11 or the LU that S0 is read from pivots across the partition."""
+    no K11, or the LU that S0 is read from pivots across the partition, or
+    either LU is not backward stable."""
     if k11 is None:
-        return ShiftedMatrix(a, adiag, 0j, _Schur(J, ndyn, cols, a, adiag))
+        return ShiftedMatrix(a, adiag, 0j, _Schur(cols, a, adiag))
     ni = k11.shape[0]
     N = a.shape[0]
+    k = _shift(a, adiag, _SCHUR_SHIFT)
     try:
         # SymmetricMode keeps SuperLU from postordering the columns
-        lu = spla.splu(_shift(a, adiag, _SCHUR_SHIFT), permc_spec="NATURAL",
-                       options={"SymmetricMode": True}, **SUPERLU_OPTIONS)
+        lu = spla.splu(k, permc_spec="NATURAL", options={"SymmetricMode": True},
+                       **SUPERLU_OPTIONS)
         ok = (lu.perm_c == np.arange(N)).all() and (lu.perm_r[:ni] < ni).all()
     except RuntimeError:  # an exactly zero pivot
         ok = False
+    # growth in I's part of that LU spoils S0, and in K11's g_B, g_C and the
+    # lifts; it shows in the backward error of a solve with a generic r
+    r = np.random.default_rng(1).uniform(1.0, 2.0, N).astype(np.complex128)
+    ok = ok and _backward_stable(k, lu.solve(r), r)
+    ok = ok and _backward_stable(a[:ni, :ni], k11.solve(r[:ni]), r[:ni])
+    del k
     if not ok:
-        return _condensed(J, ndyn, cols, a, adiag)
+        return _condensed(ndyn, cols, a, adiag)
     # with P2 the row swaps within D, P2 K21 = L21 U11 and P1 K12 = L11 U12,
     # so K21 K11^-1 K12 = P2^T L21 U12: row p2[i] of L21 U12 is row i
     back = np.argsort(lu.perm_r[ni:] - ni)
@@ -370,8 +397,15 @@ def _condensed(J, ndyn, cols, a, adiag, k11=None):
         shape=(nd, nd),
     )
     del k22, prod
-    schur = _Schur(J, ndyn, cols, a, adiag, k11)
+    schur = _Schur(cols, a, adiag, k11)
     return ShiftedMatrix(s0, _diagonal(s0, cols[ni:] < ndyn), 0j, schur)
+
+
+def _backward_stable(A, x, r):
+    """Whether x solves ``A x = r`` with a normwise backward error ``||A x - r||
+    / (max|A| ||x|| + ||r||)`` of at most ``BACKWARD_RTOL``."""
+    scale = np.abs(A.data).max() * np.abs(x).max(initial=0.0) + np.abs(r).max(initial=0.0)
+    return bool(np.abs(A @ x - r).max(initial=0.0) <= BACKWARD_RTOL * scale)
 
 
 def shifted(base, s):
@@ -388,55 +422,18 @@ def shifted(base, s):
     return ShiftedMatrix(_shift(base.csc, base.diag, s), base.diag, s, base.schur)
 
 
-def _whole(M):
-    """The ShiftedMatrix M's ``J - sE`` uncondensed, with I empty: its ``csc``
-    is the whole ``(J - sE)[cols][:, cols]``, made anew."""
-    sc = M.schur
-    return shifted(_condensed(sc.J, sc.ndyn, sc.cols, *_in_order(sc.J, sc.ndyn, sc.cols)), M.s)
-
-
-class _Condensed(NamedTuple):
-    """A right-hand side b of ``(J - sE) x = b``, or of the transpose when
-    ``transposed``, with the parts that no shift moves: ``norm = ||b||``
-    (infinity norm), ``z = K11^-1 b_I`` and ``g = b_D - K21 z`` (``K11^-T``
-    and ``K12^T`` for the transpose)."""
-
-    b: np.ndarray
-    norm: float
-    z: np.ndarray
-    g: np.ndarray
-    transposed: bool
-
-
-def _condense(M, b, transposed=False):
-    """b condensed for the solves of every shift of M's system, for M a
-    ShiftedMatrix or Factorization of it. A b of any shape but ``(N,)``
-    raises ValueError."""
-    sc = M.schur
-    b = np.asarray(b, dtype=np.complex128)
-    N = sc.cols.size
-    if b.shape != (N,):
-        raise ValueError(f"right-hand side has shape {b.shape}, expected ({N},)")
-    bp = b[sc.cols]
-    z = sc.k11_solve(bp[: sc.ni], transposed)
-    off = sc.k12.T if transposed else sc.k21
-    return _Condensed(b, float(np.abs(b).max(initial=0.0)), z, bp[sc.ni :] - off @ z, transposed)
-
-
 class Factorization:
     """LU factors of ``S(s)``, the ShiftedMatrix's ``csc``, for ``A = J - sE``.
 
-    With the factors of K11 that ``schur`` keeps, ``solve`` solves with A,
-    taking and returning vectors in A's natural order. ``max_abs`` is
-    ``max|A|``.
+    ``solve`` solves with S(s), taking and returning vectors in the natural
+    order of D's nodes ``schur.dnodes``: all of A's when I is empty.
+    ``max_abs`` is ``max|A|``.
     """
 
     __slots__ = ("lu", "schur", "max_abs")
 
     def __init__(self, lu, schur, max_abs):
-        self.lu = lu
-        self.schur = schur
-        self.max_abs = max_abs
+        self.lu, self.schur, self.max_abs = lu, schur, max_abs
 
     @property
     def pivot_growth(self):
@@ -446,31 +443,25 @@ class Factorization:
         return max(self.schur.u_max, float(np.abs(self.lu.U.data).max(initial=0.0))) / self.max_abs
 
     def solve(self, rhs, transposed=False):
-        """Solve ``A x = rhs`` or ``A.T x = rhs`` using the stored factors.
+        """Solve ``S x = rhs`` or ``S.T x = rhs`` using the stored factors.
 
-        rhs is a vector or the ``_Condensed`` one, which must have been made
-        for the same direction. Raises SingularMatrixError when x is not
-        finite or ``||x|| eps max|A| > ||rhs||``; the caller is expected to
-        perturb the shift and retry.
-        """
-        if not isinstance(rhs, _Condensed):
-            rhs = _condense(self, rhs, transposed)
-        elif rhs.transposed != transposed:
-            raise ValueError(f"right-hand side condensed for transposed={rhs.transposed}")
-        sc = self.schur
-        xd = self.lu.solve(rhs.g, trans="T" if transposed else "N")
-        off = sc.k21.T if transposed else sc.k12
-        xp = np.concatenate((rhs.z - sc.k11_solve(off @ xd, transposed), xd))
-        # infinity norms do not see the order cols, so x is tested before
-        # it is scattered back; written so that a NaN in x fails it too
-        xnorm = float(np.abs(xp).max(initial=0.0))
-        if not xnorm * _EPS * self.max_abs <= rhs.norm:
+        Raises ValueError for an rhs of any shape but ``(|D|,)``, and
+        SingularMatrixError when x is not finite or ``||x|| eps max|A| >
+        ||rhs||``; the caller is expected to perturb the shift and retry."""
+        rhs = np.asarray(rhs, dtype=np.complex128)
+        ds = self.schur.ds
+        if rhs.shape != ds.shape:
+            raise ValueError(f"right-hand side has shape {rhs.shape}, expected ({ds.size},)")
+        xs = self.lu.solve(rhs[ds], trans="T" if transposed else "N")
+        # written so that a NaN in x fails it too
+        xnorm, bnorm = float(np.abs(xs).max(initial=0.0)), float(np.abs(rhs).max(initial=0.0))
+        if not xnorm * _EPS * self.max_abs <= bnorm:
             raise SingularMatrixError(
-                f"solution norm {xnorm:.3e} above {rhs.norm / (_EPS * self.max_abs):.3e} "
+                f"solution norm {xnorm:.3e} above {bnorm / (_EPS * self.max_abs):.3e} "
                 "= ||rhs|| / (eps max|A|): the matrix is singular to working precision"
             )
-        x = np.empty_like(xp)
-        x[sc.cols] = xp
+        x = np.empty_like(xs)
+        x[ds] = xs
         return x
 
 
@@ -500,23 +491,15 @@ def factorize(M):
 
 
 def _accurate_solve(M, fac, rhs):
-    """x with ``A x = rhs`` for the ShiftedMatrix M and ``fac = factorize(M)``.
-
-    rhs is a vector or the ``_Condensed`` one. When the solve by ``fac`` has
-    a normwise backward error ``||A x - rhs|| / (max|A| ||x|| + ||rhs||)``
-    above ``BACKWARD_RTOL``, the whole of A, K11 included, is factored again
-    with partial pivoting and x is the solve by that LU.
+    """x with ``S x = rhs`` for ``S = M.csc``, ``fac = factorize(M)`` and rhs
+    an array in the order of ``Factorization.solve``; when the solve by
+    ``fac`` is not backward stable, S is factored again with partial
+    pivoting and x is the solve by that LU.
     """
-    if not isinstance(rhs, _Condensed):
-        rhs = _condense(M, rhs)
-    x = fac.solve(rhs)
-    sc = M.schur
-    residual = sc.J @ x - rhs.b
-    residual[: sc.ndyn] -= M.s * x[: sc.ndyn]
-    scale = fac.max_abs * np.abs(x).max(initial=0.0) + rhs.norm
-    if np.abs(residual).max(initial=0.0) <= BACKWARD_RTOL * scale:
+    x, ds = fac.solve(rhs), M.schur.ds
+    if _backward_stable(M.csc, x[ds], rhs[ds]):
         return x
-    return _lu(_whole(M), fac.max_abs, 1.0).solve(rhs.b)
+    return _lu(M, fac.max_abs, 1.0).solve(rhs)
 
 
 def dense_eig(A, B):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 from dompole.descriptor import (  # noqa: E402
     DescriptorSystem,
     eval_transfer,
+    lifted_vectors,
     normalized_vectors,
     reduce_to_state_space,
 )
@@ -43,6 +44,7 @@ from dompole.sparsela import (  # noqa: E402
     ordered,
     shifted,
 )
+from whole import whole, whole_solve  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -256,7 +258,7 @@ def test_shifted_lu_matches_dense_algebra(case):
     fac = factorize(M)
     cols, ni = M.schur.cols, M.schur.ni
     K = A[np.ix_(cols, cols)]
-    assert np.array_equal(sparsela._whole(M).csc.toarray(), K)
+    assert np.array_equal(whole(M, dense).toarray(), K)
     # max|A| from the entries no shift moves and from E's ones, bit for bit
     assert fac.max_abs == np.abs(A).max()
     u_max = np.abs(fac.lu.U.data).max()
@@ -276,7 +278,7 @@ def test_shifted_lu_matches_dense_algebra(case):
     rng = np.random.default_rng(n)
     rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     for op, transposed in ((A, False), (A.T, True)):
-        x = fac.solve(rhs, transposed=transposed)
+        x = whole_solve(fac, rhs, transposed=transposed)
         scale = np.abs(op).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
         assert np.abs(op @ x - rhs).max() / scale <= 1e-12
 
@@ -306,9 +308,10 @@ def free_systems(draw):
 
 
 def test_condensed_solves_match_dense_solves():
-    # normalized_vectors, eval_transfer and a transposed solve through the
-    # condensed J - sE against dense solves of J - sE, on drawn systems with
-    # and without a shift-invariant set I and with every state dynamic
+    # normalized_vectors and its lifted columns, eval_transfer and a
+    # transposed solve through the condensed J - sE against dense solves of
+    # J - sE, on drawn systems with and without a shift-invariant set I and
+    # with every state dynamic
     seen = set()
 
     # derandomized, the first 60 examples draw no system with ndyn < N and
@@ -339,14 +342,70 @@ def test_condensed_solves_match_dense_solves():
 
         xcol, ycol, got_nu = normalized_vectors(system, s)
         close(np.array([got_nu]), np.array([nu]))
-        close(xcol, x / nu)
-        close(ycol, y / nu)
+        # the D rows, E's ones first, and the whole columns once lifted
+        assert np.array_equal(base.schur.dnodes[:n], np.arange(n))
+        close(xcol, x[base.schur.dnodes] / nu)
+        close(ycol, y[base.schur.dnodes] / nu)
+        close(lifted_vectors(system, xcol, got_nu), x / nu)
+        close(lifted_vectors(system, ycol, got_nu, transposed=True), y / nu)
         close(np.array([eval_transfer(system, s).value]), np.array([system.D - nu]))
         rhs = np.random.default_rng(N).standard_normal(N) + 1j
-        close(factorize(shifted(base, s)).solve(rhs, transposed=True), np.linalg.solve(A.T, rhs))
+        got = whole_solve(factorize(shifted(base, s)), rhs, transposed=True)
+        close(got, np.linalg.solve(A.T, rhs))
 
     check()
     assert seen == {(True, False), (False, False), (False, True)}
+
+
+def test_hunt_on_the_condensed_system_matches_the_dense_oracle():
+    # dpse hunts on the condensed system (S0, E_D, g_B, g_C, d0) and lifts
+    # each locked column to all N rows: its poles, residues and lifted
+    # right and left vectors against the dense oracle, on drawn systems
+    # whose B and C reach the shift-invariant set I (so d0 != 0), whose I is
+    # empty, and whose states are all dynamic
+    seen = set()
+
+    # about one drawn system in ten has ndyn < N and an empty I; the last
+    # assert checks that all three kinds are drawn
+    @settings(PROPERTY, max_examples=100)
+    @given(case=free_systems(), data=st.data())
+    def check(case, data):
+        system, ss = case
+        if data.draw(st.integers(0, 3), label="all dynamic") == 0:
+            system = DescriptorSystem(system.J, system.order, system.B, system.C)
+            ss = reduce_to_state_space(system)
+        n, N = system.ndyn, system.order
+        p = data.draw(st.integers(1, min(3, n)), label="p")
+        re = data.draw(st.lists(st.floats(-3, 3), min_size=p, max_size=p), label="re")
+        im = data.draw(st.lists(st.floats(-3, 3), min_size=p, max_size=p), label="im")
+        report = run(system, SolverConfig(p=p), np.array(re) + 1j * np.array(im))
+        dec = full_spectrum(ss)
+        # residues and eigenvectors through an ill-conditioned eigenvector
+        # basis are the oracle's own error, not the solver's
+        assume(dec.basis_condition <= 1e4 and report.poles)
+        ni, d0 = system.ordered_j.schur.ni, system.condensed[2]
+        assert (d0 != 0) == (ni > 0)
+        seen.add("all dynamic" if n == N else "I and d0" if ni else "I empty")
+        table = residues(ss, dec)
+        Jd = system.J.to_scipy().toarray()
+        J2, J3, J4 = Jd[:n, n:], Jd[n:, :n], Jd[n:, n:]
+        for pole in report.poles:
+            k = int(np.argmin(np.abs(table.eigenvalues - pole.eigenvalue)))
+            assert abs(table.eigenvalues[k] - pole.eigenvalue) <= 1e-8 * abs(table.eigenvalues[k])
+            assert abs(table.residues[k] - pole.residue) <= 1e-3 * abs(table.residues[k])
+            # the pencil's eigenvectors from A's: the algebraic rows of
+            # (J - lambda E) z and of its transpose are 0
+            k = int(np.argmin(np.abs(dec.eigenvalues - pole.eigenvalue)))
+            v, w = dec.P[:, k], dec.Pinv[k]
+            right = np.r_[v, -np.linalg.solve(J4, J3 @ v)]
+            left = np.r_[w, -np.linalg.solve(J4.T, J2.T @ w)]
+            for got, want in ((pole.right_vector, right), (pole.left_vector, left)):
+                assert got.shape == (N,)
+                off = got - want * (want.conj() @ got) / (want.conj() @ want)
+                assert np.linalg.norm(off) <= 1e-3 * np.linalg.norm(got)
+
+    check()
+    assert seen == {"I and d0", "I empty", "all dynamic"}
 
 
 @PROPERTY
@@ -376,11 +435,17 @@ def test_run_on_free_systems_reports_true_poles_or_unconverged_columns(case, dat
 @PROPERTY
 @given(case=free_systems(), data=st.data())
 def test_identity_residuals_equal_the_explicit_ones(case, data):
-    # each active column is the normalized resolvent solve at its shift s, so
-    # B vhat + (s - t) E x is (J - tE) x; at tol 0 no column is taken again
-    # from J products, unless its identity residual is exactly 0
+    # each active column holds the D rows of the normalized resolvent solve
+    # at its shift s, so g_B vhat + (s - t) E x_D is S(t) x_D, with S(t) the
+    # dense Schur complement of J - tE onto D; at tol 0 no column is taken
+    # again from J products, unless its identity residual is exactly 0
     system, _ = case
     n, Jd = system.ndyn, system.J.to_scipy().toarray()
+    sc = system.ordered_j.schur
+    Iset, D = sc.cols[: sc.ni], sc.dnodes
+    S0 = Jd[np.ix_(D, D)] - Jd[np.ix_(D, Iset)] @ np.linalg.solve(
+        Jd[np.ix_(Iset, Iset)], Jd[np.ix_(Iset, D)]
+    )
     p = data.draw(st.integers(1, min(3, n)), label="p")
 
     def draw_tuple(label):
@@ -395,10 +460,10 @@ def test_identity_residuals_equal_the_explicit_ones(case, data):
         assume(False)
     new = draw_tuple("new")
     check_convergence(system, state, new, 0.0)
-    E = (np.arange(system.order) < n)[:, None]
+    E = (np.arange(D.size) < n)[:, None]
     explicit = [
         np.linalg.norm(M @ V - new * (E * V), axis=0) / np.linalg.norm(V, axis=0)
-        for M, V in ((Jd, state.X), (Jd.T, state.Y))
+        for M, V in ((S0, state.X), (S0.T, state.Y))
     ]
     explicit = np.array(explicit).T
     big = explicit >= 1e-9

@@ -7,6 +7,7 @@ from dompole.descriptor import (
     DescriptorSystem,
     StateSpaceSystem,
     VanishingNormalizerError,
+    lifted_vectors,
     reduce_to_state_space,
 )
 from dompole.generator import build_system, sample_spectrum
@@ -235,9 +236,10 @@ class TestCheckConvergence:
         assert state.final_residuals[0, 0] == pytest.approx(2.0 / np.sqrt(26.0), abs=1e-12)
 
     def test_column_failing_only_the_explicit_check_stays_active(self, monkeypatch):
-        # a large algebraic component in column 0 raises ||x|| and ||y|| but
-        # leaves E x and E y, so its identity residuals fall below tol while
-        # the explicit ones, which see J's algebraic columns, rise above it
+        # a large algebraic component in column 0's D rows raises ||x_D|| and
+        # ||y_D|| but leaves E x and E y, so its identity residuals fall below
+        # tol while the explicit ones of the lifted column, which see J's
+        # algebraic columns, rise above it
         widths = []
         for name in ("matvec", "matvec_t"):
             def counted(self, x, _orig=getattr(SparseMatrix, name)):
@@ -248,17 +250,20 @@ class TestCheckConvergence:
         sys, _ = feedthrough_system()
         n, Jd = sys.ndyn, sys.J.to_scipy().toarray()
         state = prepared_state(sys, [-0.5 + 0.6j, -1.5 - 0.3j])
+        assert state.X.shape[0] > n  # D holds algebraic states too
         state.X[n:, 0] += 1e8
         state.Y[n:, 0] += 1e8
-        new = state.shifts.copy()  # identity residuals ||B vhat|| / ||x||, ||C vhat|| / ||y||
+        new = state.shifts.copy()  # identity residuals ||g_B vhat|| / ||x_D||, likewise y
         vhat = 1.0 / state.normalizers[0]
-        identity = [np.linalg.norm(sys.B * vhat) / np.linalg.norm(state.X[:, 0]),
-                    np.linalg.norm(sys.C * vhat) / np.linalg.norm(state.Y[:, 0])]
+        gb, gc, _ = sys.condensed
+        identity = [np.linalg.norm(gb * vhat) / np.linalg.norm(state.X[:, 0]),
+                    np.linalg.norm(gc * vhat) / np.linalg.norm(state.Y[:, 0])]
         assert max(identity) <= 1e-5
         cols, lams = check_convergence(sys, state, new, 1e-5)
         assert not cols.size and not lams.size
         assert widths == [1, 1]  # one product each way, over column 0 alone
-        x, y = state.X[:, 0], state.Y[:, 0]
+        x = lifted_vectors(sys, state.X[:, 0], state.normalizers[0])
+        y = lifted_vectors(sys, state.Y[:, 0], state.normalizers[0], transposed=True)
         rx, ry = Jd @ x, Jd.T @ y
         rx[:n] -= new[0] * x[:n]
         ry[:n] -= new[0] * y[:n]
@@ -278,7 +283,9 @@ class TestCheckConvergence:
         cols, lams = check_convergence(sys, state, new, np.inf)  # every active column passes
         assert list(cols) == [0, 2, 3]
         for j, lam in zip(cols, lams):
-            x, y = state.X[:, j], state.Y[:, j]
+            # the lifted columns, whose D rows are X's and Y's
+            x, y = state.lifted[:, j]
+            assert_allclose(x, lifted_vectors(sys, state.X[:, j], state.normalizers[j]))
             rx, ry = Jd @ x, Jd.T @ y
             rx[:n] -= new[j] * x[:n]
             ry[:n] -= new[j] * y[:n]
@@ -579,6 +586,47 @@ class TestRun:
         assert all(products == int(passed) for passed, products in made)
         assert 0 < calls["matvec"] == calls["matvec_t"] < len(made)
 
+    def test_k11_solves_only_lift_the_columns_that_pass(self, monkeypatch):
+        # a refresh solves with S(s) alone; K11 solves only lift a column
+        # that passes the identity screen, one each way, so the rows of the
+        # shift-invariant set I never re-enter the loop
+        rng = np.random.default_rng(0)
+        spec = sample_spectrum(20, 4, (0.05, 0.3), rng)
+        sys = build_system(spec, n_algebraic=30, density=0.1, rng=rng).system
+        sc = sys.ordered_j.schur
+        assert sc.ni > 0 and sys.condensed[2] != 0  # B and C condensed once
+
+        class CountingK11:
+            def __init__(self, lu):
+                self.lu, self.columns = lu, {"N": 0, "T": 0}
+
+            def solve(self, rhs, trans="N"):
+                self.columns[trans] += 1 if rhs.ndim == 1 else rhs.shape[1]
+                return self.lu.solve(rhs, trans=trans)
+
+            def __getattr__(self, name):
+                return getattr(self.lu, name)
+
+        k11, lifted = CountingK11(sc.k11), {"N": 0, "T": 0}
+        refresh, lift = solver.refresh_columns, solver.lifted_vectors
+
+        def counted_refresh(sys, state):
+            before = dict(k11.columns)
+            refresh(sys, state)
+            assert k11.columns == before
+
+        def counted_lift(sys, V, nu, transposed=False):
+            lifted["T" if transposed else "N"] += V.shape[1]
+            return lift(sys, V, nu, transposed)
+
+        monkeypatch.setattr(sc, "k11", k11)
+        monkeypatch.setattr(solver, "refresh_columns", counted_refresh)
+        monkeypatch.setattr(solver, "lifted_vectors", counted_lift)
+        report = run(sys, SolverConfig(p=4), spec[[0, 2, 4, 6]] + 0.1 + 0.05j)
+        conjugates = sum(e["kind"] == "conjugate-locked" for e in report.events)
+        assert 0 < report.converged_count - conjugates <= lifted["N"] == lifted["T"]
+        assert k11.columns == lifted
+
     def test_report_dict_is_json_ready(self):
         import json
 
@@ -829,10 +877,9 @@ def test_structurally_singular_pencil_is_refused_on_first_sight(monkeypatch):
     monkeypatch.setattr(
         sparsela.spla, "splu", lambda *a, **kw: calls.append("splu") or splu(*a, **kw)
     )
-    state = ShiftState.start(sys, np.array([-0.5]))
+    # the state's blocks hold the rows of D, so the order is made first
     with pytest.raises(StructurallySingularError, match=r"structural rank 2 < 3"):
-        refresh_columns(sys, state)
-    assert state.events == []
+        ShiftState.start(sys, np.array([-0.5]))
     assert calls == ["rank"]
 
 

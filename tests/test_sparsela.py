@@ -20,6 +20,7 @@ from dompole.sparsela import (
     shifted,
 )
 from dompole.solver import SolverConfig, match_shifts
+from whole import whole, whole_solve
 
 WORKED_F = np.array([[-1.125, -1.125], [-5.0 / 24.0, -2.875]])
 
@@ -50,10 +51,11 @@ def in_order(M, dense):
     return dense[np.ix_(cols, cols)]
 
 
-def natural_order(M):
-    """A ShiftedMatrix's whole ``J - sE`` with its rows and columns back in the natural order."""
+def natural_order(M, J):
+    """The whole ``J - sE`` of a ShiftedMatrix M of J with its rows and columns
+    back in the natural order."""
     back = np.argsort(M.schur.cols)
-    return sparsela._whole(M).csc[back][:, back]
+    return whole(M, J)[back][:, back]
 
 
 def dense_schur(M, dense):
@@ -100,8 +102,9 @@ class TestSparseMatrix:
 
 class TestShifted:
     def test_diagonal_example(self):
-        M = shifted(ordered(np.diag([-1.0, 1.0]), 1), 2.0)
-        assert_array_equal(sparsela._whole(M).csc.toarray(), in_order(M, np.diag([-3.0, 1.0])))
+        J = np.diag([-1.0, 1.0])
+        M = shifted(ordered(J, 1), 2.0)
+        assert_array_equal(whole(M, J).toarray(), in_order(M, np.diag([-3.0, 1.0])))
         # the algebraic state meets no shifted entry, so only the dynamic one is factored
         assert M.schur.ni == 1
         assert_array_equal(M.csc.toarray(), [[-3.0]])
@@ -139,7 +142,7 @@ class TestShifted:
         s = 0.3 - 1.7j
         E = np.diag((np.arange(30) < ndyn).astype(float))
         M = shifted(ordered(dense, ndyn), s)
-        assert_array_equal(sparsela._whole(M).csc.toarray(), in_order(M, dense - s * E))
+        assert_array_equal(whole(M, dense).toarray(), in_order(M, dense - s * E))
         assert_allclose(M.csc.toarray(), dense_schur(M, dense - s * E), rtol=1e-12, atol=1e-12)
         out = M.csc
         assert out.has_canonical_format
@@ -215,7 +218,7 @@ class TestShifted:
         for sys, h in zip(systems, values[0]):
             E = np.diag((np.arange(8) < sys.ndyn).astype(float))
             M = shifted(sys.ordered_j, s)
-            assert_array_equal(sparsela._whole(M).csc.toarray(), in_order(M, dense - s * E))
+            assert_array_equal(whole(M, dense).toarray(), in_order(M, dense - s * E))
             assert h == pytest.approx(C @ np.linalg.solve(s * E - dense, B), rel=1e-12)
 
     def test_result_owns_its_values_only(self):
@@ -260,15 +263,19 @@ class TestFactorize:
         assert not isinstance(info.value, StructurallySingularError)
 
     def test_shifted_diagonal_sets_the_pivot_scale(self):
-        # max|M| is the shifted entry 1e14, not max|J| = 1e-3: the solution
-        # 1e3 of the pivot 1e-3 passes ||rhs|| / (eps max|M|) = 45.04
-        base = ordered(np.diag([0.0, 1e-3]), 1)
-        fac = factorize(shifted(base, -1e14))
+        # max|M| is the shifted entry 1e14 - 2^-6, not the pivot 2^-6 that
+        # the shift leaves of J's 1e14: the solution 64 of that pivot passes
+        # ||rhs|| / (eps max|M|) = 45.04
+        base = ordered(np.diag([0.0, 1e14]), 2)
+        fac = factorize(shifted(base, 1e14 - 2.0**-6))
         with pytest.raises(SingularMatrixError, match=re.escape("above 4.504e+01")):
             fac.solve(np.ones(2))
+        # the algebraic state is I, so S(s) is the dynamic one alone
+        base = ordered(np.diag([0.0, 1e-3]), 1)
         fac = factorize(shifted(base, -1.0))
         assert fac.max_abs == 1.0
-        assert_allclose(fac.solve(np.ones(2)), [1.0, 1e3])
+        assert_allclose(fac.solve(np.ones(1)), [1.0])
+        assert_allclose(whole_solve(fac, np.ones(2)), [1.0, 1e3])
 
     def test_reconstruction_50(self):
         rng = np.random.default_rng(7)
@@ -287,17 +294,17 @@ def random_shifted(seed, n=40, ndyn=25):
     J = random_sparse(rng, n, density=0.15, complex_vals=True)
     M = shifted(ordered(J.to_scipy(), ndyn), 0.7 - 1.3j)
     rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return M, rhs
+    return M, rhs, J.to_scipy()
 
 
 class TestCachedOrder:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_order_splits_a_fresh_symmetric_order(self, seed):
-        M, rhs = random_shifted(seed)
+        M, rhs, J = random_shifted(seed)
         fac = factorize(M)
         cols, ni = M.schur.cols, M.schur.ni
         assert ni > 0
-        A = natural_order(M)
+        A = natural_order(M, J)
         # a fresh symmetric factorization of A takes the same order, split in
         # two: I's nodes first, then D's, each in that order
         fresh = spla.splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True},
@@ -309,22 +316,23 @@ class TestCachedOrder:
         assert (cols[:ni] >= 25).all()
         # and the condensed solves are backward stable solves with A
         for op, transposed in ((A, False), (A.T, True)):
-            assert backward_error(op.toarray(), fac.solve(rhs, transposed=transposed), rhs) <= 1e-14
+            x = whole_solve(fac, rhs, transposed=transposed)
+            assert backward_error(op.toarray(), x, rhs) <= 1e-14
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reconstruction(self, seed):
-        M, _ = random_shifted(seed)
+        M = random_shifted(seed)[0]
         assert reconstruction_error(M, factorize(M)) <= 1e-12
 
     def test_cancelled_entry_keeps_the_order(self):
         J = np.array([[-1.0, 2.0, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, 4.0]])
         M = shifted(ordered(J, 2), -1.0)
-        whole, cols = sparsela._whole(M).csc, M.schur.cols
-        assert whole.nnz == 7
+        A, cols = whole(M, J), M.schur.cols
+        assert A.nnz == 7
         fac = factorize(M)
         assert reconstruction_error(M, fac) <= 1e-14
         # the whole matrix is J - sE with its rows and columns in the order cols
-        assert_allclose(whole @ fac.solve(np.ones(3))[cols], np.ones(3), rtol=1e-14)
+        assert_allclose(A @ whole_solve(fac, np.ones(3))[cols], np.ones(3), rtol=1e-14)
 
     def test_one_splu_per_factorization_plus_one_ordering(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -429,9 +437,9 @@ def mesh_system(seed, k=12, machines=24):
 
 
 def mesh_shifted(seed):
-    """``J - sE`` of ``mesh_system(seed)`` at ``MESH_SHIFT``, and its right-hand side."""
+    """``J - sE`` of ``mesh_system(seed)`` at ``MESH_SHIFT``, its right-hand side and J."""
     J, n, rhs = mesh_system(seed)
-    return shifted(ordered(J.to_scipy(), n), MESH_SHIFT), rhs
+    return shifted(ordered(J.to_scipy(), n), MESH_SHIFT), rhs, J.to_scipy()
 
 
 def saddle_system(seed, n=8, k=12, g=4):
@@ -473,7 +481,7 @@ class TestSaddlePoint:
         rng = np.random.default_rng(seed)
         rhs = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         for op, transposed in ((A, False), (A.T, True)):
-            x = fac.solve(rhs, transposed=transposed)
+            x = whole_solve(fac, rhs, transposed=transposed)
             scale = spla.norm(op, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(rhs, np.inf)
             assert np.linalg.norm(op @ x - rhs, np.inf) / scale <= 1e-12
 
@@ -501,7 +509,7 @@ class TestFill:
     def test_fewer_factor_entries_than_relaxed_supernodes(self, seed):
         # in the symmetric order relaxed supernodes pad neither benchmark
         # model, but still pad a random unsymmetric pattern
-        M, _ = random_shifted(seed)
+        M = random_shifted(seed)[0]
         fac = factorize(M)
         options = {k: v for k, v in sparsela.SUPERLU_OPTIONS.items() if k != "relax"}
         relaxed = spla.splu(M.csc, permc_spec="NATURAL", **options)
@@ -511,7 +519,7 @@ class TestFill:
     def test_pivots_stay_on_the_diagonal(self, seed):
         # SuperLU prefers the pivot in row k of the matrix it is given, which
         # is J - sE's diagonal only if rows are permuted like the columns
-        M, _ = mesh_shifted(seed)
+        M = mesh_shifted(seed)[0]
         fac = factorize(M)
         for lu in (fac.lu, M.schur.k11):
             assert_array_equal(lu.perm_r, np.arange(lu.shape[0]))
@@ -519,11 +527,11 @@ class TestFill:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("transposed", [False, True])
     def test_backward_error(self, seed, transposed):
-        M, rhs = mesh_shifted(seed)
+        M, rhs, J = mesh_shifted(seed)
         fac = factorize(M)
-        A = natural_order(M)
+        A = natural_order(M, J)
         A = A.T if transposed else A
-        x = fac.solve(rhs, transposed=transposed)
+        x = whole_solve(fac, rhs, transposed=transposed)
         scale = spla.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(rhs, np.inf)
         assert np.linalg.norm(A @ x - rhs, np.inf) / scale <= 1e-12
 
@@ -621,9 +629,10 @@ class TestPivotGrowth:
         sys = DescriptorSystem(SparseMatrix.from_scipy(J), 1, rhs, np.ones(6))
         calls = recorded_splu(monkeypatch)
         h = descriptor.eval_transfer(sys, 0.5).value
-        assert sys.ordered_j.schur.ni == 4
-        # the ordering, the LU that S0 is read from, K11's and S's, and then
-        # the whole matrix's with partial pivoting
+        # the growth spoils the probe solve of the LU that S0 would be read
+        # from, so J - sE is not condensed: the ordering, K11's, that LU and
+        # the whole matrix's, and then the whole matrix's with partial pivoting
+        assert sys.ordered_j.schur.ni == 0
         assert calls == [0.01, 0.01, 0.01, 0.01, 1.0]
         A = J - 0.5 * np.diag([1.0, 0, 0, 0, 0, 0])
         M = shifted(sys.ordered_j, 0.5)
@@ -633,18 +642,24 @@ class TestPivotGrowth:
         assert h == pytest.approx(-np.ones(6) @ np.linalg.solve(A, rhs), rel=1e-13)
 
     def test_growth_in_k11_counts_in_the_pivot_growth(self):
-        # the chain is all of I and the dynamic state alone is D: the growth
-        # lies in K11's factors, which every shift's solves use, not in S's
-        J = np.zeros((6, 6))
+        # the arrowhead is all of I and the dynamic state alone is D: the
+        # growth lies in K11's factors, which condense B and C and lift each
+        # locked column, not in S's; K11's solves stay backward stable
+        J = np.zeros((5, 5))
         J[0, 0] = -1.0
-        J[1:, 1:] = growth_chain(0.02)
+        J[1:, 1:] = arrowhead(3, 0.02)
         M = shifted(ordered(J, 1), 0.5)
-        assert M.schur.ni == 5
+        assert M.schur.ni == 4
         fac = factorize(M)
         assert_array_equal(fac.lu.U.toarray(), [[-1.5]])
         u11 = np.abs(M.schur.k11.U.data).max()
-        assert u11 > 6e6
+        assert u11 == pytest.approx(149.0)
         assert fac.pivot_growth == u11 / 1.5
+        # the chain's growth 6.6e6 spoils the probe solves: nothing is condensed
+        J = np.zeros((6, 6))
+        J[0, 0] = -1.0
+        J[1:, 1:] = growth_chain(0.02)
+        assert ordered(J, 1).schur.ni == 0
 
     def test_kappa_refactors_with_partial_pivoting(self, monkeypatch):
         # the chain is J4, under one dynamic state coupled to all of it
@@ -738,7 +753,7 @@ def assert_solves(base, dense, ndyn, shifts, rhs, rtol=1e-12):
         A = dense - s * E
         for op, transposed in ((A, False), (A.T, True)):
             want = np.linalg.solve(op, rhs)
-            assert_allclose(fac.solve(rhs, transposed=transposed), want,
+            assert_allclose(whole_solve(fac, rhs, transposed=transposed), want,
                             rtol=rtol, atol=rtol * np.abs(want).max())
 
 
@@ -753,7 +768,7 @@ class TestCondensation:
         assert base.schur.ni > 0
         assert_solves(base, dense, n, [MESH_SHIFT, -0.5, 1e-3j], rhs)
         with pytest.raises(SingularMatrixError):
-            factorize(shifted(base, 0.0)).solve(rhs)
+            whole_solve(factorize(shifted(base, 0.0)), rhs)
         sys = DescriptorSystem(SparseMatrix.from_scipy(dense), n, rhs.real, rhs.imag)
         E = np.diag((np.arange(dense.shape[0]) < n).astype(float))
         h = descriptor.eval_transfer(sys, -0.5).value
@@ -779,15 +794,25 @@ class TestCondensation:
         rhs = np.arange(1.0, dense.shape[0] + 1) + 0.5j
         assert_solves(base, dense, 1, [0.3 - 0.7j, 2.0], rhs)
 
-    def test_condensed_right_hand_side_keeps_its_direction(self):
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_condensed_right_hand_side_serves_every_shift(self, transposed):
+        # g = b_D - K21 K11^-1 b_I (K12^T K11^-T for the transpose), made
+        # once: S(s)^-1 g is the D part of the whole solve at each shift
         J, n, rhs = mesh_system(2)
         base = ordered(J.to_scipy(), n)
-        fac = factorize(shifted(base, MESH_SHIFT))
-        c = sparsela._condense(base, rhs, transposed=True)
-        assert c.norm == np.abs(rhs).max()
-        assert_array_equal(fac.solve(c, transposed=True), fac.solve(rhs, transposed=True))
-        with pytest.raises(ValueError, match="condensed for transposed=True"):
-            fac.solve(c)
+        sc = base.schur
+        assert sc.ni > 0
+        g, z = sc.condense(rhs, transposed)
+        assert z.shape == (sc.ni,)
+        dense = J.to_scipy().toarray()
+        E = np.diag((np.arange(dense.shape[0]) < n).astype(float))
+        for s in (MESH_SHIFT, -0.5):
+            A = dense - s * E
+            want = np.linalg.solve(A.T if transposed else A, rhs)
+            got = factorize(shifted(base, s)).solve(g, transposed=transposed)
+            assert_allclose(got, want[sc.dnodes], rtol=1e-10, atol=1e-12 * np.abs(want).max())
+        with pytest.raises(ValueError, match=re.escape(f"expected ({rhs.size},)")):
+            sc.condense(rhs[1:], transposed)
 
     def test_one_splu_of_the_schur_order_per_shift(self, monkeypatch):
         J, n, rhs = mesh_system(1)
