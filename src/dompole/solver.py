@@ -415,7 +415,7 @@ def check_convergence(sys, state, new_shifts, tol):
     n, vhat, res = sys.ndyn, 1.0 / state.normalizers[act], state.final_residuals
     X, Y, t = state.X[:, act], state.Y[:, act], new_shifts[act]
     gb, gc, _ = sys.condensed
-    B, C = (np.r_[g[:n], np.linalg.norm(g[n:])] for g in (gb, gc))
+    B, C = (np.concatenate((g[:n], [np.linalg.norm(g[n:])])) for g in (gb, gc))
     res[act, 0] = _relative(np.multiply.outer(B, vhat), X, n, state.shifts[act] - t)
     res[act, 1] = _relative(np.multiply.outer(C, vhat), Y, n, state.shifts[act] - t)
     ok = (res[act] <= tol).all(axis=1)

@@ -177,12 +177,12 @@ class _Schur:
     that a solve takes or returns, and ``ds[k]`` is the place in it of D's
     k-th node in ``cols``, the order of S(s). ``k11`` is the SuperLU object
     of ``K11 = K[I, I]`` for ``K = (J - sE)[cols][:, cols]`` (None when I is
-    empty), and ``k12``, ``k21`` are ``K[I, D]`` and ``K[D, I]`` with D in
-    natural order. ``const_max`` is the largest |entry| of K that no shift
-    moves, and ``dyn`` holds J's entries at E's ones.
+    empty), and ``k12``, ``k21t`` are ``K[I, D]`` and ``K[D, I]^T`` (as lifts
+    use them) with D in natural order. ``const_max`` is the largest |entry|
+    of K that no shift moves, and ``dyn`` holds J's entries at E's ones.
     """
 
-    __slots__ = ("cols", "ni", "dnodes", "ds", "k11", "k12", "k21", "const_max", "dyn", "_u_max")
+    __slots__ = ("cols", "ni", "dnodes", "ds", "k11", "k12", "k21t", "const_max", "dyn", "_u_max")
 
     def __init__(self, cols, a, adiag, k11=None):
         """For ``a, adiag = _in_order(J, ndyn, cols)``, which is not kept."""
@@ -191,7 +191,7 @@ class _Schur:
         dn = np.argsort(cols[ni:])
         self.dnodes, self.ds = cols[ni:][dn], np.argsort(dn)
         self.k12 = a[:ni, ni:][:, dn]
-        self.k21 = a[ni:, :ni][dn]
+        self.k21t = a[ni:, :ni][dn].T
         const = np.ones(a.nnz, dtype=bool)
         const[adiag] = False
         self.const_max = float(np.abs(a.data[const]).max(initial=0.0))
@@ -215,7 +215,7 @@ class _Schur:
         N = self.cols.size
         if b.shape != (N,):
             raise ValueError(f"right-hand side has shape {b.shape}, expected ({N},)")
-        off, trans = (self.k12.T, "T") if transposed else (self.k21, "N")
+        off, trans = (self.k12.T, "T") if transposed else (self.k21t.T, "N")
         z = self.k11.solve(b[self.cols[: self.ni]], trans=trans) if self.ni else b[:0]
         return b[self.dnodes] - off @ z, z
 
@@ -226,7 +226,7 @@ class _Schur:
         x = np.empty((self.cols.size,) + xd.shape[1:], dtype=np.complex128)
         x[self.dnodes] = xd
         if self.ni:
-            off, trans = (self.k21.T, "T") if transposed else (self.k12, "N")
+            off, trans = (self.k21t, "T") if transposed else (self.k12, "N")
             x[self.cols[: self.ni]] = self.k11.solve(bi - off @ xd, trans=trans)
         return x
 
