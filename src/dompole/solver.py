@@ -396,20 +396,22 @@ def _relative(R, V, n, shift):
 
 
 def check_convergence(sys, state, new_shifts, tol):
-    """Relative residuals ``||(J - t_j E) x_j|| / ||x_j||`` and ``||(J^T - t_j
-    E) y_j|| / ||y_j||`` of the active columns against the new shifts t.
+    """Relative residuals of the active columns against the new shifts t:
+    ``||S(t_j) x_j|| / ||x_j||`` and ``||S(t_j)^T y_j|| / ||y_j||`` on D's
+    rows, and ``||(J - t_j E) x_j|| / ||x_j||`` and its transpose on all N
+    rows for the columns that pass there.
 
     They use the vectors of the previous sweep, so convergence costs no extra
     solve. Only ``refresh_columns`` writes active columns, so each is the
-    normalized resolvent solve at its shift s_j, and on D's rows ``S(t_j)
-    x_j = g_B vhat_j + (s_j - t_j) E x_j`` (likewise g_C, y_j), whose rows
-    below n enter by their norm |vhat_j| ||g_B[n:]||. Pairs both at or below
-    tol are lifted to all N rows once, into ``state.lifted``, and taken
-    again from one ``J X`` and one ``J^T Y`` product over those columns
-    alone. It stores the residuals in ``state.final_residuals`` (locked
-    columns keep theirs), a copy in ``state.residual_history``, and returns
-    the columns that pass both, with their two-sided quotients ``(y^T J x)
-    / (y^T E x)``.
+    normalized resolvent solve at its shift s_j, and ``S(t_j) x_j = g_B
+    vhat_j + (s_j - t_j) E_D x_j`` (likewise g_C, y_j), whose rows below n
+    enter by their norm |vhat_j| ||g_B[n:]||. Pairs both at or below tol are
+    lifted to all N rows once, into ``state.lifted``, and taken again from
+    one ``J X`` and one ``J^T Y`` product over those columns alone. It
+    stores the residuals in ``state.final_residuals`` (locked columns keep
+    theirs), a copy in ``state.residual_history``, and returns the columns
+    that pass both, with their two-sided quotients ``(y^T J x) / (y^T E
+    x)``.
     """
     act = state.active_indices()
     n, vhat, res = sys.ndyn, 1.0 / state.normalizers[act], state.final_residuals
