@@ -385,12 +385,18 @@ def test_hunt_on_the_condensed_system_matches_the_dense_oracle():
         assume(dec.basis_condition <= 1e4 and report.poles)
         ni, d0 = system.ordered_j.schur.ni, system.condensed[2]
         assert (d0 != 0) == (ni > 0)
-        seen.add("all dynamic" if n == N else "I and d0" if ni else "I empty")
         table = residues(ss, dec)
         Jd = system.J.to_scipy().toarray()
         J2, J3, J4 = Jd[:n, n:], Jd[n:, :n], Jd[n:, n:]
         for pole in report.poles:
             k = int(np.argmin(np.abs(table.eigenvalues - pole.eigenvalue)))
+            # next to an eigenvalue a gap away, a column locked at tol carries
+            # errors of about tol^2 / gap in its pole and tol / gap in its
+            # residue and vectors, which these bounds leave to other tests
+            gaps = np.delete(np.abs(table.eigenvalues - table.eigenvalues[k]), k)
+            if gaps.min(initial=1.0) < 0.05:
+                continue
+            seen.add("all dynamic" if n == N else "I and d0" if ni else "I empty")
             assert abs(table.eigenvalues[k] - pole.eigenvalue) <= 1e-8 * abs(table.eigenvalues[k])
             assert abs(table.residues[k] - pole.residue) <= 1e-3 * abs(table.residues[k])
             # the pencil's eigenvectors from A's: the algebraic rows of
