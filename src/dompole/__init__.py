@@ -15,7 +15,6 @@ from .descriptor import (
     StateSpaceSystem,
     VanishingNormalizerError,
     eval_transfer,
-    lifted_vectors,
     load_manifest,
     load_system,
     normalized_vectors,
@@ -92,7 +91,6 @@ __all__ = [
     "factorize",
     "full_spectrum",
     "init_shifts",
-    "lifted_vectors",
     "load_manifest",
     "load_system",
     "match_shifts",

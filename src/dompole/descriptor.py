@@ -42,7 +42,6 @@ __all__ = [
     "reduce_to_state_space",
     "eval_transfer",
     "normalized_vectors",
-    "lifted_vectors",
     "load_manifest",
     "save_manifest",
     "load_system",
@@ -314,7 +313,7 @@ def normalized_vectors(sys, s, min_normalizer=0.0):
         nu   = C^T (J - sE)^-1 B = d0 + g_C^T S(s)^-1 g_B,
 
     in D's natural order, E's ones first: ``S(s)^-1 g_B / nu`` and ``S(s)^-T
-    g_C / nu``, from one LU of S(s) and no K11 solve (``lifted_vectors`` makes
+    g_C / nu``, from one LU of S(s) and no K11 solve (``_lifted_vectors`` makes
     all N rows). Raises VanishingNormalizerError when ``|nu| <=
     min_normalizer`` (or nu is exactly zero): a transmission zero near s.
     """
@@ -331,7 +330,7 @@ def normalized_vectors(sys, s, min_normalizer=0.0):
     return xraw / nu, yraw / nu, nu
 
 
-def lifted_vectors(sys, V, nu, transposed=False):
+def _lifted_vectors(sys, V, nu, transposed=False):
     """All N rows of ``normalized_vectors``' columns (or a block of them) from
     their D rows V and normalizers nu: ``x_I = K11^-1 (B_I / nu - K12 x_D)``,
     or C and the transposes when transposed, one K11 solve per column."""

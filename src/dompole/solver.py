@@ -5,13 +5,14 @@ active shift s_j, the two systems ``(J - s_j E) x = B`` and
 ``(J - s_j E)^T y = C`` (one factorization each), normalizes both solutions
 by ``nu_j = C^T (J - s_j E)^-1 B``, and collects the columns into blocks
 X and Y; ``refresh_columns`` moves a shift that collides, sits on an
-eigenvalue or on a transmission zero, and refuses a structurally singular
-J - sE outright. The iteration runs on the condensed system: X and Y hold
-only the rows of the set D that the shifts reach, ``S(s)^-1 g_B / nu`` and
-``S(s)^-T g_C / nu`` (see ``descriptor.normalized_vectors``), whose first
-``ndyn`` rows are E's ones. Writing W, V for those dynamic-row blocks of Y,
-X, the normalization gives ``W^T b = w = 1 - kappa vhat``, so the projected
-pencil assembles without ever touching the state matrix:
+eigenvalue or on a transmission zero, and ``ShiftState.start`` refuses a
+structurally singular J - sE outright. The iteration runs on the condensed
+system: X and Y hold only the rows of the set D that the shifts reach,
+``S(s)^-1 g_B / nu`` and ``S(s)^-T g_C / nu`` (see
+``descriptor.normalized_vectors``), whose first ``ndyn`` rows are E's ones.
+Writing W, V for those dynamic-row blocks of Y, X, the normalization gives
+``W^T b = w = 1 - kappa vhat``, so the projected pencil assembles without
+ever touching the state matrix:
 
     G = W^T A V = (W^T V) S + w vhat^T,   F = (W^T V)^-1 G,
     S = diag(shifts),   vhat_j = 1 / nu_j,   kappa = C_a^T J4^-1 B_a.
@@ -34,7 +35,7 @@ quadratically near one.
 
 Residuals come from the resolvent identity of the condensed system,
 ``S(t) x_j = g_B vhat_j + (s_j - t) E_D x_j``. A column that passes there
-is lifted to all N rows (``descriptor.lifted_vectors``), checked against J
+is lifted to all N rows (``descriptor._lifted_vectors``), checked against J
 itself and locks at its two-sided Rayleigh quotient ``(y^T J x) / (y^T E x)``,
 DPA's Newton update, quadratically accurate in the residual. With vhat_j =
 0, column j of G is ``lambda_j W^T V e_j``, so both steps work on the
@@ -49,7 +50,11 @@ column whose shift comes within ``_CONJUGATE_RADIUS |lambda|`` of a
 conj(lambda) that no column holds locks there with those conjugated vectors
 ("conjugate-locked") instead of factoring its way to it. A column whose
 shift returns to where it was two sweeps earlier, for two sweeps running,
-is moved to the midpoint of its orbit ("two-cycle").
+is moved to the midpoint of its orbit ("two-cycle"). A column whose best
+residual has not fallen for ``_STALL_SWEEPS`` sweeps leaves the coupled
+update for one sweep ("stalled"): under dpse it takes DPA's Newton step on
+its own, ``s_j + vhat_j w_j / (W^T V)_jj``, and under ddpse its eigenvalue
+of the pencil.
 """
 
 from __future__ import annotations
@@ -61,8 +66,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .descriptor import VanishingNormalizerError, lifted_vectors, normalized_vectors
-from .sparsela import SingularMatrixError, StructurallySingularError, dense_eig
+from .descriptor import VanishingNormalizerError, _lifted_vectors, normalized_vectors
+from .sparsela import SingularMatrixError, dense_eig
 
 __all__ = [
     "SolverError",
@@ -110,6 +115,9 @@ _SINGULAR_NUDGE = 1e-11
 # for two sweeps running, is in a period-2 orbit.
 _CONJUGATE_RADIUS = 5e-2
 _TWO_CYCLE_RATIO = 0.1
+# A column whose best residual has not fallen for _STALL_SWEEPS sweeps is
+# stalled, and takes one value from outside the coupled update.
+_STALL_SWEEPS = 8
 # Two reported poles closer than this, relative, are conjugate duplicates.
 _DUPLICATE_RTOL = 1e-6
 
@@ -154,9 +162,11 @@ class ShiftState:
     vectors made mid-run and kept to its end fragment the heap (about 10%
     more peak memory on the benchmark's grid). ``final_residuals``
     holds each column's last checked residual pair (its locking one once
-    converged). ``iter`` is the current sweep (0 before the first), and
-    ``events`` collects every intervention of the run, each stamped with the
-    sweep it happened in. ``trajectories`` holds the shift tuple after each
+    converged), and ``best_residual`` an active column's smallest checked
+    residual (the larger of its pair) since it started or last stalled,
+    reached in sweep ``best_sweep``. ``iter`` is the current sweep (0 before
+    the first), and ``events`` collects every intervention of the run, each
+    stamped with the sweep it happened in. ``trajectories`` holds the shift tuple after each
     sweep (the first after the initial solves) and ``residual_history`` the
     residual pairs of each check; ``t0`` is the ``perf_counter`` start and
     ``lock_time`` each column's seconds from it to its lock.
@@ -171,6 +181,8 @@ class ShiftState:
     final_residuals: np.ndarray
     lock_time: np.ndarray
     lifted: np.ndarray
+    best_residual: np.ndarray
+    best_sweep: np.ndarray
     ndyn: int
     iter: int = 0
     events: list = field(default_factory=list)
@@ -193,6 +205,8 @@ class ShiftState:
             final_residuals=np.full((p, 2), np.nan),
             lock_time=np.zeros(p),
             lifted=np.empty((2, p, sys.order), dtype=np.complex128),
+            best_residual=np.full(p, np.inf),
+            best_sweep=np.zeros(p, dtype=np.int64),
             ndyn=sys.ndyn,
         )
 
@@ -263,7 +277,8 @@ def refresh_columns(sys, state):
     p + 4 and _MAX_NORMALIZER_KICKS; ``singular-shift`` (a numerically
     singular LU) gets the nudge, then one kick, at most 2. One move more
     raises SolverError. A structurally singular J - sE, which no shift
-    cures, raises StructurallySingularError on the first try.
+    cures, never gets here: ``ShiftState.start`` orders the pencil and
+    raises StructurallySingularError.
     """
     act = state.active_indices()
     # a column gets its own collision test only if this screen flags it or a shift has moved
@@ -280,8 +295,6 @@ def refresh_columns(sys, state):
                 try:
                     x, y, nu = normalized_vectors(sys, s, min_normalizer=_COLLISION_EPS)
                     break
-                except StructurallySingularError:
-                    raise
                 except SingularMatrixError:
                     kind = "singular-shift"
                 except VanishingNormalizerError:
@@ -425,7 +438,7 @@ def check_convergence(sys, state, new_shifts, tol):
     lam = np.zeros(0, dtype=np.complex128)
     if ok.any():
         cols, nu = act[ok], state.normalizers[act[ok]]
-        x, y = lifted_vectors(sys, X[:, ok], nu), lifted_vectors(sys, Y[:, ok], nu, True)
+        x, y = _lifted_vectors(sys, X[:, ok], nu), _lifted_vectors(sys, Y[:, ok], nu, True)
         JX = sys.J.matvec(x)
         yjx = np.einsum("ij,ij->j", y, JX)
         res[cols, 0] = _relative(JX, x, n, -t[ok])
@@ -592,6 +605,37 @@ def _break_two_cycles(state):
         _event(state, j, "two-cycle", mid)
 
 
+def _restart_stalled(sys, state, new_shifts, method):
+    """Give each active column whose best residual (the larger of its pair)
+    has not fallen for _STALL_SWEEPS sweeps another value than its coupled
+    one in new_shifts, and start its count again.
+
+    Under dpse, whose pencil sweep left the column orbiting (on the feeder,
+    within a cluster of real poles), it takes DPA's Newton step on its own
+    vectors, ``s_j + vhat_j w_j / (W^T V)_jj``, the pencil sweep at p = 1,
+    which converges quadratically near a pole. Under ddpse, whose diag(F)
+    is accurate for column j only while the other active columns sit near
+    eigenvalues too, it takes its eigenvalue of the pencil, as dpse would.
+    """
+    act = state.active_indices()
+    r = state.final_residuals[act].max(axis=1)
+    better = r < state.best_residual[act]
+    state.best_residual[act[better]] = r[better]
+    state.best_sweep[act[better]] = state.iter
+    stalled = act[state.iter - state.best_sweep[act] >= _STALL_SWEEPS]
+    if method == "ddpse" and stalled.size:
+        new_shifts[stalled] = dpse_step(sys, state)[stalled]
+    elif stalled.size:
+        n = sys.ndyn
+        for j in stalled:
+            vhat, wtv = 1.0 / state.normalizers[j], state.Y[:n, j] @ state.X[:n, j]
+            if wtv != 0:  # else the column keeps its sweep's value
+                new_shifts[j] = state.shifts[j] + vhat * (1.0 - sys.kappa * vhat) / wtv
+    for j in stalled:
+        _event(state, j, "stalled", new_shifts[j])
+    state.best_residual[stalled], state.best_sweep[stalled] = np.inf, state.iter
+
+
 def _lock_conjugates(state):
     """For a real system: lock each active column whose shift lies within
     _CONJUGATE_RADIUS |lambda| of conj(lambda), for a locked complex pole
@@ -648,6 +692,7 @@ def run(sys, config, initial_shifts=None):
                 _event(state, j, "duplicate-deferred", lam)
                 continue
             deflate(state, j, lam)
+        _restart_stalled(sys, state, new_shifts, config.method)
         act = state.active_indices()
         state.shifts[act] = new_shifts[act]
         _break_two_cycles(state)

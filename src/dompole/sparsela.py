@@ -210,11 +210,7 @@ class _Schur:
         """``(g, z)`` for b of ``(J - sE) x = b`` in natural order: ``z = K11^-1
         b_I`` in K11's order and ``g = b_D - K21 z`` in D's, so that ``x_D =
         S(s)^-1 g`` at every shift; ``K11^-T`` and ``K12^T`` for the
-        transpose. A b of any shape but ``(N,)`` raises ValueError."""
-        b = np.asarray(b, dtype=np.complex128)
-        N = self.cols.size
-        if b.shape != (N,):
-            raise ValueError(f"right-hand side has shape {b.shape}, expected ({N},)")
+        transpose."""
         off, trans = (self.k12.T, "T") if transposed else (self.k21t.T, "N")
         z = self.k11.solve(b[self.cols[: self.ni]], trans=trans) if self.ni else b[:0]
         return b[self.dnodes] - off @ z, z
@@ -433,7 +429,9 @@ class Factorization:
     __slots__ = ("lu", "schur", "max_abs")
 
     def __init__(self, lu, schur, max_abs):
-        self.lu, self.schur, self.max_abs = lu, schur, max_abs
+        self.lu = lu
+        self.schur = schur
+        self.max_abs = max_abs
 
     @property
     def pivot_growth(self):

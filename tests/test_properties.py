@@ -17,7 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 from dompole.descriptor import (  # noqa: E402
     DescriptorSystem,
     eval_transfer,
-    lifted_vectors,
+    _lifted_vectors,
     normalized_vectors,
     reduce_to_state_space,
 )
@@ -346,8 +346,8 @@ def test_condensed_solves_match_dense_solves():
         assert np.array_equal(base.schur.dnodes[:n], np.arange(n))
         close(xcol, x[base.schur.dnodes] / nu)
         close(ycol, y[base.schur.dnodes] / nu)
-        close(lifted_vectors(system, xcol, got_nu), x / nu)
-        close(lifted_vectors(system, ycol, got_nu, transposed=True), y / nu)
+        close(_lifted_vectors(system, xcol, got_nu), x / nu)
+        close(_lifted_vectors(system, ycol, got_nu, transposed=True), y / nu)
         close(np.array([eval_transfer(system, s).value]), np.array([system.D - nu]))
         rhs = np.random.default_rng(N).standard_normal(N) + 1j
         got = whole_solve(factorize(shifted(base, s)), rhs, transposed=True)

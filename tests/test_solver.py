@@ -7,7 +7,7 @@ from dompole.descriptor import (
     DescriptorSystem,
     StateSpaceSystem,
     VanishingNormalizerError,
-    lifted_vectors,
+    _lifted_vectors,
     reduce_to_state_space,
 )
 from dompole.generator import build_system, sample_spectrum
@@ -262,8 +262,8 @@ class TestCheckConvergence:
         cols, lams = check_convergence(sys, state, new, 1e-5)
         assert not cols.size and not lams.size
         assert widths == [1, 1]  # one product each way, over column 0 alone
-        x = lifted_vectors(sys, state.X[:, 0], state.normalizers[0])
-        y = lifted_vectors(sys, state.Y[:, 0], state.normalizers[0], transposed=True)
+        x = _lifted_vectors(sys, state.X[:, 0], state.normalizers[0])
+        y = _lifted_vectors(sys, state.Y[:, 0], state.normalizers[0], transposed=True)
         rx, ry = Jd @ x, Jd.T @ y
         rx[:n] -= new[0] * x[:n]
         ry[:n] -= new[0] * y[:n]
@@ -285,7 +285,7 @@ class TestCheckConvergence:
         for j, lam in zip(cols, lams):
             # the lifted columns, whose D rows are X's and Y's
             x, y = state.lifted[:, j]
-            assert_allclose(x, lifted_vectors(sys, state.X[:, j], state.normalizers[j]))
+            assert_allclose(x, _lifted_vectors(sys, state.X[:, j], state.normalizers[j]))
             rx, ry = Jd @ x, Jd.T @ y
             rx[:n] -= new[j] * x[:n]
             ry[:n] -= new[j] * y[:n]
@@ -608,7 +608,7 @@ class TestRun:
                 return getattr(self.lu, name)
 
         k11, lifted = CountingK11(sc.k11), {"N": 0, "T": 0}
-        refresh, lift = solver.refresh_columns, solver.lifted_vectors
+        refresh, lift = solver.refresh_columns, solver._lifted_vectors
 
         def counted_refresh(sys, state):
             before = dict(k11.columns)
@@ -621,7 +621,7 @@ class TestRun:
 
         monkeypatch.setattr(sc, "k11", k11)
         monkeypatch.setattr(solver, "refresh_columns", counted_refresh)
-        monkeypatch.setattr(solver, "lifted_vectors", counted_lift)
+        monkeypatch.setattr(solver, "_lifted_vectors", counted_lift)
         report = run(sys, SolverConfig(p=4), spec[[0, 2, 4, 6]] + 0.1 + 0.05j)
         conjugates = sum(e["kind"] == "conjugate-locked" for e in report.events)
         assert 0 < report.converged_count - conjugates <= lifted["N"] == lifted["T"]
@@ -951,6 +951,40 @@ class TestConjugateLock:
         mid = (a + b) / 2
         assert complex(cycles[0]["shift_re"], cycles[0]["shift_im"]) == mid
         assert report.trajectories[3][0] == mid
+
+    @pytest.mark.parametrize("method", ["dpse", "ddpse"])
+    def test_stalled_column_leaves_the_coupled_update(self, monkeypatch, method):
+        # both columns walk a three-cycle, which the two-cycle rule does not
+        # catch, so their best residuals stop falling within three sweeps
+        orbit = np.array(
+            [[-1.5 + 0.5j, -0.3 + 0.2j], [-2.5 + 0.3j, -0.6 + 1.4j], [-0.7 + 0.9j, -2.2 - 0.4j]]
+        )
+        pencil = solver.dpse_step
+        monkeypatch.setattr(
+            solver, f"{method}_step", lambda sys, state: orbit[state.iter % 3].copy()
+        )
+        system, k = pair_system(), solver._STALL_SWEEPS
+        report = run(system, SolverConfig(method=method, p=2, max_iter=3 + 3 * k), orbit[0])
+        assert not report.all_converged
+        history = np.array(report.residual_history).max(axis=2)
+        for j in (0, 1):
+            stalls = [
+                e["iteration"] for e in report.events
+                if e["kind"] == "stalled" and e["column"] == j
+            ]
+            # the count starts again after each stall
+            assert stalls[:1] == [1 + int(np.argmin(history[:3, j])) + k]
+            assert stalls[1] > stalls[0] + k
+            # from the vectors at the shifts before it: DPA's Newton step on
+            # the column's own vectors under dpse, its pencil eigenvalue under ddpse
+            it = stalls[0]
+            state = prepared_state(system, report.trajectories[it - 1])
+            if method == "dpse":
+                vhat = 1.0 / state.normalizers[j]
+                want = state.shifts[j] + vhat / (state.Y[:3, j] @ state.X[:3, j])
+            else:
+                want = pencil(system, state)[j]
+            assert_allclose(report.trajectories[it][j], want, rtol=1e-12)
 
 
 class TestSequencesAgainstOracle:

@@ -811,8 +811,6 @@ class TestCondensation:
             want = np.linalg.solve(A.T if transposed else A, rhs)
             got = factorize(shifted(base, s)).solve(g, transposed=transposed)
             assert_allclose(got, want[sc.dnodes], rtol=1e-10, atol=1e-12 * np.abs(want).max())
-        with pytest.raises(ValueError, match=re.escape(f"expected ({rhs.size},)")):
-            sc.condense(rhs[1:], transposed)
 
     def test_one_splu_of_the_schur_order_per_shift(self, monkeypatch):
         J, n, rhs = mesh_system(1)
