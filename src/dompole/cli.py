@@ -134,6 +134,8 @@ def cmd_tf(args):
 
     table = None
     if args.compare_modal is not None:
+        if args.compare_modal < 0:
+            raise ValueError(f"--compare-modal must be at least 0, got {args.compare_modal}")
         ss = reduce_to_state_space(system)
         table = residues(ss)
 

@@ -15,6 +15,7 @@ side never forms A; it works through solves with ``J - sE``.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -81,8 +82,11 @@ class DescriptorSystem:
         N, ncols = self.J.to_scipy().shape
         if N != ncols:
             raise ValueError("J must be square")
+        if isinstance(self.ndyn, bool) or not isinstance(self.ndyn, numbers.Integral):
+            raise ValueError(f"ndyn must be an integer, got {self.ndyn!r}")
         if not 1 <= self.ndyn <= N:
             raise ValueError(f"ndyn must lie in [1, {N}], got {self.ndyn}")
+        object.__setattr__(self, "ndyn", int(self.ndyn))
         object.__setattr__(self, "B", np.ascontiguousarray(self.B, dtype=np.complex128))
         object.__setattr__(self, "C", np.ascontiguousarray(self.C, dtype=np.complex128))
         object.__setattr__(self, "D", complex(self.D))

@@ -8,33 +8,34 @@ the solver shifts are complex, and a single complex path avoids duplicated
 real/complex kernels.
 
 The pattern of ``J - sE`` does not depend on s, and only E's ones move with
-it. ``ordered(J, ndyn)`` does the work all shifts share, once:
+it. ``ordered(J, ndyn)`` does the work all shifts share, once, from one
+SuperLU factorization of ``K = J - s*E`` at a fixed shift s* away from 0,
+where J itself may be singular:
 
-- It orders the rows and columns of ``J - sE`` symmetrically by the
-  minimum-degree order of the pattern of ``A + A^T``, from one SuperLU
-  factorization of generic values in ``SymmetricMode``. A pattern whose
-  ``structural_rank`` is short raises StructurallySingularError (a
-  SingularMatrixError that no shift can cure) before any SuperLU call.
-- It splits the rows and columns in two. The dependent set D holds every
-  node that a shifted entry reaches in the filled graph of that
-  factorization's L + U (an edge k -> j, k < j, where ``L[j, k]`` or
+- A pattern whose ``structural_rank`` is short raises
+  StructurallySingularError (a SingularMatrixError that no shift can cure)
+  before any SuperLU call.
+- That LU orders the rows and columns symmetrically by the minimum-degree
+  order of the pattern of ``A + A^T``, in ``SymmetricMode``.
+- The dependent set D holds every node that a shifted entry reaches in the
+  filled graph of its L + U (an edge k -> j, k < j, where ``L[j, k]`` or
   ``U[k, j]`` is stored). The rest, the shift-invariant set I, is
   eliminated without meeting a shifted entry. The order ``cols`` puts I
-  first and D after it, each in its minimum-degree order, which keeps the
+  first and D after it, each in the minimum-degree order, which keeps the
   fill.
-- With ``K = J - sE`` in that order and ``K11 = K[I, I]``, it factors K11
-  and builds ``S0 = K22 - K21 K11^-1 K12``, the Schur complement at s = 0,
-  from the factors of one LU of K, whose I rows and columns hold no
-  shifted entry. That LU is taken at a fixed shift away from 0, where J
-  itself may be singular. The shifts only move E's ones in S0:
-  ``S(s) = S0 - s E_D``.
+- With K in that order and ``K11 = K[I, I]``, the Schur complement at
+  s = 0 is ``S0 = K22 - K21 K11^-1 K12``. No step of D reaches a later step
+  of I, so ``K21 K11^-1 K12`` is the product of L's D rows and U's D
+  columns over I's steps, read off the same LU. Then K11 is factored
+  alone. The shifts only move E's ones in S0: ``S(s) = S0 - s E_D``.
 
 On the benchmark's 9,800-order grid, I holds 7,435 nodes; S0 has order
 2,365 and its LU a quarter of the whole matrix's factor entries. I is
 empty, and the whole matrix is factored for each shift, when ``ndyn = 0``,
-when every node depends on a shift, or when K11 is singular, that one LU
-pivots across the partition or either LU fails a probe of its backward
-stability. ``ordered`` returns ``J - sE`` at s = 0 as a ``ShiftedMatrix``,
+when every node depends on a shift, or when that LU meets an exactly zero
+pivot (then in the natural order), pivots a row of I on a step of D, or
+fails a probe of its backward stability, or K11's LU does either.
+``ordered`` returns ``J - sE`` at s = 0 as a ``ShiftedMatrix``,
 whose ``csc`` is S0 and whose ``schur`` keeps the rest; ``shifted`` makes
 each ``S(s)`` from it with one copy and one subtraction, a cancelled entry
 staying stored as a zero, and ``factorize`` factors only that, with which
@@ -107,12 +108,13 @@ SUPERLU_OPTIONS = {"relax": 1, "panel_size": 1, "diag_pivot_thresh": 0.01}
 
 # A solve by _accurate_solve whose normwise backward error exceeds this is
 # made again from an LU with partial pivoting; J - sE is not condensed when
-# a probe solve by K11's LU or the one S0 is read from exceeds it
+# a probe solve by K11's LU or the one of J - s*E exceeds it
 BACKWARD_RTOL = 1e-12
 
-# The shift of the one LU that S0 is read from. Its I rows and columns do
-# not depend on it; any shift at which SuperLU meets no exactly zero pivot
-# in D serves, so not s = 0, where J itself may be singular.
+# The shift s* of the one LU of J - s*E that ``ordered`` reads the order, D
+# and S0 from. Its I rows and columns do not depend on it; any shift at
+# which SuperLU meets no exactly zero pivot serves, so not s = 0, where J
+# itself may be singular.
 _SCHUR_SHIFT = 0.6180339887498949 + 1.4142135623730951j
 
 _EPS = np.finfo(float).eps
@@ -308,93 +310,72 @@ def ordered(J, ndyn):
 
     J is any scipy matrix or 2-D array, and E = diag(1,...,1,0,...,0) has
     ``ndyn`` ones. The pattern is J's nonzero entries plus an explicit zero
-    on each of E's diagonal positions. Its order comes from one
-    minimum-degree factorization of generic values on that pattern, whose
-    factors' pattern gives the shift-invariant set I; then K11 is factored
-    and S0 read off one LU of the reordered matrix (see the module
+    on each of E's diagonal positions. One minimum-degree LU of ``J - s*E``,
+    at the fixed shift ``s* = _SCHUR_SHIFT``, gives the order, the
+    shift-invariant set I and S0; then K11 is factored (see the module
     docstring). A structurally singular pattern raises
     StructurallySingularError before any factorization.
     """
     J = sp.csc_matrix(J, dtype=np.complex128)
     N = J.shape[0]
-    P, _ = _in_order(J, ndyn, np.arange(N))
-    rank = structural_rank(P)
+    K, kdiag = _in_order(J, ndyn, np.arange(N))
+    rank = structural_rank(K)
     if rank < N:
         raise StructurallySingularError(
             f"the matrix is structurally singular (structural rank {rank} < {N})"
         )
-    # complex values, like the shifted matrices', so that the factorizations
-    # after this one reuse its memory instead of raising the peak
-    rng = np.random.default_rng(0)
-    noise = rng.uniform(1.0, 2.0, P.nnz) + 1j * rng.uniform(1.0, 2.0, P.nnz)
-    generic = sp.csc_matrix((noise, P.indices, P.indptr), shape=(N, N))
-    del P, noise
-    lu = spla.splu(generic, permc_spec="MMD_AT_PLUS_A",
-                   options={"SymmetricMode": True}, **SUPERLU_OPTIONS)
-    del generic
+    K.data[kdiag] -= _SCHUR_SHIFT
+    try:
+        lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True},
+                       **SUPERLU_OPTIONS)
+    except RuntimeError:  # an exactly zero pivot
+        cols = np.arange(N, dtype=np.int32)
+        return _whole(cols, *_in_order(J, ndyn, cols))
+    # growth in I's part of that LU spoils S0, and in K11's g_B, g_C and the
+    # lifts; it shows in the backward error of a solve with a generic r
+    r = np.random.default_rng(1).uniform(1.0, 2.0, N).astype(np.complex128)
+    stable = ndyn > 0 and _backward_stable(K, lu.solve(r), r)
+    del K
     # with no shifted entry nothing moves with s, and nothing is condensed
     dep = _dependent(lu, ndyn) if ndyn else np.ones(N, dtype=bool)
     md = np.argsort(lu.perm_c)
     cols = np.r_[md[~dep], md[dep]].astype(np.int32)
     ni = N - int(np.count_nonzero(dep))
     a, adiag = _in_order(J, ndyn, cols)
-    k11 = None
-    if ni:
-        # K11's factors are kept, so they are made while the ordering's LU
-        # still holds its memory: SuperLU's spare capacity for them is then
-        # mapped afresh, and stays out of the resident set
-        try:
-            k11 = spla.splu(a[:ni, :ni], permc_spec="NATURAL", **SUPERLU_OPTIONS)
-        except RuntimeError:  # an exactly zero pivot
-            pass
-    del lu  # before the LU that S0 is read from
-    return _condensed(ndyn, cols, a, adiag, k11)
-
-
-def _condensed(ndyn, cols, a, adiag, k11=None):
-    """``ordered``'s result for ``a, adiag = _in_order(J, ndyn, cols)``:
-    condensed onto the rows and columns after K11's, or whole when there is
-    no K11, or the LU that S0 is read from pivots across the partition, or
-    either LU is not backward stable."""
-    if k11 is None:
-        return ShiftedMatrix(a, adiag, 0j, _Schur(cols, a, adiag))
-    ni = k11.shape[0]
-    N = a.shape[0]
-    k = _shift(a, adiag, _SCHUR_SHIFT)
-    try:
-        # SymmetricMode keeps SuperLU from postordering the columns
-        lu = spla.splu(k, permc_spec="NATURAL", options={"SymmetricMode": True},
-                       **SUPERLU_OPTIONS)
-        ok = (lu.perm_c == np.arange(N)).all() and (lu.perm_r[:ni] < ni).all()
-    except RuntimeError:  # an exactly zero pivot
-        ok = False
-    # growth in I's part of that LU spoils S0, and in K11's g_B, g_C and the
-    # lifts; it shows in the backward error of a solve with a generic r
-    r = np.random.default_rng(1).uniform(1.0, 2.0, N).astype(np.complex128)
-    ok = ok and _backward_stable(k, lu.solve(r), r)
-    ok = ok and _backward_stable(a[:ni, :ni], k11.solve(r[:ni]), r[:ni])
-    del k
-    if not ok:
-        return _condensed(ndyn, cols, a, adiag)
-    # with P2 the row swaps within D, P2 K21 = L21 U11 and P1 K12 = L11 U12,
-    # so K21 K11^-1 K12 = P2^T L21 U12: row p2[i] of L21 U12 is row i
-    back = np.argsort(lu.perm_r[ni:] - ni)
-    # scipy copies each factor out whole; one at a time, to hold the peak
-    u12 = lu.U[:ni, ni:]
-    l21 = lu.L[ni:, :ni]
-    del lu
+    # every row of I is pivoted on a step of I
+    if not (ni and stable and not dep[lu.perm_r[cols[:ni]]].any()):
+        return _whole(cols, a, adiag)
+    # No step of D reaches a later step of I, so L[I, D] and U[D, I] are
+    # zero, and K21 K11^-1 K12 = L[D, I] U[I, D] however I and D interleave,
+    # U's columns in D's order and L's rows D's nodes through perm_r. scipy
+    # copies each factor out whole; one at a time, to hold the peak.
+    u12 = lu.U[:, dep][~dep]
+    l21 = lu.L[:, ~dep][lu.perm_r[cols[ni:]]]
     prod = (l21 @ u12).tocoo()
     del l21, u12
     k22 = a[ni:, ni:].tocoo()
     nd = N - ni
     # summed in COO, so that K22's stored zeros at E's ones stay stored
     s0 = sp.csc_matrix(
-        (np.r_[k22.data, -prod.data], (np.r_[k22.row, back[prod.row]], np.r_[k22.col, prod.col])),
+        (np.r_[k22.data, -prod.data], (np.r_[k22.row, prod.row], np.r_[k22.col, prod.col])),
         shape=(nd, nd),
     )
-    del k22, prod
-    schur = _Schur(cols, a, adiag, k11)
-    return ShiftedMatrix(s0, _diagonal(s0, cols[ni:] < ndyn), 0j, schur)
+    # K11's LU is made in the memory of the one of J - s*E, which holds the
+    # first-use peak at N = 98,000 10 MB lower than with both held at once
+    del k22, prod, lu
+    try:
+        k11 = spla.splu(a[:ni, :ni], permc_spec="NATURAL", **SUPERLU_OPTIONS)
+    except RuntimeError:  # an exactly zero pivot
+        return _whole(cols, a, adiag)
+    if not _backward_stable(a[:ni, :ni], k11.solve(r[:ni]), r[:ni]):
+        return _whole(cols, a, adiag)
+    return ShiftedMatrix(s0, _diagonal(s0, cols[ni:] < ndyn), 0j, _Schur(cols, a, adiag, k11))
+
+
+def _whole(cols, a, adiag):
+    """``ordered``'s result when nothing is condensed, for ``a, adiag =
+    _in_order(J, ndyn, cols)``: the whole ``J - sE`` in the order cols."""
+    return ShiftedMatrix(a, adiag, 0j, _Schur(cols, a, adiag))
 
 
 def _backward_stable(A, x, r):

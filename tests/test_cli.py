@@ -234,6 +234,15 @@ class TestTf:
     def test_requires_sampling_mode(self, toy_manifest, capsys):
         assert main(["tf", str(toy_manifest)]) == 1
 
+    def test_negative_modal_term_count_rejected(self, toy_manifest, tmp_path, capsys):
+        # modal_reconstruct would clamp it to 0 and compare against d alone
+        out = tmp_path / "tf.csv"
+        code = main(["tf", str(toy_manifest), "--s", "1j", "--compare-modal", "-3",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --compare-modal must be at least 0, got -3\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_sweep_without_points_rejected(self, toy_manifest, tmp_path, capsys, points):
         out = tmp_path / "tf.csv"

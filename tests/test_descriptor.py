@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -346,6 +347,16 @@ class TestManifest:
         path.write_text(path.read_text() + edit + "\n")
         with pytest.raises(ManifestError, match=re.escape(f"{path}:7: {message}")):
             load_manifest(path)
+
+    @pytest.mark.parametrize("ndyn", [True, 2.5, np.float64(1.0)], ids=["bool", "float", "numpy-float"])
+    def test_non_integer_ndyn_is_refused(self, tmp_path, ndyn):
+        # such a count once failed only later, inside run, on a slice
+        path = self.write_toy(tmp_path)
+        man = dataclasses.replace(load_manifest(path), ndyn=ndyn)
+        with pytest.raises(ManifestError, match=re.escape(f"ndyn must be an integer, got {ndyn!r}")):
+            load_system(man)
+        sys = load_system(dataclasses.replace(man, ndyn=np.int64(1)))
+        assert type(sys.ndyn) is int and sys.ndyn == 1
 
     def test_missing_data_file(self, tmp_path):
         path = self.write_toy(tmp_path)

@@ -364,12 +364,12 @@ class TestCachedOrder:
         assert counts["factorize"] > 6
         ni = sys.ordered_j.schur.ni
         assert ni > 0
-        # for J - sE one ordering, one LU that S0 is read from and one of
-        # K11; one ordering for J4, whose one LU gives kappa = C_a^T J4^-1 B_a
-        # to both runs; and each shift factors only S(s), of order n + m - ni
-        assert counts["splu"] == counts["factorize"] + 4
+        # for J - sE one LU, which gives the order and S0, and one of K11;
+        # one ordering for J4, whose one LU gives kappa = C_a^T J4^-1 B_a to
+        # both runs; and each shift factors only S(s), of order n + m - ni
+        assert counts["splu"] == counts["factorize"] + 3
         assert orders.count(m) == 2
-        assert orders.count(ni) == 1 and orders.count(n + m) == 2
+        assert orders.count(ni) == 1 and orders.count(n + m) == 1
         assert orders.count(n + m - ni) == counts["factorize"] - 1
 
     def test_one_symmetric_ordering_per_matrix_and_ndyn(self, monkeypatch):
@@ -402,15 +402,14 @@ class TestCachedOrder:
         # J with ndyn = n, its algebraic block J4 (one order for run's kappa
         # and validate), and the plain matrix
         assert sorted(order for order, spec in specs if spec == "MMD_AT_PLUS_A") == [m, 7, n + m]
-        # J's condensation adds one LU of J - sE, which S0 is read from, and one of K11
+        # J's condensation adds one LU of K11 to the one that orders J - sE
         assert sys.ordered_j.schur.ni > 0
-        assert len(specs) == len(facs) + 5
+        assert len(specs) == len(facs) + 4
         assert all(spec in ("MMD_AT_PLUS_A", "NATURAL") for _, spec in specs)
         shared = {"relax": 1, "panel_size": 1, "diag_pivot_thresh": 0.01}
         symmetric = {**shared, "options": {"SymmetricMode": True}}
         assert [(order, spec) for order, spec, kw in options if kw == symmetric] == [
-            (n + m, "MMD_AT_PLUS_A"), (n + m, "NATURAL"),
-            (m, "MMD_AT_PLUS_A"), (7, "MMD_AT_PLUS_A"),
+            (n + m, "MMD_AT_PLUS_A"), (m, "MMD_AT_PLUS_A"), (7, "MMD_AT_PLUS_A"),
         ]
         assert all(kw == shared for _, _, kw in options if kw != symmetric)
 
@@ -596,9 +595,9 @@ class TestPivotGrowth:
         sys = DescriptorSystem(SparseMatrix.from_scipy(A), 1, np.arange(1.0, 5.0), np.ones(4))
         calls = recorded_splu(monkeypatch)
         h = descriptor.eval_transfer(sys, 0.0).value
-        # the ordering, the LU that S0 is read from, K11's and S(0)'s
+        # the one that orders J - sE, K11's and S(0)'s
         assert sys.ordered_j.schur.ni > 0
-        assert calls == [0.01, 0.01, 0.01, 0.01]
+        assert calls == [0.01, 0.01, 0.01]
         assert h == pytest.approx(-np.ones(4) @ np.linalg.solve(A, np.arange(1.0, 5.0)), rel=1e-14)
 
     def test_backward_error_past_the_bound_refactors_with_partial_pivoting(self, monkeypatch):
@@ -629,11 +628,11 @@ class TestPivotGrowth:
         sys = DescriptorSystem(SparseMatrix.from_scipy(J), 1, rhs, np.ones(6))
         calls = recorded_splu(monkeypatch)
         h = descriptor.eval_transfer(sys, 0.5).value
-        # the growth spoils the probe solve of the LU that S0 would be read
-        # from, so J - sE is not condensed: the ordering, K11's, that LU and
-        # the whole matrix's, and then the whole matrix's with partial pivoting
+        # the growth spoils the probe solve of the LU that orders J - sE, so
+        # it is not condensed and K11 is not factored: that LU, the whole
+        # matrix's, and then the whole matrix's with partial pivoting
         assert sys.ordered_j.schur.ni == 0
-        assert calls == [0.01, 0.01, 0.01, 0.01, 1.0]
+        assert calls == [0.01, 0.01, 1.0]
         A = J - 0.5 * np.diag([1.0, 0, 0, 0, 0, 0])
         M = shifted(sys.ordered_j, 0.5)
         assert backward_error(A, factorize(M).solve(rhs), rhs) > 10 * sparsela.BACKWARD_RTOL
@@ -727,8 +726,8 @@ class TestSolve:
 def pair_system(a11):
     """A dynamic hub, node 0, coupled to a pair 1, 2 whose block is
     ``[[a11, 1], [1, 1]]`` and to a clique 3..7. A minimum-degree order
-    takes the pair first, and no shifted entry reaches it, so the pair is I;
-    at ``a11 = 1`` that K11 is singular, although J is not."""
+    takes the pair first; at ``a11 = 1`` that block is singular, although J
+    is not."""
     A = np.zeros((8, 8))
     A[0, 0] = -1.0
     A[1:3, 1:3] = [[a11, 1.0], [1.0, 1.0]]
@@ -736,6 +735,17 @@ def pair_system(a11):
     A[1:3, 0] = [0.5, 2.0]
     A[3:, 3:] = 0.5 + 4.5 * np.eye(5)
     A[0, 3:] = A[3:, 0] = 1.0
+    return A
+
+
+def leaf_star(d):
+    """A dynamic node 0, a leaf 1 with diagonal d, a leaf 2 and a hub 3 that
+    they all couple to. A minimum-degree order takes 2, 1, 0 and then the
+    hub, which the dynamic node reaches, so the hub is in D. Leaf 1's pivot
+    d falls below 1% of the hub's entry in its column when d < 0.01, and the
+    hub's row is then pivoted on leaf 1's step, which stays in I."""
+    A = np.diag([-1.0, d, 2.0, 3.0])
+    A[:3, 3] = A[3, :3] = 1.0
     return A
 
 
@@ -775,24 +785,82 @@ class TestCondensation:
         assert h == pytest.approx(rhs.imag @ np.linalg.solve(-0.5 * E - dense, rhs.real), rel=1e-12)
 
     @pytest.mark.parametrize(
-        "dense, healthy, lus",
-        # the ordering and K11's, which meets an exactly zero pivot
-        [(pair_system(1.0), pair_system(2.0), 2),
-         # the leaves' pivots 0.005 fall below 1% of the hub's entries: the
-         # ordering, K11's, and the LU that S0 would be read from
-         (hub_first(arrowhead(3, 0.005)), hub_first(arrowhead(3, 0.5)), 3)],
-        ids=["singular-k11", "cross-partition-pivot"],
+        "dense, healthy",
+        # the leaf's row swaps with the hub's, a row of D on a step of I
+        [(leaf_star(0.005), leaf_star(0.5)),
+         # the leaves' pivots 0.005 fall below 1% of the dynamic hub's
+         # entries, and the hub's row, pivoted first, reaches every node
+         (hub_first(arrowhead(3, 0.005)), hub_first(arrowhead(3, 0.5)))],
+        ids=["row-of-d-on-a-step-of-i", "cross-partition-pivot"],
     )
-    def test_falls_back_to_the_whole_matrix(self, monkeypatch, dense, healthy, lus):
+    def test_falls_back_to_the_whole_matrix(self, monkeypatch, dense, healthy):
         assert ordered(healthy, 1).schur.ni > 0
         calls = recorded_splu(monkeypatch)
         base = ordered(dense, 1)
-        assert calls == [0.01] * lus
-        # no K11 is kept
+        # the one LU of J - s*E, and no K11's
+        assert calls == [0.01]
         assert base.schur.ni == 0 and base.schur.k11 is None
         assert_array_equal(base.csc.toarray(), in_order(base, dense))
         rhs = np.arange(1.0, dense.shape[0] + 1) + 0.5j
         assert_solves(base, dense, 1, [0.3 - 0.7j, 2.0], rhs)
+
+    def test_singular_pair_condenses_on_a_nonsingular_k11(self, monkeypatch):
+        # the order takes node 2 and then node 1, whose pivot is then exactly
+        # zero: the dynamic hub's row is pivoted on that step, which puts it
+        # in D, and I is node 2 alone, whose K11 = [1] is nonsingular
+        dense = pair_system(1.0)
+        calls = recorded_splu(monkeypatch)
+        base = ordered(dense, 1)
+        assert calls == [0.01, 0.01]
+        assert base.schur.ni == 1 and base.schur.k11.shape == (1, 1)
+        rhs = np.arange(1.0, 9.0) + 0.5j
+        assert_solves(base, dense, 1, [0.3 - 0.7j, 2.0], rhs)
+
+    def test_zero_pivot_in_k11_falls_back_to_the_whole_matrix(self, monkeypatch):
+        # the LU of J - s*E pivots I's rows on I's steps, so K11 is
+        # nonsingular and SuperLU meets no zero pivot in it; the fallback is
+        # kept, and made to fire here
+        dense = pair_system(2.0)
+        ni = ordered(dense, 1).schur.ni
+        splu = sparsela.spla.splu
+
+        def failing(A, **kwargs):
+            if A.shape == (ni, ni):
+                raise RuntimeError("Factor is exactly singular")
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(sparsela.spla, "splu", failing)
+        base = ordered(dense, 1)
+        assert base.schur.ni == 0 and base.schur.k11 is None
+        assert_solves(base, dense, 1, [0.3 - 0.7j], np.arange(1.0, 9.0) + 0.5j)
+
+    def test_singular_pencil_keeps_the_natural_order(self):
+        # two equal rows: J - sE is singular at every s, though its pattern
+        # is not, and its one LU meets an exactly zero pivot
+        J = np.array([[-1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        base = ordered(J, 1)
+        assert base.schur.ni == 0
+        assert_array_equal(base.schur.cols, np.arange(3))
+        assert_array_equal(base.csc.toarray(), J)
+        for s in (0.0, 0.3 - 0.7j):
+            with pytest.raises(SingularMatrixError):
+                whole_solve(factorize(shifted(base, s)), np.ones(3))
+
+    def test_one_lu_of_the_whole_order_plus_k11s(self, monkeypatch):
+        J, n, _ = mesh_system(0)
+        N = J.to_scipy().shape[0]
+        specs = []
+        splu = sparsela.spla.splu
+
+        def recorded(A, permc_spec=None, **kwargs):
+            specs.append((A.shape[0], permc_spec))
+            return splu(A, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(sparsela.spla, "splu", recorded)
+        base = ordered(J.to_scipy(), n)
+        ni = base.schur.ni
+        assert 0 < ni < N
+        assert specs == [(N, "MMD_AT_PLUS_A"), (ni, "NATURAL")]
 
     @pytest.mark.parametrize("transposed", [False, True])
     def test_condensed_right_hand_side_serves_every_shift(self, transposed):
