@@ -55,14 +55,17 @@ def main():
         return splu(*args, **kwargs)
 
     sparsela.spla.splu = counted
-    t0 = time.perf_counter()
-    system.condensed  # orders J - sE, reads S0 off it and condenses B and C
-    first_use_s = time.perf_counter() - t0
-    first_use_lus = lus
-    t0 = time.perf_counter()
-    report = dompole.run(system, SolverConfig(method="dpse", p=len(shifts)), initial_shifts=shifts)
-    run_s = time.perf_counter() - t0
-    sparsela.spla.splu = splu
+    try:
+        t0 = time.perf_counter()
+        system.condensed  # orders J - sE, reads S0 off it and condenses B and C
+        first_use_s = time.perf_counter() - t0
+        first_use_lus = lus
+        t0 = time.perf_counter()
+        config = SolverConfig(method="dpse", p=len(shifts))
+        report = dompole.run(system, config, initial_shifts=shifts)
+        run_s = time.perf_counter() - t0
+    finally:
+        sparsela.spla.splu = splu
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"N = {system.order}, ndyn = {ndyn}, schur_order = {system.ordered_j.csc.shape[0]}")
     print(f"first use {first_use_s:.3f} s, {first_use_lus} splu calls; run {run_s:.3f} s, "
