@@ -191,7 +191,7 @@ def cmd_bench(args):
         raise ValueError("empty method list")
     system = load_system(args.manifest)
     shifts, p = _resolve_shifts(args.shifts, args.p, complex(args.scale))
-    lines = ["method,k,re,im,iterations,cpu_s,dominance"]
+    lines = ["method,k,re,im,iterations,wall_s,dominance"]
     summaries = []
     for method in methods:
         config = SolverConfig(

@@ -92,6 +92,11 @@ class DescriptorSystem:
         object.__setattr__(self, "D", complex(self.D))
         if self.B.shape != (N,) or self.C.shape != (N,):
             raise ValueError("B and C must be vectors of length N")
+        # a NaN would surface far from here, as a singular shift or a NaN h(s)
+        for name, values in (("J", self.J.to_scipy().data), ("B", self.B), ("C", self.C),
+                             ("D", self.D)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} holds a value that is not finite")
         for name in ("B", "C"):
             if not getattr(self, name).any():
                 raise ValueError(f"{name} is all zero, so h(s) = D has no poles to find")

@@ -55,13 +55,24 @@ residual has not fallen for ``_STALL_SWEEPS`` sweeps leaves the coupled
 update for one sweep ("stalled"): under dpse it takes DPA's Newton step on
 its own, ``s_j + vhat_j w_j / (W^T V)_jj``, and under ddpse its eigenvalue
 of the pencil.
+
+A sweep's shifted solves do not depend on each other, and SuperLU's
+``splu`` releases the interpreter lock, so on W > 1 CPUs (the process's CPU
+affinity) ``run`` factors them side by side on W - 1 worker threads, when
+S(s) has an order of at least ``_POOL_MIN_ORDER``; below that the handoffs
+between threads cost more than the overlap saves. The walk over the columns
+stays the serial one and takes each column's vectors, which depend only on
+the system and the shift, in column order, so the report is the serial
+run's bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -120,6 +131,9 @@ _TWO_CYCLE_RATIO = 0.1
 _STALL_SWEEPS = 8
 # Two reported poles closer than this, relative, are conjugate duplicates.
 _DUPLICATE_RTOL = 1e-6
+# A run factors a sweep's shifts side by side only when S(s) has at least this
+# order: below it, handing an LU to another thread costs more than it saves.
+_POOL_MIN_ORDER = 1000
 
 
 class SolverError(RuntimeError):
@@ -267,7 +281,15 @@ def _nearest_taken(state, z, earlier=()):
     return np.abs(taken - z).min() if taken.size else math.inf
 
 
-def refresh_columns(sys, state):
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def refresh_columns(sys, state, pool=None):
     """Recompute the X/Y columns of every active shift, in column order.
 
     A shift the column cannot use is moved and tried again, one event per
@@ -279,12 +301,26 @@ def refresh_columns(sys, state):
     raises SolverError. A structurally singular J - sE, which no shift
     cures, never gets here: ``ShiftState.start`` orders the pencil and
     raises StructurallySingularError.
+
+    With a thread pool, the columns that the collision screen does not
+    flag are factored ahead on it, all but every W-th of them for W CPUs,
+    which this thread factors itself as the walk reaches them. The walk is
+    the serial one: a column's first attempt at its requested shift takes
+    the prefetched result, or its exception, in place of the call, and
+    every other attempt calls inline. A result depends only on the system
+    and the shift, so the columns, events and moves are the serial run's.
     """
     act = state.active_indices()
     # a column gets its own collision test only if this screen flags it or a shift has moved
     z, (later, earlier) = state.shifts[act], np.tril_indices(act.size, -1)
     screen = (np.abs(z[:, None] - state.shifts[state.converged]) <= _COLLISION_EPS).any(axis=1)
     screen[later[np.abs(z[later] - z[earlier]) <= _COLLISION_EPS]] = True
+    ahead = {}
+    if pool is not None:
+        free = np.flatnonzero(~screen)
+        for idx in free[np.arange(free.size) % _cpus() != 0].tolist():
+            ahead[idx] = pool.submit(normalized_vectors, sys, complex(z[idx]),
+                                     min_normalizer=_COLLISION_EPS)
     for idx, j in enumerate(act):
         s = requested = complex(state.shifts[j])
         moves = {}
@@ -293,12 +329,17 @@ def refresh_columns(sys, state):
                 kind = "collision"
             else:
                 try:
-                    x, y, nu = normalized_vectors(sys, s, min_normalizer=_COLLISION_EPS)
+                    if idx in ahead:
+                        x, y, nu = ahead.pop(idx).result()
+                    else:
+                        x, y, nu = normalized_vectors(sys, s, min_normalizer=_COLLISION_EPS)
                     break
                 except SingularMatrixError:
                     kind = "singular-shift"
                 except VanishingNormalizerError:
                     kind = "small-normalizer"
+            if idx in ahead:  # a collision moves the shift off the one it was prefetched at
+                ahead.pop(idx).cancel()
             k = moves[kind] = moves.get(kind, 0) + 1
             cap = {"collision": len(state.shifts) + 4, "singular-shift": 2,
                    "small-normalizer": _MAX_NORMALIZER_KICKS}[kind]
@@ -667,6 +708,11 @@ def run(sys, config, initial_shifts=None):
     Returns a RunReport whose ``poles`` list (sorted by dominance, most
     dominant first) holds the converged results; columns that hit max_iter
     are reported in ``unconverged`` instead of aborting the run.
+
+    On W > 1 CPUs, and when S(s) has an order of at least _POOL_MIN_ORDER,
+    the run holds a pool of W - 1 threads on which ``refresh_columns``
+    factors each sweep's shifts side by side; the report is the serial
+    run's, bit for bit.
     """
     shifts = init_shifts("fan" if initial_shifts is None else initial_shifts, config.p)
     if config.p > sys.ndyn:
@@ -676,32 +722,42 @@ def run(sys, config, initial_shifts=None):
     step = dpse_step if config.method == "dpse" else ddpse_step
 
     state = ShiftState.start(sys, shifts)
-    refresh_columns(sys, state)
-    state.trajectories.append(state.shifts.copy())
-
-    while state.iter < config.max_iter:
-        state.iter += 1
-        new_shifts = step(sys, state)
-        for j, lam in zip(*check_convergence(sys, state, new_shifts, config.tol)):
-            # lock at the frozen vectors' two-sided Rayleigh quotient; an exact
-            # duplicate of a locked eigenvalue would freeze two parallel columns
-            # into W^T V forever, so that column stays active for the collision
-            # machinery (a conjugate duplicate locks here too, but on a real
-            # system _lock_conjugates usually takes its column sweeps earlier)
-            if _nearest_taken(state, lam) <= _COLLISION_EPS:
-                _event(state, j, "duplicate-deferred", lam)
-                continue
-            deflate(state, j, lam)
-        _restart_stalled(sys, state, new_shifts, config.method)
-        act = state.active_indices()
-        state.shifts[act] = new_shifts[act]
-        _break_two_cycles(state)
-        if sys.is_real:
-            _lock_conjugates(state)
+    sys.condensed  # made here, so that no two threads race its cached_property
+    cpus = _cpus()
+    pool = None
+    if cpus > 1 and sys.ordered_j.csc.shape[0] >= _POOL_MIN_ORDER:
+        pool = ThreadPoolExecutor(cpus - 1)
+    try:
+        refresh_columns(sys, state, pool)
         state.trajectories.append(state.shifts.copy())
-        if state.all_converged:
-            break
-        refresh_columns(sys, state)
+
+        while state.iter < config.max_iter:
+            state.iter += 1
+            new_shifts = step(sys, state)
+            for j, lam in zip(*check_convergence(sys, state, new_shifts, config.tol)):
+                # lock at the frozen vectors' two-sided Rayleigh quotient; an exact
+                # duplicate of a locked eigenvalue would freeze two parallel columns
+                # into W^T V forever, so that column stays active for the collision
+                # machinery (a conjugate duplicate locks here too, but on a real
+                # system _lock_conjugates usually takes its column sweeps earlier)
+                if _nearest_taken(state, lam) <= _COLLISION_EPS:
+                    _event(state, j, "duplicate-deferred", lam)
+                    continue
+                deflate(state, j, lam)
+            _restart_stalled(sys, state, new_shifts, config.method)
+            act = state.active_indices()
+            state.shifts[act] = new_shifts[act]
+            _break_two_cycles(state)
+            if sys.is_real:
+                _lock_conjugates(state)
+            state.trajectories.append(state.shifts.copy())
+            if state.all_converged:
+                break
+            refresh_columns(sys, state, pool)
+    finally:
+        # neither a return nor an error leaves work or a thread behind
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     poles = []
     for j in np.flatnonzero(state.converged):

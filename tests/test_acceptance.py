@@ -307,7 +307,7 @@ def test_criterion_10_desk_scale_end_to_end(tmp_path, capsys):
     )
     assert code == 0
     lines = bench_path.read_text().splitlines()
-    assert lines[0] == "method,k,re,im,iterations,cpu_s,dominance"
+    assert lines[0] == "method,k,re,im,iterations,wall_s,dominance"
     blocks = {line.split(",")[0] for line in lines[1:] if not line.startswith("#")}
     assert blocks == {"dpse", "ddpse"}
     _pass(10, f"fan-started run recovered {len(matched)} true eigenvalues; "

@@ -57,6 +57,22 @@ def test_all_zero_b_or_c_rejected(name):
         DescriptorSystem(J=J, ndyn=2, **vectors)
 
 
+@pytest.mark.parametrize("bad", [np.nan, complex(1.0, np.inf)], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["J", "B", "C", "D"])
+def test_non_finite_input_rejected(name, bad):
+    # a NaN in J, B or C once surfaced in run as a singular shift that two
+    # moves did not cure, and D = nan as a NaN h(s) with no error at all
+    parts = {"J": np.diag([-1.0, -3.0]).astype(complex), "B": np.ones(2, complex),
+             "C": np.ones(2, complex), "D": 0j}
+    if name == "D":
+        parts["D"] = bad
+    else:
+        parts[name].flat[1 if name == "J" else 0] = bad
+    J = SparseMatrix.from_scipy(parts.pop("J"))
+    with pytest.raises(ValueError, match=f"^{name} holds a value that is not finite"):
+        DescriptorSystem(J=J, ndyn=2, **parts)
+
+
 class TestValidate:
     def test_toy_report(self):
         rep = validate(toy_system())
@@ -357,6 +373,11 @@ class TestManifest:
             load_system(man)
         sys = load_system(dataclasses.replace(man, ndyn=np.int64(1)))
         assert type(sys.ndyn) is int and sys.ndyn == 1
+
+    def test_non_finite_d_is_refused(self, tmp_path):
+        man = dataclasses.replace(load_manifest(self.write_toy(tmp_path)), d=complex(np.nan))
+        with pytest.raises(ManifestError, match="^D holds a value that is not finite"):
+            load_system(man)
 
     def test_missing_data_file(self, tmp_path):
         path = self.write_toy(tmp_path)

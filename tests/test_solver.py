@@ -1,3 +1,8 @@
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from sys import getswitchinterval, setswitchinterval
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -610,9 +615,9 @@ class TestRun:
         k11, lifted = CountingK11(sc.k11), {"N": 0, "T": 0}
         refresh, lift = solver.refresh_columns, solver._lifted_vectors
 
-        def counted_refresh(sys, state):
+        def counted_refresh(sys, state, pool=None):
             before = dict(k11.columns)
-            refresh(sys, state)
+            refresh(sys, state, pool)
             assert k11.columns == before
 
         def counted_lift(sys, V, nu, transposed=False):
@@ -889,6 +894,11 @@ def pair_system(a22=-2.0):
     return DescriptorSystem.from_dense_state(A, [1, 1, 1], [1, 1, 1], 0)
 
 
+# two columns' shifts in sweeps 0, 1, 2 of a three-cycle
+THREE_CYCLE = np.array(
+    [[-1.5 + 0.5j, -0.3 + 0.2j], [-2.5 + 0.3j, -0.6 + 1.4j], [-0.7 + 0.9j, -2.2 - 0.4j]]
+)
+
 # column 0 locks -0.1 + 1j in sweep 2; in that sweep column 1's next shift
 # is within 5% of -0.1 - 1j, which it would reach on its own in sweep 5
 PAIR_SHIFTS = [-0.1 + 1.001j, -0.3 - 0.6j]
@@ -956,9 +966,7 @@ class TestConjugateLock:
     def test_stalled_column_leaves_the_coupled_update(self, monkeypatch, method):
         # both columns walk a three-cycle, which the two-cycle rule does not
         # catch, so their best residuals stop falling within three sweeps
-        orbit = np.array(
-            [[-1.5 + 0.5j, -0.3 + 0.2j], [-2.5 + 0.3j, -0.6 + 1.4j], [-0.7 + 0.9j, -2.2 - 0.4j]]
-        )
+        orbit = THREE_CYCLE
         pencil = solver.dpse_step
         monkeypatch.setattr(
             solver, f"{method}_step", lambda sys, state: orbit[state.iter % 3].copy()
@@ -985,6 +993,114 @@ class TestConjugateLock:
             else:
                 want = pencil(system, state)[j]
             assert_allclose(report.trajectories[it][j], want, rtol=1e-12)
+
+
+def without_times(report):
+    d = report.to_dict()
+    del d["total_time_s"]
+    for row in d["poles"]:
+        del row["time_s"]
+    return d
+
+
+class TestPooledRefresh:
+    """With a pool (two CPUs and no size gate), a run factors the shifts of
+    a sweep side by side and reports exactly what the serial run does."""
+
+    @staticmethod
+    def runs(monkeypatch, make, config, shifts, cpus=2):
+        """The serial and the pooled report of one call, each on a fresh
+        system, with the threads that made each run's LUs."""
+        monkeypatch.setattr(solver, "_cpus", lambda: cpus)
+        lus, splu = [], sparsela.spla.splu
+        monkeypatch.setattr(
+            sparsela.spla, "splu", lambda *a, **kw: lus.append(threading.get_ident()) or splu(*a, **kw)
+        )
+        out = []
+        for gate in (10**9, 0):
+            monkeypatch.setattr(solver, "_POOL_MIN_ORDER", gate)
+            lus.clear()
+            before = threading.active_count()
+            report = run(make(), config, shifts)
+            assert threading.active_count() == before
+            out.append((report, list(lus)))
+        return out
+
+    @pytest.mark.parametrize("method", ["dpse", "ddpse"])
+    @pytest.mark.parametrize(
+        "kind, make, shifts",
+        [
+            ("collision", two_state, [-0.5, -0.5]),
+            ("singular-shift", two_state, [-2.5, -1.0]),
+            ("small-normalizer", two_state, [-0.5, -2.0]),
+            ("stalled", pair_system, THREE_CYCLE[0]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_report_and_lus_equal_the_serial_run(self, monkeypatch, method, kind, make, shifts):
+        config = SolverConfig(method=method, p=2)
+        if kind == "stalled":
+            monkeypatch.setattr(
+                solver, f"{method}_step", lambda sys, state: THREE_CYCLE[state.iter % 3].copy()
+            )
+            config.max_iter = 3 + 3 * solver._STALL_SWEEPS
+        (serial, serial_lus), (pooled, pooled_lus) = self.runs(monkeypatch, make, config, shifts)
+        assert kind in {e["kind"] for e in serial.events}
+        assert without_times(pooled) == without_times(serial)
+        assert len(pooled_lus) == len(serial_lus)
+        main = threading.get_ident()
+        assert set(serial_lus) == {main} and len(set(pooled_lus)) == 2
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        # seven workers on short switch intervals: a result taken out of
+        # column order, or a lost update, would change the report
+        def make():
+            rng = np.random.default_rng(0)
+            spec = sample_spectrum(20, 8, (0.05, 0.3), rng)
+            return build_system(spec, n_algebraic=30, density=0.1, rng=rng).system, spec
+
+        shifts = make()[1][:16:2] + 0.1 + 0.05j
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            (serial, serial_lus), (pooled, pooled_lus) = self.runs(
+                monkeypatch, lambda: make()[0], SolverConfig(p=8), shifts, cpus=8
+            )
+        finally:
+            setswitchinterval(interval)
+        assert serial.converged_count > 0
+        assert without_times(pooled) == without_times(serial)
+        assert len(pooled_lus) == len(serial_lus) and len(set(pooled_lus)) > 1
+
+    def test_a_raising_run_leaves_no_thread(self, monkeypatch):
+        # column 0 exhausts its moves while column 1 is still being factored
+        def singular(sys, s, min_normalizer):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)
+            raise SingularMatrixError("forced")
+
+        monkeypatch.setattr(solver, "_cpus", lambda: 2)
+        monkeypatch.setattr(solver, "_POOL_MIN_ORDER", 0)
+        monkeypatch.setattr(solver, "normalized_vectors", singular)
+        before = threading.active_count()
+        with pytest.raises(SolverError, match="^column 0: singular-shift persisted"):
+            run(two_state(), SolverConfig(p=2), [-0.5, -2.5])
+        assert threading.active_count() == before
+
+    def test_a_prefetch_whose_shift_an_earlier_move_takes_is_dropped(self):
+        # column 1 collides with column 0 and moves onto column 2's requested
+        # shift, which was factored ahead: column 2 is moved and factored
+        # again, as in the serial walk
+        system = DescriptorSystem.from_dense_state(np.diag([-1.0, -2.0, -3.0]), np.ones(3), np.ones(3))
+        shifts = [-0.5, -0.5, -0.5 + 1e-6 * (1 + 1j)]
+        serial = prepared_state(system, shifts)
+        pooled = ShiftState.start(system, np.asarray(shifts))
+        with ThreadPoolExecutor(1) as pool:
+            refresh_columns(system, pooled, pool)
+        assert [(e["kind"], e["column"]) for e in serial.events] == [("collision", 1), ("collision", 2)]
+        assert pooled.events == serial.events
+        assert np.array_equal(pooled.shifts, serial.shifts)
+        assert np.array_equal(pooled.X, serial.X) and np.array_equal(pooled.Y, serial.Y)
 
 
 class TestSequencesAgainstOracle:
