@@ -1,3 +1,4 @@
+import gc
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -1010,12 +1011,28 @@ class TestPooledRefresh:
     @staticmethod
     def runs(monkeypatch, make, config, shifts, cpus=2):
         """The serial and the pooled report of one call, each on a fresh
-        system, with the threads that made each run's LUs."""
+        system, with the threads that made each run's LUs. No LU may be
+        freed on another thread than the one that made it: scipy never
+        returns the factor storage of such an LU to the allocator."""
         monkeypatch.setattr(solver, "_cpus", lambda: cpus)
-        lus, splu = [], sparsela.spla.splu
-        monkeypatch.setattr(
-            sparsela.spla, "splu", lambda *a, **kw: lus.append(threading.get_ident()) or splu(*a, **kw)
-        )
+        lus, strays, splu = [], [], sparsela.spla.splu
+
+        class Tracked:
+            def __init__(self, lu):
+                self.lu, self.made = lu, threading.get_ident()
+
+            def __getattr__(self, name):
+                return getattr(self.lu, name)
+
+            def __del__(self):
+                if threading.get_ident() != self.made:
+                    strays.append(self.made)
+
+        def tracked(*args, **kwargs):
+            lus.append(threading.get_ident())
+            return Tracked(splu(*args, **kwargs))
+
+        monkeypatch.setattr(sparsela.spla, "splu", tracked)
         out = []
         for gate in (10**9, 0):
             monkeypatch.setattr(solver, "_POOL_MIN_ORDER", gate)
@@ -1023,6 +1040,8 @@ class TestPooledRefresh:
             before = threading.active_count()
             report = run(make(), config, shifts)
             assert threading.active_count() == before
+            gc.collect()
+            assert not strays
             out.append((report, list(lus)))
         return out
 
@@ -1087,10 +1106,11 @@ class TestPooledRefresh:
             run(two_state(), SolverConfig(p=2), [-0.5, -2.5])
         assert threading.active_count() == before
 
-    def test_a_prefetch_whose_shift_an_earlier_move_takes_is_dropped(self):
+    def test_a_prefetch_whose_shift_an_earlier_move_takes_is_dropped(self, monkeypatch):
         # column 1 collides with column 0 and moves onto column 2's requested
         # shift, which was factored ahead: column 2 is moved and factored
         # again, as in the serial walk
+        monkeypatch.setattr(solver, "_cpus", lambda: 2)
         system = DescriptorSystem.from_dense_state(np.diag([-1.0, -2.0, -3.0]), np.ones(3), np.ones(3))
         shifts = [-0.5, -0.5, -0.5 + 1e-6 * (1 + 1j)]
         serial = prepared_state(system, shifts)
